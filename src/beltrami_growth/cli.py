@@ -70,7 +70,7 @@ class ConfigError(Exception):
 
 
 def fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -454,10 +454,7 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
     if not ok:
         failures.append("differential_inequality")
 
-    iso_ok = True
-    for r in radii:
-        report = isoperimetric_check(mapping, z0, float(r), q, h=h)
-        iso_ok &= report.ok
+    iso_ok = all(rep.ok for rep in isoperimetric_check(mapping, z0, radii, q, h=h))
     say(f"{'PASS' if iso_ok else 'FAIL'} isoperimetric")
     if not iso_ok:
         failures.append("isoperimetric")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -20,7 +20,6 @@ from scipy.optimize import minimize_scalar
 
 from .complex_polar import TWO_PI, jacobian_wirtinger
 from .dilatation import (
-    JACOBIAN_FLOOR,
     CircleQuadrature,
     CoefficientField,
     _wirtinger_best,
@@ -377,27 +376,37 @@ def circle_length(
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+#: default panel count over ln(1/INNER_CUTOFF), and the relative radius
+#: below which the area integral is replaced by a power-law tail
+RADIAL_STEPS = 48
+INNER_CUTOFF = 1e-8
 
 
-def image_area(
+def _disk_areas(
     mapping: Mapping,
     z0: complex,
-    r: float,
-    q: CircleQuadrature = CircleQuadrature(),
+    radii,
+    q: CircleQuadrature,
     *,
-    radial_steps: int = 48,
+    radial_steps: int = RADIAL_STEPS,
     h: float = DEFAULT_FD_STEP,
-    inner_cutoff: float = 1e-8,
-) -> float:
-    """Area of f(B(z0, r)) as the polar integral of the Jacobian.
+    inner_cutoff: float = INNER_CUTOFF,
+) -> np.ndarray:
+    """Areas of f(B(z0, r)) for every r in ``radii`` from one radial sweep.
 
-    Composite 8-point Gauss panels in u = ln(rho) down to rho = inner_cutoff*r,
-    split at the mapping's seam radii; the disk below the cutoff is accounted
-    for by a local power-law extrapolation of the angular mean of J.
+    Composite 8-point Gauss panels in u = ln(rho) run from
+    rho_min = inner_cutoff * min(radii) to max(radii), with panel edges at the
+    mapping's seam radii and at every requested radius; cumulative panel sums
+    give the area at each radius.  The disk below rho_min is accounted for by
+    a local power-law extrapolation of the angular mean of J.  Panel density
+    is radial_steps panels over the smallest radius's log span, at least two
+    per segment, and one segment is evaluated at a time.
     """
-    if not (r > 0.0):
-        raise ValueError(f"radius must be positive, got {r}")
-    rho_min = inner_cutoff * r
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size == 0 or not np.all(radii > 0.0):
+        raise ValueError(f"radii must be positive, got {radii}")
+    r_min, r_max = float(np.min(radii)), float(np.max(radii))
+    rho_min = inner_cutoff * r_min
     theta = q.angles()
     phases = np.exp(1j * theta)
 
@@ -416,11 +425,13 @@ def image_area(
             raise QuadratureFailure("non-finite Jacobian sample")
         return np.mean(jac, axis=1)
 
-    cuts = sorted(s for s in mapping.seam_radii if rho_min < s < r)
-    edges = np.log(np.array([rho_min] + cuts + [r]))
-    span = edges[-1] - edges[0]
+    cuts = [s for s in mapping.seam_radii if rho_min < s < r_max]
+    stops = sorted(set(cuts) | set(radii.tolist()))
+    edges = np.log(np.array([rho_min] + stops))
+    span = edges[stops.index(r_min) + 1] - edges[0]
+    cumulative = {}
     total = 0.0
-    for a, b in zip(edges, edges[1:]):
+    for stop, a, b in zip(stops, edges, edges[1:]):
         panels = max(2, int(round(radial_steps * (b - a) / span)))
         bounds = np.linspace(a, b, panels + 1)
         half = 0.5 * (bounds[1:] - bounds[:-1])
@@ -430,6 +441,7 @@ def image_area(
         rho = np.exp(u)
         g = TWO_PI * rho**2 * mean_jacobian(rho)
         total += float(np.sum(w * g))
+        cumulative[stop] = total
 
     # power-law tail below the cutoff: mean J ~ c * rho^p
     j1 = float(mean_jacobian(np.array([rho_min]))[0])
@@ -440,7 +452,32 @@ def image_area(
             f"Jacobian not integrable at the center (local exponent {p:.3f})"
         )
     tail = TWO_PI * j1 * rho_min**2 / (p + 2.0)
-    return total + tail
+    return np.array([cumulative[r] + tail for r in radii.tolist()])
+
+
+def image_area(
+    mapping: Mapping,
+    z0: complex,
+    r: float,
+    q: CircleQuadrature = CircleQuadrature(),
+    *,
+    radial_steps: int = RADIAL_STEPS,
+    h: float = DEFAULT_FD_STEP,
+    inner_cutoff: float = INNER_CUTOFF,
+) -> float:
+    """Area of f(B(z0, r)) as the polar integral of the Jacobian.
+
+    Composite 8-point Gauss panels in u = ln(rho) down to rho = inner_cutoff*r,
+    split at the mapping's seam radii; the disk below the cutoff is accounted
+    for by a local power-law extrapolation of the angular mean of J.  Every
+    node checks J > 0, so a map that folds anywhere inside the disk raises
+    NonPositiveJacobian.  The checks below take several areas from one sweep
+    of :func:`_disk_areas`; this is its one-radius case.
+    """
+    areas = _disk_areas(
+        mapping, z0, [r], q, radial_steps=radial_steps, h=h, inner_cutoff=inner_cutoff
+    )
+    return float(areas[0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +496,35 @@ class IsoperimetricReport:
 def isoperimetric_check(
     mapping: Mapping,
     z0: complex,
-    r: float,
+    r,
     q: CircleQuadrature = CircleQuadrature(),
     *,
     rel_tol: float = 1e-6,
     h: float = DEFAULT_FD_STEP,
-) -> IsoperimetricReport:
-    """L^2 >= 4*pi*S for the image of the circle/disk of radius r."""
-    length = circle_length(mapping, z0, r, q, h=h)
-    area = image_area(mapping, z0, r, q, h=h)
-    slack = length**2 - 4.0 * math.pi * area
-    scale = rel_tol * length**2
-    return IsoperimetricReport(length, area, slack, slack >= -scale, abs(slack) <= scale)
+):
+    """L^2 >= 4*pi*S for the image of the circle/disk of radius r.
+
+    A scalar r gives one report; a 1-d array of radii gives a tuple of
+    reports whose areas come from one shared radial sweep.
+    """
+    radii = np.asarray(r, dtype=float)
+    areas = _disk_areas(mapping, z0, np.atleast_1d(radii), q, h=h)
+    reports = []
+    for ri, area in zip(np.atleast_1d(radii).tolist(), areas.tolist()):
+        length = circle_length(mapping, z0, ri, q, h=h)
+        slack = length**2 - 4.0 * math.pi * area
+        scale = rel_tol * length**2
+        reports.append(
+            IsoperimetricReport(length, area, slack, slack >= -scale, abs(slack) <= scale)
+        )
+    return reports[0] if radii.ndim == 0 else tuple(reports)
 
 
 @dataclass(frozen=True)
 class DifferentialInequalityRow:
     r: float
     area: float
-    area_rate: float  # S'(r), central differences
+    area_rate: float  # S'(r) = r * int J_f dtheta over the circle, exactly
     bound: float  # 2 S / (r d_f)
     ratio: float
     ok: bool
@@ -489,25 +536,31 @@ def differential_inequality_check(
     radii,
     q: CircleQuadrature = CircleQuadrature(),
     *,
-    rel_step: float = 1e-4,
     rel_tol: float = 1e-3,
     h: float = DEFAULT_FD_STEP,
 ):
-    """Check S' >= 2S/(r d_f) at each radius; S' by central differences."""
+    """Check S' >= 2S/(r d_f) at each radius.
+
+    The areas S come from one radial sweep of the Jacobian over the largest
+    disk; S'(r) = r * int J_f dtheta is the exact derivative of the polar
+    area integral, taken by the periodic trapezoid rule on the circle.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if radii.size == 0:
+        return []
+    theta = q.angles()
     rows = []
-    for r in np.asarray(radii, dtype=float):
-        dr = rel_step * r
-        area = image_area(mapping, z0, r, q, h=h)
-        s_plus = image_area(mapping, z0, r + dr, q, h=h)
-        s_minus = image_area(mapping, z0, r - dr, q, h=h)
-        rate = (s_plus - s_minus) / (2.0 * dr)
+    for r, area in zip(radii.tolist(), _disk_areas(mapping, z0, radii, q, h=h).tolist()):
+        jac = jacobian_wirtinger(_wirtinger_best(mapping, complex(z0) + r * np.exp(1j * theta), h))
+        if np.any(jac <= 0.0):
+            worst = int(np.argmin(jac))
+            raise NonPositiveJacobian(f"J_f = {jac[worst]} at r = {r}, theta = {theta[worst]}")
+        rate = TWO_PI * r * q.mean(jac)
         d_mean = circle_average_D(mapping, z0, r, q, h=h)
         bound = 2.0 * area / (r * d_mean)
         ratio = rate / bound
         rows.append(
-            DifferentialInequalityRow(
-                float(r), area, rate, bound, ratio, ratio >= 1.0 - rel_tol
-            )
+            DifferentialInequalityRow(r, area, rate, bound, ratio, ratio >= 1.0 - rel_tol)
         )
     return rows
 
@@ -541,8 +594,7 @@ def area_bound_check(
         raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
     profile = FieldProfile(K, q)
     integral, _ = envelope_integral(profile, r0, R)
-    area_inner = image_area(mapping, z0, r0, q, h=h)
-    area_outer = image_area(mapping, z0, R, q, h=h)
+    area_inner, area_outer = _disk_areas(mapping, z0, [r0, R], q, h=h).tolist()
     rhs = area_outer * math.exp(-2.0 * integral)
     slack = rhs - area_inner
     return AreaBoundReport(

@@ -364,6 +364,3 @@ class RadialTable(Mapping):
         drho = self._drho_of_r(r, rho_r)
         pd = PolarDerivPair(drho * unit, 1j * rho_r * unit)
         return polar_to_wirtinger(z, self.center, pd)
-
-
-CATALOG_VARIANTS = ("identity", "linear", "spiral", "power", "loglog", "radial_table")

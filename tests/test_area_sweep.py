@@ -1,0 +1,205 @@
+"""Disk areas from one radial sweep, checked against independent oracles.
+
+The production area is a volume integral of J_f over the disk.  Green's
+theorem gives the same area from the boundary circle alone,
+S = 1/2 * int Im(conj(f - f(z0)) f_theta) dtheta, by a periodic trapezoid
+rule; for these smooth maps it converges geometrically, so a fine circle is
+an independent oracle for the volume integral.  Green's formula sees only
+the boundary, so the interior-fold test below pins the disk-wide J > 0 scan
+that it would miss.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from beltrami_growth import (
+    CircleQuadrature,
+    ConstantProfile,
+    Mapping,
+    NonPositiveJacobian,
+    PolarDerivPair,
+    PowerCoefficient,
+    area_bound_check,
+    build_extremal,
+    catalog_pair,
+    circle_length,
+    differential_inequality_check,
+    image_area,
+    isoperimetric_check,
+    jacobian_wirtinger,
+    polar_to_wirtinger,
+)
+from beltrami_growth.growth import _disk_areas
+
+from conftest import CATALOG_IDS, CATALOG_SPECS
+
+MAPS = [catalog_pair(name, **params)[0] for name, params in CATALOG_SPECS]
+MAPS.append(build_extremal(ConstantProfile(2.0), 1.0, 1.0, 2.0**10).mapping())
+IDS = CATALOG_IDS + ["extremal"]
+
+
+def green_area(mapping, z0, r, n=4096):
+    """Area enclosed by the image of |z - z0| = r, from the boundary alone."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    w = r * np.exp(1j * theta)
+    wp = mapping.wirtinger_analytic(z0 + w)
+    f_theta = 1j * (w * wp.d_z - np.conj(w) * wp.d_zbar)
+    f = mapping.evaluate(z0 + w) - mapping.center_value(z0)
+    return math.pi * float(np.mean(np.imag(np.conj(f) * f_theta)))
+
+
+def check_radii(mapping, count):
+    lo, hi = 0.5, 50.0
+    if mapping.seam_radii:
+        lo = 1.01 * max(mapping.seam_radii)
+        hi = min(100.0 * lo, mapping.radial_domain[1])
+    return np.geomspace(lo, hi, count)
+
+
+@dataclass(frozen=True)
+class ModulatedPower(Mapping):
+    """f = r^{1/alpha} (1 + eps cos(k theta)) e^{i theta}: rays go to rays and
+    the modulus grows in r, so for |eps| < 1 it is a homeomorphism, but it is
+    not radially symmetric and every inequality is strict."""
+
+    alpha: float = 2.0
+    eps: float = 0.3
+    k: int = 3
+    origin_singular = True
+
+    def _modulus(self, z):
+        return np.abs(z) ** (1.0 / self.alpha) * (1.0 + self.eps * np.cos(self.k * np.angle(z)))
+
+    def _eval_array(self, z):
+        out = np.zeros(z.shape, dtype=complex)
+        mask = z != 0
+        out[mask] = self._modulus(z[mask]) * z[mask] / np.abs(z[mask])
+        return out
+
+    def _wirtinger_array(self, z):
+        r, theta = np.abs(z), np.angle(z)
+        unit = z / r
+        radial = r ** (1.0 / self.alpha)
+        modulus = radial * (1.0 + self.eps * np.cos(self.k * theta))
+        d_modulus = -radial * self.eps * self.k * np.sin(self.k * theta)
+        pd = PolarDerivPair(modulus / (self.alpha * r) * unit, (d_modulus + 1j * modulus) * unit)
+        return polar_to_wirtinger(z, 0j, pd)
+
+    def area(self, r):
+        return math.pi * r ** (2.0 / self.alpha) * (1.0 + 0.5 * self.eps**2)
+
+    def rate_ratio(self):
+        """S' r D / (2 S) = mean D / alpha = 1 + k^2 (1/sqrt(1 - eps^2) - 1)."""
+        return 1.0 + self.k**2 * (1.0 / math.sqrt(1.0 - self.eps**2) - 1.0)
+
+
+@dataclass(frozen=True)
+class InteriorFold(Mapping):
+    """f = rho(r) e^{i theta} with rho = r + 0.1 sin(20 r): J_f < 0 on
+    0.105 < r < 0.209 (and two more bands inside the unit disk), J_f > 0 on
+    |z| = 1, so only a scan of the whole disk sees the fold."""
+
+    origin_singular = True
+
+    def _eval_array(self, z):
+        r = np.abs(z)
+        out = np.zeros(z.shape, dtype=complex)
+        mask = r > 0.0
+        out[mask] = (1.0 + 0.1 * np.sin(20.0 * r[mask]) / r[mask]) * z[mask]
+        return out
+
+    def _wirtinger_array(self, z):
+        r = np.abs(z)
+        unit = z / r
+        rho = r + 0.1 * np.sin(20.0 * r)
+        d_rho = 1.0 + 2.0 * np.cos(20.0 * r)
+        return polar_to_wirtinger(z, 0j, PolarDerivPair(d_rho * unit, 1j * rho * unit))
+
+
+class TestGreenOracle:
+    @pytest.mark.parametrize("mapping", MAPS, ids=IDS)
+    def test_volume_area_matches_boundary_formula(self, mapping):
+        for r in check_radii(mapping, 4):
+            exact = green_area(mapping, 0j, float(r))
+            assert abs(image_area(mapping, 0j, float(r)) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("mapping", MAPS, ids=IDS)
+    def test_sweep_matches_per_radius_areas(self, mapping):
+        radii = check_radii(mapping, 10)
+        q = CircleQuadrature(256)
+        swept = _disk_areas(mapping, 0j, radii, q)
+        single = np.array([image_area(mapping, 0j, float(r), q) for r in radii])
+        np.testing.assert_allclose(swept, single, rtol=1e-13, atol=0.0)
+
+    def test_sweep_order_and_repeats(self):
+        mapping = MAPS[1]
+        radii = [4.0, 0.5, 4.0, 2.0]
+        swept = _disk_areas(mapping, 0j, radii, CircleQuadrature())
+        ordered = _disk_areas(mapping, 0j, sorted(set(radii)), CircleQuadrature())
+        assert swept[0] == swept[2]
+        np.testing.assert_array_equal(swept[[1, 3, 0]], ordered)
+
+    def test_isoperimetric_array_shares_one_sweep(self):
+        mapping = MAPS[1]
+        radii = check_radii(mapping, 3)
+        reports = isoperimetric_check(mapping, 0j, radii)
+        assert isinstance(reports, tuple) and len(reports) == radii.size
+        for r, rep in zip(radii, reports):
+            single = isoperimetric_check(mapping, 0j, float(r))
+            assert rep.length == single.length
+            assert rep.area == pytest.approx(single.area, rel=1e-13)
+
+
+class TestNonRadialPair:
+    mapping = ModulatedPower()
+    radii = np.geomspace(0.5, 50.0, 5)
+
+    def test_area_closed_form_and_green(self):
+        for r in self.radii:
+            area = image_area(self.mapping, 0j, float(r))
+            assert area == pytest.approx(self.mapping.area(r), rel=1e-13)
+            assert area == pytest.approx(green_area(self.mapping, 0j, float(r)), rel=1e-14)
+
+    def test_differential_inequality_strict(self):
+        rows = differential_inequality_check(self.mapping, 0j, self.radii)
+        expected = self.mapping.rate_ratio()
+        assert expected == pytest.approx(1.4346, abs=1e-4)
+        for row in rows:
+            assert row.ok
+            assert row.ratio == pytest.approx(expected, rel=1e-9)
+            assert row.area_rate == pytest.approx(
+                2.0 / (self.mapping.alpha * row.r) * self.mapping.area(row.r), rel=1e-12
+            )
+
+    def test_isoperimetric_strict(self):
+        for rep, r in zip(isoperimetric_check(self.mapping, 0j, self.radii), self.radii):
+            assert rep.ok and not rep.equality
+            assert rep.slack / rep.length**2 == pytest.approx(0.252, abs=1e-3)
+            # independent length: the inscribed polygon on a fine circle
+            points = self.mapping.evaluate(r * np.exp(2j * np.pi * np.arange(2**16) / 2**16))
+            polygon = float(np.sum(np.abs(np.diff(np.append(points, points[0])))))
+            assert rep.length == pytest.approx(polygon, rel=1e-8)
+
+
+class TestInteriorFold:
+    mapping = InteriorFold()
+
+    def test_jacobian_positive_on_boundary_circle(self):
+        z = np.exp(1j * CircleQuadrature().angles())
+        assert np.all(jacobian_wirtinger(self.mapping.wirtinger_analytic(z)) > 0.0)
+        assert circle_length(self.mapping, 0j, 1.0) > 0.0
+
+    def test_differential_inequality_raises(self):
+        with pytest.raises(NonPositiveJacobian):
+            differential_inequality_check(self.mapping, 0j, [1.0])
+
+    def test_isoperimetric_raises(self):
+        with pytest.raises(NonPositiveJacobian):
+            isoperimetric_check(self.mapping, 0j, 1.0)
+
+    def test_area_bound_raises(self):
+        with pytest.raises(NonPositiveJacobian):
+            area_bound_check(self.mapping, PowerCoefficient(1.0), 0j, 0.5, 1.0)

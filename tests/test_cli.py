@@ -41,6 +41,10 @@ class TestFormatting:
         assert fmt(False) == "false"
         assert fmt(7) == "7"
 
+    def test_numpy_bools(self):
+        assert fmt(np.bool_(True)) == "true"
+        assert fmt(np.bool_(False)) == "false"
+
 
 class TestKappa:
     def test_loglog_with_breakpoint_rows(self, tmp_path):
