@@ -2,9 +2,7 @@
 Beltrami-type equation with the Jacobian on the right-hand side."""
 
 from .complex_polar import (
-    PlanePoint,
     PolarDerivPair,
-    PolarOffset,
     WirtingerPair,
     jacobian_polar,
     jacobian_wirtinger,
@@ -56,6 +54,7 @@ from .growth import (
     image_area,
     isoperimetric_check,
     iterated_log,
+    ladder_integrals,
     loglog_example_profile,
     modulus_extremes,
     nonexistence_diagnostic,
@@ -77,7 +76,6 @@ from .verify import (
     ExtremalSolution,
     build_extremal,
     catalog_pair,
-    coefficient_of_extremal,
     pde_residual,
     real_system_residual,
     sharpness_ladder,

@@ -40,8 +40,8 @@ from .growth import (
     RadiusLadder,
     TableProfile,
     differential_inequality_check,
-    envelope_integral,
     isoperimetric_check,
+    ladder_integrals,
     modulus_extremes,
     nonexistence_diagnostic,
     theorem1_check,
@@ -135,19 +135,29 @@ def _require_keys(cfg, name, allowed, required):
         raise ConfigError(f"missing keys in {name}: {sorted(missing)}")
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
 def _cnum(value, name) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(_finite(v) for v in value)
     ):
-        raise ConfigError(f"{name} must be a [re, im] pair of numbers")
+        raise ConfigError(f"{name} must be a [re, im] pair of finite numbers")
     return complex(value[0], value[1])
 
 
 def _num(value, name, *, positive=False) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number")
+    if not _finite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     if positive and not value > 0:
         raise ConfigError(f"{name} must be positive, got {value}")
     return float(value)
@@ -207,7 +217,10 @@ def parse_mapping(cfg):
         if kind == "radial_table":
             knots, rho = _load_radial_table_csv(cfg["path"])
             center = _cnum(cfg.get("center", [0, 0]), "center")
-            return RadialTable(knots, rho, center, bool(cfg.get("linear_inner", False)))
+            linear_inner = cfg.get("linear_inner", False)
+            if not isinstance(linear_inner, bool):
+                raise ConfigError("linear_inner must be true or false")
+            return RadialTable(knots, rho, center, linear_inner)
     except KeyError as exc:
         raise ConfigError(f"mapping kind {kind!r} requires key {exc}") from exc
     except ValueError as exc:
@@ -369,15 +382,9 @@ def cmd_envelope(cfg, outdir: Path, plot: bool, say) -> int:
     _require_keys(cfg, "config", {"profile", "r0", "ladder"}, {"profile", "r0", "ladder"})
     profile = parse_profile(cfg["profile"])
     r0 = _num(cfg["r0"], "r0", positive=True)
-    ladder = parse_ladder(cfg["ladder"])
-    rows = []
-    integral = 0.0
-    prev = r0
-    for R in ladder.radii():
-        seg, _ = envelope_integral(profile, prev, float(R))
-        integral += seg
-        prev = float(R)
-        rows.append((float(R), integral, math.exp(integral)))
+    radii = parse_ladder(cfg["ladder"]).radii().tolist()
+    integrals = np.cumsum(ladder_integrals(profile, r0, radii)).tolist()
+    rows = [(R, I, math.exp(I)) for R, I in zip(radii, integrals)]
     path = write_csv(outdir / "envelope.csv", ["R", "I", "envelope"], rows)
     say(f"wrote {path} ({len(rows)} rows)")
     if plot:
@@ -584,10 +591,9 @@ def cmd_nonexist(cfg, outdir: Path, plot: bool, say) -> int:
         mapping = parse_mapping(cfg["mapping"])
         ladder = parse_ladder(cfg["ladder"])
         q = _quadrature(cfg)
-        observed = []
-        for R in ladder.radii():
-            m_max, _ = modulus_extremes(mapping, 0j, float(R), q)
-            observed.append((float(R), m_max))
+        observed = [
+            (R, modulus_extremes(mapping, 0j, R, q)[0]) for R in ladder.radii().tolist()
+        ]
     else:
         raise ConfigError("need observed data or a mapping plus ladder")
     report = nonexistence_diagnostic(observed, profile, r0)

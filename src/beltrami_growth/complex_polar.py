@@ -37,55 +37,6 @@ def normalize_angle(theta):
 
 
 @dataclass(frozen=True)
-class PlanePoint:
-    """A point of the plane, kept as two finite real components."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        _require_finite(self.re, "re")
-        _require_finite(self.im, "im")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "PlanePoint":
-        return cls(float(z.real), float(z.imag))
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
-class PolarOffset:
-    """Polar form r*e^{i*theta} of the offset from a center point."""
-
-    center: PlanePoint
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not (self.r >= RADIUS_FLOOR and math.isfinite(self.r)):
-            raise DegenerateRadius(
-                f"radius must be at least {RADIUS_FLOOR} and finite, got {self.r}"
-            )
-        object.__setattr__(self, "theta", float(normalize_angle(self.theta)))
-
-    @classmethod
-    def from_point(cls, z: PlanePoint, center: PlanePoint) -> "PolarOffset":
-        w = z.as_complex() - center.as_complex()
-        r = abs(w)
-        if r < RADIUS_FLOOR:
-            raise DegenerateRadius(f"point {z} coincides with center {center}")
-        return cls(center, r, math.atan2(w.imag, w.real))
-
-    def to_point(self) -> PlanePoint:
-        z = self.center.as_complex() + self.r * complex(
-            math.cos(self.theta), math.sin(self.theta)
-        )
-        return PlanePoint.from_complex(z)
-
-
-@dataclass(frozen=True)
 class WirtingerPair:
     """The formal derivatives (f_z, f_zbar)."""
 
@@ -109,29 +60,29 @@ class PolarDerivPair:
         _require_finite(self.d_theta, "d_theta")
 
 
-def _offset(z, z0, radius_floor: float):
+def _offset(z, z0):
     w = np.asarray(z, dtype=complex) - np.asarray(z0, dtype=complex)
     r = np.abs(w)
-    if np.any(r < radius_floor):
+    if np.any(r < RADIUS_FLOOR):
         raise DegenerateRadius("evaluation point too close to the center")
     return w, r
 
 
-def wirtinger_to_polar(z, z0, wp: WirtingerPair, *, radius_floor: float = RADIUS_FLOOR) -> PolarDerivPair:
+def wirtinger_to_polar(z, z0, wp: WirtingerPair) -> PolarDerivPair:
     """Convert (f_z, f_zbar) at z to (f_r, f_theta) about the center z0.
 
     Uses r*f_r = w*f_z + conj(w)*f_zbar and f_theta = i*(w*f_z - conj(w)*f_zbar)
     with w = z - z0.
     """
-    w, r = _offset(z, z0, radius_floor)
+    w, r = _offset(z, z0)
     d_r = (w * wp.d_z + np.conj(w) * wp.d_zbar) / r
     d_theta = 1j * (w * wp.d_z - np.conj(w) * wp.d_zbar)
     return PolarDerivPair(d_r, d_theta)
 
 
-def polar_to_wirtinger(z, z0, pd: PolarDerivPair, *, radius_floor: float = RADIUS_FLOOR) -> WirtingerPair:
+def polar_to_wirtinger(z, z0, pd: PolarDerivPair) -> WirtingerPair:
     """Exact inverse of :func:`wirtinger_to_polar`."""
-    w, r = _offset(z, z0, radius_floor)
+    w, r = _offset(z, z0)
     d_z = (r * pd.d_r - 1j * pd.d_theta) / (2.0 * w)
     d_zbar = (r * pd.d_r + 1j * pd.d_theta) / (2.0 * np.conj(w))
     return WirtingerPair(d_z, d_zbar)

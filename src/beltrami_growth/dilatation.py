@@ -305,15 +305,14 @@ def angular_dilatation(
     z,
     *,
     h: float = DEFAULT_FD_STEP,
-    jacobian_floor: float = JACOBIAN_FLOOR,
 ):
     """|f_theta|^2 / (r^2 J_f) at z, about the center z0."""
     wp = _wirtinger_best(mapping, z, h)
     pd = wirtinger_to_polar(z, z0, wp)
     r = np.abs(np.asarray(z, dtype=complex) - z0)
     jac = jacobian_polar(r, pd)
-    if np.any(np.asarray(jac) <= jacobian_floor):
-        raise NonPositiveJacobian(f"Jacobian {jac} at or below floor {jacobian_floor}")
+    if np.any(np.asarray(jac) <= JACOBIAN_FLOOR):
+        raise NonPositiveJacobian(f"Jacobian {jac} at or below floor {JACOBIAN_FLOOR}")
     out = np.abs(np.asarray(pd.d_theta)) ** 2 / (r**2 * jac)
     return float(out) if np.ndim(z) == 0 else out
 

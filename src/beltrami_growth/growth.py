@@ -287,9 +287,7 @@ def _reciprocal_integrand(profile: KappaProfile):
     return integrand
 
 
-def envelope_integral(
-    profile: KappaProfile, r0: float, R: float, *, abs_tol: float = ENVELOPE_ABS_TOL
-):
+def envelope_integral(profile: KappaProfile, r0: float, R: float):
     """I = int_{r0}^{R} dr/(r kappa(r)) and its envelope exp(I).
 
     Integrates in t = ln r (the natural variable of every catalog profile)
@@ -307,9 +305,24 @@ def envelope_integral(
     integrand = _reciprocal_integrand(profile)
     total = 0.0
     for a, b in zip(edges, edges[1:]):
-        piece, _ = quad(integrand, a, b, epsabs=abs_tol, epsrel=1e-12, limit=200)
+        piece, _ = quad(integrand, a, b, epsabs=ENVELOPE_ABS_TOL, epsrel=1e-12, limit=200)
         total += piece
     return total, math.exp(total)
+
+
+def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
+    """I over each gap [r0, R_1], [R_1, R_2], ... of a radius ladder.
+
+    The rungs must ascend strictly from a first rung at or above r0; a first
+    rung equal to r0 gives an exact 0.0 gap.  ``np.cumsum`` of the result is
+    I(r0, R_k) at every rung.
+    """
+    rungs = [float(R) for R in radii]
+    if (rungs and rungs[0] < r0) or any(b <= a for a, b in zip(rungs, rungs[1:])):
+        raise DomainError(f"ladder rungs must ascend strictly from r0 = {r0} or above")
+    return np.array(
+        [envelope_integral(profile, a, b)[0] for a, b in zip([r0] + rungs, rungs)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +354,17 @@ def modulus_extremes(
         raise QuadratureFailure("non-finite modulus sample on the circle")
     step = TWO_PI / q.n
 
-    def refine(objective, i_best, best):
+    def refine(objective, i_best):
         t0 = theta[i_best]
-        res = minimize_scalar(
+        return minimize_scalar(
             objective,
             bounds=(t0 - step, t0 + step),
             method="bounded",
             options={"xatol": 1e-10},
         )
-        return res
 
-    res_max = refine(lambda t: -float(distance(t)), int(np.argmax(values)), None)
-    res_min = refine(lambda t: float(distance(t)), int(np.argmin(values)), None)
+    res_max = refine(lambda t: -float(distance(t)), int(np.argmax(values)))
+    res_min = refine(lambda t: float(distance(t)), int(np.argmin(values)))
     m_max = max(float(np.max(values)), -res_max.fun)
     m_min = min(float(np.min(values)), res_min.fun)
     return m_max, m_min
@@ -376,8 +388,8 @@ def circle_length(
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
-#: default panel count over ln(1/INNER_CUTOFF), and the relative radius
-#: below which the area integral is replaced by a power-law tail
+#: panel count over ln(1/INNER_CUTOFF), and the relative radius below which
+#: the area integral is replaced by a power-law tail
 RADIAL_STEPS = 48
 INNER_CUTOFF = 1e-8
 
@@ -388,25 +400,23 @@ def _disk_areas(
     radii,
     q: CircleQuadrature,
     *,
-    radial_steps: int = RADIAL_STEPS,
     h: float = DEFAULT_FD_STEP,
-    inner_cutoff: float = INNER_CUTOFF,
 ) -> np.ndarray:
     """Areas of f(B(z0, r)) for every r in ``radii`` from one radial sweep.
 
     Composite 8-point Gauss panels in u = ln(rho) run from
-    rho_min = inner_cutoff * min(radii) to max(radii), with panel edges at the
+    rho_min = INNER_CUTOFF * min(radii) to max(radii), with panel edges at the
     mapping's seam radii and at every requested radius; cumulative panel sums
     give the area at each radius.  The disk below rho_min is accounted for by
     a local power-law extrapolation of the angular mean of J.  Panel density
-    is radial_steps panels over the smallest radius's log span, at least two
+    is RADIAL_STEPS panels over the smallest radius's log span, at least two
     per segment, and one segment is evaluated at a time.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or not np.all(radii > 0.0):
         raise ValueError(f"radii must be positive, got {radii}")
     r_min, r_max = float(np.min(radii)), float(np.max(radii))
-    rho_min = inner_cutoff * r_min
+    rho_min = INNER_CUTOFF * r_min
     theta = q.angles()
     phases = np.exp(1j * theta)
 
@@ -432,7 +442,7 @@ def _disk_areas(
     cumulative = {}
     total = 0.0
     for stop, a, b in zip(stops, edges, edges[1:]):
-        panels = max(2, int(round(radial_steps * (b - a) / span)))
+        panels = max(2, int(round(RADIAL_STEPS * (b - a) / span)))
         bounds = np.linspace(a, b, panels + 1)
         half = 0.5 * (bounds[1:] - bounds[:-1])
         mid = 0.5 * (bounds[1:] + bounds[:-1])
@@ -461,23 +471,18 @@ def image_area(
     r: float,
     q: CircleQuadrature = CircleQuadrature(),
     *,
-    radial_steps: int = RADIAL_STEPS,
     h: float = DEFAULT_FD_STEP,
-    inner_cutoff: float = INNER_CUTOFF,
 ) -> float:
     """Area of f(B(z0, r)) as the polar integral of the Jacobian.
 
-    Composite 8-point Gauss panels in u = ln(rho) down to rho = inner_cutoff*r,
+    Composite 8-point Gauss panels in u = ln(rho) down to rho = INNER_CUTOFF*r,
     split at the mapping's seam radii; the disk below the cutoff is accounted
     for by a local power-law extrapolation of the angular mean of J.  Every
     node checks J > 0, so a map that folds anywhere inside the disk raises
     NonPositiveJacobian.  The checks below take several areas from one sweep
     of :func:`_disk_areas`; this is its one-radius case.
     """
-    areas = _disk_areas(
-        mapping, z0, [r], q, radial_steps=radial_steps, h=h, inner_cutoff=inner_cutoff
-    )
-    return float(areas[0])
+    return float(_disk_areas(mapping, z0, [r], q, h=h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -641,33 +646,21 @@ def theorem1_check(
 ) -> GrowthLadderReport:
     """Lower growth bound: M(R) * exp(-I(r0, R)) >= m(r0) along the ladder.
 
-    The running minimum of v(R) stands in for the liminf; with a finite
-    ladder this is a proxy, not the limit itself.
+    The ladder must start at or above r0.  The running minimum of v(R)
+    stands in for the liminf; with a finite ladder this is a proxy, not the
+    limit itself.
     """
-    if ladder.r0 < r0:
-        raise DomainError("ladder must start at or above r0")
-    profile = FieldProfile(K, q)
+    radii = ladder.radii().tolist()
+    integrals = np.cumsum(ladder_integrals(FieldProfile(K, q), r0, radii)).tolist()
     _, m_inner = modulus_extremes(mapping, z0, r0, q)
-    rows = []
-    integral = 0.0
-    prev = r0
-    running = math.inf
-    all_ok = True
-    for R in ladder.radii():
-        seg, _ = envelope_integral(profile, prev, float(R))
-        integral += seg
-        prev = float(R)
-        m_max, m_min = modulus_extremes(mapping, z0, float(R), q)
-        v = m_max * math.exp(-integral)
-        running = min(running, v)
-        ok = v >= m_inner * (1.0 - rel_tol)
-        all_ok &= ok
-        rows.append(
-            GrowthLadderRow(
-                float(R), m_max, m_min, integral, math.exp(integral), v, ok
-            )
-        )
-    return GrowthLadderReport(tuple(rows), m_inner, running, bool(all_ok))
+    extremes = [modulus_extremes(mapping, z0, R, q) for R in radii]
+    v = [m_max * math.exp(-I) for (m_max, _), I in zip(extremes, integrals)]
+    floor = m_inner * (1.0 - rel_tol)
+    rows = tuple(
+        GrowthLadderRow(R, m_max, m_min, I, math.exp(I), vk, vk >= floor)
+        for R, (m_max, m_min), I, vk in zip(radii, extremes, integrals, v)
+    )
+    return GrowthLadderReport(rows, m_inner, min(v), all(row.bound_ok for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +670,8 @@ NONEXISTENCE_NOTE = (
     "finite-sample diagnostic over a bounded radius ladder; "
     "not a proof of non-existence"
 )
+#: v(R) must fall below this share of its first value for "inconsistent"
+DECAY_FACTOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -687,31 +682,23 @@ class NonexistenceReport:
 
 
 def nonexistence_diagnostic(
-    observed, profile: KappaProfile, r0: float, *, decay_factor: float = 0.01
+    observed, profile: KappaProfile, r0: float
 ) -> NonexistenceReport:
     """Test observed growth data (R, M) against the envelope of a kappa profile.
 
-    Verdict is "inconsistent" when v(R) = M * exp(-I(r0, R)) decreases
-    monotonically over the last half of the ladder and decays below
-    decay_factor times its initial value.
+    The radii must ascend strictly from r0 or above.  Verdict is
+    "inconsistent" when v(R) = M * exp(-I(r0, R)) decreases monotonically
+    over the last half of the ladder and decays below DECAY_FACTOR times its
+    initial value.
     """
     data = [(float(R), float(M)) for R, M in observed]
     if len(data) < 2:
         raise DomainError("need at least two observations")
-    radii = [R for R, _ in data]
-    if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= r0:
-        raise DomainError("radii must be strictly ascending and above r0")
-    rows = []
-    integral = 0.0
-    prev = r0
-    for R, M in data:
-        seg, _ = envelope_integral(profile, prev, R)
-        integral += seg
-        prev = R
-        rows.append((R, M, M * math.exp(-integral)))
+    integrals = np.cumsum(ladder_integrals(profile, r0, [R for R, _ in data])).tolist()
+    rows = tuple((R, M, M * math.exp(-I)) for (R, M), I in zip(data, integrals))
     v = [row[2] for row in rows]
     tail = v[len(v) // 2 :]
     monotone_tail = all(b < a for a, b in zip(tail, tail[1:]))
-    decayed = v[-1] < decay_factor * v[0]
+    decayed = v[-1] < DECAY_FACTOR * v[0]
     verdict = "inconsistent" if (monotone_tail and decayed) else "consistent"
-    return NonexistenceReport(tuple(rows), verdict)
+    return NonexistenceReport(rows, verdict)

@@ -16,7 +16,6 @@ from scipy.interpolate import PchipInterpolator
 
 from .complex_polar import (
     RADIUS_FLOOR,
-    TWO_PI,
     PolarDerivPair,
     WirtingerPair,
     polar_to_wirtinger,
@@ -43,7 +42,7 @@ def _maybe_scalar(a, scalar):
 
 
 class Mapping:
-    """Base class: shared finite differences, circle sampling, seam logic."""
+    """Base class: shared finite differences and seam logic."""
 
     #: radii |z| where the map is continuous but not differentiable
     seam_radii: tuple = ()
@@ -141,18 +140,6 @@ class Mapping:
         lo, hi = self.radial_domain
         ok &= (r - margin >= lo) & (r + margin <= hi)
         return ok
-
-    # -- circle sampling ----------------------------------------------------
-
-    def circle_samples(self, z0, r: float, n: int):
-        """n images of the circle |z - z0| = r at theta_j = 2*pi*j/n."""
-        if n < 8:
-            raise ValueError(f"need at least 8 samples, got {n}")
-        if not (r > 0.0):
-            raise ValueError(f"radius must be positive, got {r}")
-        theta = TWO_PI * np.arange(n) / n
-        images = self.evaluate(np.asarray(z0, dtype=complex) + r * np.exp(1j * theta))
-        return list(zip(theta.tolist(), [complex(v) for v in images]))
 
 
 @dataclass(frozen=True)

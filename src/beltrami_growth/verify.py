@@ -31,7 +31,7 @@ from .growth import (
     PiecewiseProfile,
     ConstantProfile,
     RadiusLadder,
-    envelope_integral,
+    ladder_integrals,
     modulus_extremes,
 )
 from .dilatation import CircleQuadrature
@@ -104,17 +104,10 @@ def build_extremal(
         raise DomainError(f"[{r0}, {R}] leaves the profile domain [{lo}, {hi}]")
     grid = np.geomspace(r0, R, knots)
     grid[0], grid[-1] = r0, R
-    log_rho = np.empty(knots)
-    log_rho[0] = math.log(rho0)
-    for i in range(1, knots):
-        seg, _ = envelope_integral(profile, float(grid[i - 1]), float(grid[i]))
-        log_rho[i] = log_rho[i - 1] + seg
+    # ln(rho0) starts the running sum; adding it after summing the gaps
+    # would round each knot differently
+    log_rho = np.cumsum([math.log(rho0), *ladder_integrals(profile, r0, grid[1:])])
     return ExtremalSolution(profile, r0, rho0, center, grid, np.exp(log_rho))
-
-
-def coefficient_of_extremal(sol: ExtremalSolution, z):
-    """Closed-form coefficient of the extremal solution at z."""
-    return sol.coefficient()(z)
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +150,22 @@ class ResidualReport:
     abs_residual: np.ndarray
 
 
-def _derivatives_on_grid(mapping: Mapping, z: np.ndarray, h: float, use_fd: bool):
-    if use_fd:
-        return mapping.wirtinger_fd(z, h)
-    return mapping.wirtinger_analytic(z)
-
-
-def _grid_mask(mapping: Mapping, z: np.ndarray, h: float) -> np.ndarray:
+def _grid_derivatives(
+    mapping: Mapping, z0: complex, grid: AnnulusGrid, h: float, use_fd: bool
+):
+    """(z, r, theta, derivatives, J_f) at the grid points clear of seams and
+    the origin; J_f must exceed JACOBIAN_FLOOR at every one of them."""
+    z, rr, tt = grid.points(z0)
     mask = mapping.smooth_mask(z, h)
     if not np.any(mask):
         raise DomainError("no grid points outside the mapping's excluded bands")
-    return mask
+    z, rr, tt = z[mask], rr[mask], tt[mask]
+    wp = mapping.wirtinger_fd(z, h) if use_fd else mapping.wirtinger_analytic(z)
+    jac = np.abs(wp.d_z) ** 2 - np.abs(wp.d_zbar) ** 2
+    if np.any(jac <= JACOBIAN_FLOOR):
+        i = int(np.argmin(jac))
+        raise NonPositiveJacobian(f"J_f = {jac[i]} at r = {rr[i]}, theta = {tt[i]}")
+    return z, rr, tt, wp, jac
 
 
 def pde_residual(
@@ -184,16 +182,7 @@ def pde_residual(
     Grid points whose 2h-stencil would touch a seam or the origin are
     excluded; J_f must be positive at every retained point.
     """
-    z, rr, tt = grid.points(z0)
-    mask = _grid_mask(mapping, z, h)
-    z, rr, tt = z[mask], rr[mask], tt[mask]
-    wp = _derivatives_on_grid(mapping, z, h, use_fd)
-    jac = np.abs(wp.d_z) ** 2 - np.abs(wp.d_zbar) ** 2
-    if np.any(jac <= JACOBIAN_FLOOR):
-        i = int(np.argmin(jac))
-        raise NonPositiveJacobian(
-            f"J_f = {jac[i]} at r = {rr[i]}, theta = {tt[i]}"
-        )
+    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h, use_fd)
     w = z - complex(z0)
     residual = wp.d_zbar - (w / np.conj(w)) * wp.d_z - np.asarray(K(z)) * np.sqrt(
         np.abs(jac)
@@ -238,14 +227,7 @@ def real_system_residual(
     where k1 = -Im(conj(w) K) and k2 = Re(conj(w) K).  The combined
     magnitude equals r times the complex residual at every point.
     """
-    z, rr, tt = grid.points(z0)
-    mask = _grid_mask(mapping, z, h)
-    z, rr, tt = z[mask], rr[mask], tt[mask]
-    wp = _derivatives_on_grid(mapping, z, h, use_fd)
-    jac = np.abs(wp.d_z) ** 2 - np.abs(wp.d_zbar) ** 2
-    if np.any(jac <= JACOBIAN_FLOOR):
-        i = int(np.argmin(jac))
-        raise NonPositiveJacobian(f"J_f = {jac[i]} at r = {rr[i]}, theta = {tt[i]}")
+    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h, use_fd)
     root = np.sqrt(np.abs(jac))
     fx = wp.d_z + wp.d_zbar
     fy = 1j * (wp.d_z - wp.d_zbar)

@@ -12,8 +12,10 @@ from beltrami_growth.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    ConfigError,
     fmt,
     main,
+    parse_mapping,
 )
 from beltrami_growth.growth import E_2
 
@@ -134,6 +136,17 @@ class TestVerify:
         code, _ = run(tmp_path, "verify", cfg)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "1e400"]
+    )
+    @pytest.mark.parametrize("key", ["residual_tol", "r0", "z0"])
+    def test_non_finite_number_rejected(self, tmp_path, key, value):
+        # json reads Infinity, NaN and integers beyond the float range; an
+        # infinite tolerance would pass any residual
+        cfg = dict(self.CFG, **{key: [value, 0.0] if key == "z0" else value})
+        code, _ = run(tmp_path, "verify", cfg)
+        assert code == EXIT_CONFIG
+
     def test_malformed_json_rejected(self, tmp_path):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{not json")
@@ -229,6 +242,19 @@ class TestExtremal:
         assert code == EXIT_OK
 
 
+class TestRadialTableConfig:
+    @pytest.mark.parametrize("flag", [True, False, "false", "true", 0, 1, None])
+    def test_linear_inner_must_be_boolean(self, tmp_path, flag):
+        path = tmp_path / "rho.csv"
+        path.write_text("r,rho\n1,1\n2,3\n4,5\n")
+        cfg = {"kind": "radial_table", "path": str(path), "linear_inner": flag}
+        if isinstance(flag, bool):
+            assert parse_mapping(cfg).linear_inner is flag
+        else:
+            with pytest.raises(ConfigError):
+                parse_mapping(cfg)
+
+
 class TestSharpness:
     def test_power_constant_ratio(self, tmp_path, capsys):
         cfg = {
@@ -277,6 +303,22 @@ class TestNonexist:
         code, _ = run(tmp_path, "nonexist", cfg)
         assert code == EXIT_OK
         assert "verdict: consistent" in capsys.readouterr().out
+
+    def test_mapping_ladder_starting_at_r0(self, tmp_path, capsys):
+        cfg = {
+            "mapping": {"kind": "power", "alpha": 2.0},
+            "ladder": {"r0": 1.0, "factor": 2.0, "count": 8},
+            "profile": {"kind": "constant", "alpha": 2.0},
+            "r0": 1.0,
+            "n": 128,
+        }
+        code, out = run(tmp_path, "nonexist", cfg)
+        assert code == EXIT_OK
+        assert "verdict: consistent" in capsys.readouterr().out
+        _, rows = read_csv(out / "nonexist.csv")
+        assert len(rows) == 9
+        # the first gap [r0, r0] is empty, so v = M there
+        assert rows[0][0] == "1" and rows[0][2] == rows[0][1]
 
     def test_both_sources_rejected(self, tmp_path):
         cfg = {

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from beltrami_growth import (
     DegenerateRadius,
-    PlanePoint,
     PolarDerivPair,
-    PolarOffset,
     WirtingerPair,
     jacobian_polar,
     jacobian_wirtinger,
     polar_to_wirtinger,
     wirtinger_to_polar,
 )
+from beltrami_growth.complex_polar import normalize_angle
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -34,39 +33,13 @@ def cplx(re_strategy=unit_scale):
     return st.builds(complex, re_strategy, re_strategy)
 
 
-class TestPlanePoint:
-    def test_round_trip(self):
-        p = PlanePoint.from_complex(1.5 - 2.25j)
-        assert p.as_complex() == 1.5 - 2.25j
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PlanePoint(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            PlanePoint(0.0, math.inf)
-
-
-class TestPolarOffset:
-    @given(radius, angle)
-    def test_angle_normalized(self, r, theta):
-        p = PolarOffset(PlanePoint(0.0, 0.0), r, theta)
-        assert 0.0 <= p.theta < 2.0 * math.pi
-
-    @given(cplx(), radius, angle)
-    def test_point_round_trip(self, z0, r, theta):
-        center = PlanePoint.from_complex(z0)
-        p = PolarOffset(center, r, theta)
-        back = PolarOffset.from_point(p.to_point(), center)
-        assert back.r == pytest.approx(r, rel=1e-9, abs=1e-9 * max(1.0, abs(z0)))
-        assert cmath.exp(1j * back.theta) == pytest.approx(
-            cmath.exp(1j * theta), abs=1e-6 * max(1.0, abs(z0) / r)
+class TestNormalizeAngle:
+    @given(angle)
+    def test_angle_normalized(self, theta):
+        assert 0.0 <= normalize_angle(theta) < 2.0 * math.pi
+        assert cmath.exp(1j * normalize_angle(theta)) == pytest.approx(
+            cmath.exp(1j * theta), abs=1e-12
         )
-
-    def test_rejects_tiny_radius(self):
-        with pytest.raises(DegenerateRadius):
-            PolarOffset(PlanePoint(0.0, 0.0), 1e-15, 0.0)
-        with pytest.raises(DegenerateRadius):
-            PolarOffset.from_point(PlanePoint(1.0, 1.0), PlanePoint(1.0, 1.0))
 
 
 class TestConversionRoundTrip:

@@ -34,6 +34,7 @@ from beltrami_growth import (
     image_area,
     isoperimetric_check,
     iterated_log,
+    ladder_integrals,
     loglog_example_profile,
     modulus_extremes,
     nonexistence_diagnostic,
@@ -198,6 +199,50 @@ class TestEnvelope:
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
             envelope_integral(LogProductProfile(1.0, 2), 1.0, 100.0)
+
+
+class TestLadderIntegrals:
+    @pytest.mark.parametrize(
+        "profile",
+        [ConstantProfile(2.3), loglog_example_profile(1.7), LogProductProfile(1.9, 2)],
+    )
+    def test_gaps_bit_equal_to_envelope_integral(self, profile):
+        r0 = max(1.3, profile.domain[0])
+        radii = RadiusLadder(1.5 * r0, 3.0, 12).radii()
+        gaps = ladder_integrals(profile, r0, radii)
+        edges = [r0] + radii.tolist()
+        assert gaps.tolist() == [
+            envelope_integral(profile, a, b)[0] for a, b in zip(edges, edges[1:])
+        ]
+
+    def test_constant_closed_form(self):
+        radii = [1.5, 2.0, 7.0, 1e3]
+        gaps = ladder_integrals(ConstantProfile(2.0), 1.0, radii)
+        expected = np.diff(np.log([1.0] + radii)) / 2.0
+        np.testing.assert_allclose(gaps, expected, rtol=1e-12)
+
+    def test_gap_straddling_e_e(self):
+        # 1/kappa is 1 below e^e and 1/(alpha ln r ln ln r) above it, whose
+        # integral from e^e is ln ln ln R / alpha
+        alpha, a, b = 1.7, 4.0, 1e6
+        (gap,) = ladder_integrals(loglog_example_profile(alpha), a, [b])
+        expected = (math.e - math.log(a)) + math.log(math.log(math.log(b))) / alpha
+        assert a < E_2 < b
+        assert gap == pytest.approx(expected, rel=1e-12)
+
+    def test_first_rung_at_r0_is_exact_zero(self):
+        gaps = ladder_integrals(loglog_example_profile(2.0), 2.0, [2.0, 4.0])
+        assert gaps[0] == 0.0
+        assert gaps[1] > 0.0
+
+    @pytest.mark.parametrize(
+        "radii",
+        [[0.5, 2.0], [2.0, 2.0, 4.0], [2.0, 4.0, 3.0]],
+        ids=["below", "repeated", "descending"],
+    )
+    def test_rung_order_enforced(self, radii):
+        with pytest.raises(DomainError):
+            ladder_integrals(ConstantProfile(1.0), 1.0, radii)
 
 
 class TestCircleFunctionals:

@@ -188,14 +188,6 @@ class TestSeamsAndMasks:
         mask = m.smooth_mask(z, h)
         assert not mask[0] and mask[1]
 
-    def test_circle_samples(self):
-        samples = Identity().circle_samples(1 + 1j, 2.0, 16)
-        assert len(samples) == 16
-        for theta, z in samples:
-            assert abs(abs(z - (1 + 1j)) - 2.0) <= 1e-12
-        with pytest.raises(ValueError):
-            Identity().circle_samples(0j, 1.0, 4)
-
 
 class TestRadialTable:
     def test_reproduces_power_map(self):

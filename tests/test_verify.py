@@ -23,7 +23,6 @@ from beltrami_growth import (
     area_bound_check,
     build_extremal,
     catalog_pair,
-    coefficient_of_extremal,
     pde_residual,
     real_system_residual,
     sharpness_ladder,
@@ -154,12 +153,12 @@ class TestExtremalConstruction:
         sol = build_extremal(ConstantProfile(4.0), 1.0, 1.0, 16.0)
         z = 2.0 * np.exp(0.3j)
         expected = -2.0 * z / np.conj(z)
-        assert coefficient_of_extremal(sol, complex(z)) == pytest.approx(
+        assert sol.coefficient()(complex(z)) == pytest.approx(
             complex(expected), rel=1e-12
         )
         # below r0 the linear continuation has unit kappa
         z_in = 0.5 * np.exp(1.0j)
-        assert coefficient_of_extremal(sol, complex(z_in)) == pytest.approx(
+        assert sol.coefficient()(complex(z_in)) == pytest.approx(
             complex(-z_in / np.conj(z_in)), rel=1e-12
         )
 
@@ -170,6 +169,9 @@ class TestExtremalConstruction:
             build_extremal(ConstantProfile(1.0), 4.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             build_extremal(LogProductProfile(1.0, 2), 1.0, 1.0, 100.0)
+        # R so close to r0 that the geometric knots repeat
+        with pytest.raises(DomainError):
+            build_extremal(ConstantProfile(1.0), 1.0, 1.0, 1.0 + 1e-14)
 
 
 class TestSharpness:
