@@ -17,7 +17,6 @@ from .dilatation import (
     LogLogCoefficient,
     PowerCoefficient,
     RadialCoefficient,
-    SigmaField,
     SpiralCoefficient,
     K_from_sigma,
     angular_dilatation,

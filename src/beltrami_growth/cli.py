@@ -171,132 +171,161 @@ def _int(value, name, *, minimum=None) -> int:
     return value
 
 
-def _load_radial_table_csv(path: str):
+def _list(value, name) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list")
+    return value
+
+
+def _path(value) -> str:
+    # open() reads an integer as a file descriptor: 0 would be stdin
+    if not isinstance(value, str):
+        raise ConfigError(f"path must be a string, got {value!r}")
+    return value
+
+
+def _flag(value, name) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false")
+    return value
+
+
+def _quadrature(n) -> CircleQuadrature:
+    return CircleQuadrature(_int(n, "n", minimum=8))
+
+
+#: how the JSON value of each key is read, in every section that allows it;
+#: the nested parsers are looked up when called, so wrapping a module-level
+#: parser after import also wraps its nested calls
+KEY_READERS = {
+    "a": lambda v: _cnum(v, "a"),
+    "b": lambda v: _cnum(v, "b"),
+    "c": lambda v: _cnum(v, "c"),
+    "center": lambda v: _cnum(v, "center"),
+    "alpha": lambda v: _num(v, "alpha", positive=True),
+    "r0": lambda v: _num(v, "r0", positive=True),
+    "rho0": lambda v: _num(v, "rho0", positive=True),
+    "R": lambda v: _num(v, "R", positive=True),
+    "depth": lambda v: _int(v, "depth", minimum=1),
+    "knots": lambda v: _int(v, "knots", minimum=64),
+    "n": _quadrature,
+    "path": _path,
+    "linear_inner": lambda v: _flag(v, "linear_inner"),
+    "breakpoints": lambda v: tuple(
+        _num(b, "breakpoint", positive=True) for b in _list(v, "breakpoints")
+    ),
+    "radii": lambda v: np.asarray([_num(r, "radius", positive=True) for r in _list(v, "radii")]),
+    "values": lambda v: np.asarray([_num(k, "kappa", positive=True) for k in _list(v, "values")]),
+    "pieces": lambda v: tuple(parse_profile(p) for p in _list(v, "pieces")),
+    "profile": lambda v: parse_profile(v),
+    "coefficient": lambda v: parse_coefficient(v),
+}
+
+
+def _radial_coefficient(profile, center=0j):
+    return RadialCoefficient(
+        profile,
+        center=center,
+        radial_breakpoints=tuple(profile.breakpoints),
+        radial_domain=profile.domain,
+    )
+
+
+def _extremal(profile, r0, R, rho0=1.0, knots=128, center=0j):
+    """The one builder of the extremal command and the extremal pair."""
+    return build_extremal(profile, r0, rho0, R, knots, center)
+
+
+def _extremal_pair(**params):
+    sol = _extremal(**params)
+    return sol.mapping(), sol.coefficient()
+
+
+def _catalog_pair(name):
+    """catalog_pair(name, **params), looked up when called like the nested
+    parsers above."""
+    return lambda **params: catalog_pair(name, **params)
+
+
+#: kind -> (constructor, required keys, optional keys); the constructor takes
+#: the keys as keyword arguments, and a key outside the row is an error
+MAPPING_KINDS = {
+    "identity": (Identity, (), ()),
+    "linear": (Linear, ("a", "b"), ("c",)),
+    "spiral": (Spiral, (), ()),
+    "power": (Power, ("alpha",), ()),
+    "loglog": (LogLog, ("alpha",), ()),
+    "radial_table": (RadialTable.from_csv, ("path",), ("center", "linear_inner")),
+}
+COEFFICIENT_KINDS = {
+    "linear": (LinearCoefficient, ("a", "b"), ("center",)),
+    "spiral": (SpiralCoefficient, (), ("center",)),
+    "power": (PowerCoefficient, ("alpha",), ("center",)),
+    "loglog": (LogLogCoefficient, ("alpha",), ("center",)),
+    "grid": (GridCoefficient.from_csv, ("path",), ("center",)),
+    "radial": (_radial_coefficient, ("profile",), ("center",)),
+}
+PROFILE_KINDS = {
+    "constant": (ConstantProfile, ("alpha",), ()),
+    "log_product": (LogProductProfile, ("alpha", "depth"), ()),
+    "piecewise": (
+        lambda breakpoints, pieces: PiecewiseProfile(breakpoints, pieces),
+        ("breakpoints", "pieces"),
+        (),
+    ),
+    "table": (TableProfile, ("radii", "values"), ()),
+    "from_field": (
+        lambda coefficient, n=CircleQuadrature(): FieldProfile(coefficient, n),
+        ("coefficient",),
+        ("n",),
+    ),
+}
+#: named pairs: a catalog mapping with its coefficient (the keys are the
+#: mapping's), or the extremal solution of a profile
+PAIR_NAMES = {
+    **{
+        name: (_catalog_pair(name), *MAPPING_KINDS[name][1:])
+        for name in ("identity", "linear", "spiral", "power", "loglog")
+    },
+    "extremal": (_extremal_pair, ("profile", "r0", "R"), ("rho0", "knots")),
+}
+#: the two examples whose growth bounds the paper shows to be sharp
+EXAMPLE_KINDS = {kind: MAPPING_KINDS[kind] for kind in ("power", "loglog")}
+
+
+def _construct(build, cfg, name, required, optional):
+    """build(**cfg) after checking cfg's keys and reading each value."""
+    _require_keys(cfg, name, {*required, *optional}, required)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["r", "rho"]:
-                raise ConfigError(f"expected header r,rho in {path}, got {header}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2 or any(c.strip() == "" for c in row):
-                    raise ConfigError(f"malformed row at {path}:{lineno}")
-                rows.append((float(row[0]), float(row[1])))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {path}: {exc}") from exc
-    data = np.asarray(rows, dtype=float)
-    return data[:, 0], data[:, 1]
+        return build(**{key: KEY_READERS[key](value) for key, value in cfg.items()})
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build(cfg, section, kinds, tag="kind"):
+    """What a config section describes, built by the row of its kind."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{section} must be an object, got {type(cfg).__name__}")
+    kind = cfg.get(tag)
+    if not isinstance(kind, str):
+        raise ConfigError(f"{section} needs a string {tag!r}, got {kind!r}")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {section} {tag} {kind!r}, expected one of {sorted(kinds)}")
+    build, required, optional = kinds[kind]
+    params = {key: value for key, value in cfg.items() if key != tag}
+    return _construct(build, params, f"{section} {tag} {kind!r}", required, optional)
 
 
 def parse_mapping(cfg):
-    _require_keys(
-        cfg,
-        "mapping",
-        {"kind", "alpha", "a", "b", "c", "path", "center", "linear_inner"},
-        {"kind"},
-    )
-    kind = cfg["kind"]
-    try:
-        if kind == "identity":
-            return Identity()
-        if kind == "linear":
-            return Linear(
-                _cnum(cfg["a"], "a"),
-                _cnum(cfg["b"], "b"),
-                _cnum(cfg.get("c", [0, 0]), "c"),
-            )
-        if kind == "spiral":
-            return Spiral()
-        if kind == "power":
-            return Power(_num(cfg["alpha"], "alpha", positive=True))
-        if kind == "loglog":
-            return LogLog(_num(cfg["alpha"], "alpha", positive=True))
-        if kind == "radial_table":
-            knots, rho = _load_radial_table_csv(cfg["path"])
-            center = _cnum(cfg.get("center", [0, 0]), "center")
-            linear_inner = cfg.get("linear_inner", False)
-            if not isinstance(linear_inner, bool):
-                raise ConfigError("linear_inner must be true or false")
-            return RadialTable(knots, rho, center, linear_inner)
-    except KeyError as exc:
-        raise ConfigError(f"mapping kind {kind!r} requires key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown mapping kind {kind!r}")
+    return _build(cfg, "mapping", MAPPING_KINDS)
 
 
 def parse_coefficient(cfg):
-    _require_keys(
-        cfg,
-        "coefficient",
-        {"kind", "alpha", "a", "b", "center", "path", "profile"},
-        {"kind"},
-    )
-    kind = cfg["kind"]
-    center = _cnum(cfg.get("center", [0, 0]), "center")
-    try:
-        if kind == "linear":
-            return LinearCoefficient(_cnum(cfg["a"], "a"), _cnum(cfg["b"], "b"), center)
-        if kind == "spiral":
-            return SpiralCoefficient(center)
-        if kind == "power":
-            return PowerCoefficient(_num(cfg["alpha"], "alpha", positive=True), center)
-        if kind == "loglog":
-            return LogLogCoefficient(_num(cfg["alpha"], "alpha", positive=True), center)
-        if kind == "grid":
-            return GridCoefficient.from_csv(cfg["path"], center)
-        if kind == "radial":
-            profile = parse_profile(cfg["profile"])
-            return RadialCoefficient(
-                profile,
-                center=center,
-                radial_breakpoints=tuple(profile.breakpoints),
-                radial_domain=profile.domain,
-            )
-    except KeyError as exc:
-        raise ConfigError(f"coefficient kind {kind!r} requires key {exc}") from exc
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown coefficient kind {kind!r}")
+    return _build(cfg, "coefficient", COEFFICIENT_KINDS)
 
 
 def parse_profile(cfg):
-    _require_keys(
-        cfg,
-        "profile",
-        {"kind", "alpha", "depth", "breakpoints", "pieces", "radii", "values",
-         "coefficient", "n"},
-        {"kind"},
-    )
-    kind = cfg["kind"]
-    try:
-        if kind == "constant":
-            return ConstantProfile(_num(cfg["alpha"], "alpha"))
-        if kind == "log_product":
-            return LogProductProfile(
-                _num(cfg["alpha"], "alpha"), _int(cfg["depth"], "depth", minimum=1)
-            )
-        if kind == "piecewise":
-            cuts = tuple(_num(b, "breakpoint", positive=True) for b in cfg["breakpoints"])
-            pieces = tuple(parse_profile(p) for p in cfg["pieces"])
-            return PiecewiseProfile(cuts, pieces)
-        if kind == "table":
-            radii = [_num(v, "radius", positive=True) for v in cfg["radii"]]
-            values = [_num(v, "kappa", positive=True) for v in cfg["values"]]
-            return TableProfile(np.asarray(radii), np.asarray(values))
-        if kind == "from_field":
-            return FieldProfile(
-                parse_coefficient(cfg["coefficient"]),
-                CircleQuadrature(_int(cfg.get("n", 1024), "n", minimum=8)),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"profile kind {kind!r} requires key {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown profile kind {kind!r}")
+    return _build(cfg, "profile", PROFILE_KINDS)
 
 
 def parse_ladder(cfg):
@@ -312,45 +341,10 @@ def parse_ladder(cfg):
 
 
 def parse_pair(cfg):
-    if not isinstance(cfg, dict):
-        raise ConfigError("pair must be an object")
-    if "name" in cfg:
-        _require_keys(
-            cfg,
-            "pair",
-            {"name", "alpha", "a", "b", "c", "profile", "r0", "rho0", "R", "knots"},
-            {"name"},
-        )
-        name = cfg["name"]
-        if name == "extremal":
-            sol = build_extremal(
-                parse_profile(cfg["profile"]),
-                _num(cfg["r0"], "r0", positive=True),
-                _num(cfg.get("rho0", 1.0), "rho0", positive=True),
-                _num(cfg["R"], "R", positive=True),
-                _int(cfg.get("knots", 128), "knots", minimum=64),
-            )
-            return sol.mapping(), sol.coefficient()
-        params = {}
-        for key in ("alpha",):
-            if key in cfg:
-                params[key] = _num(cfg[key], key)
-        for key in ("a", "b", "c"):
-            if key in cfg:
-                params[key] = _cnum(cfg[key], key)
-        try:
-            return catalog_pair(name, **params)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(str(exc)) from exc
+    if isinstance(cfg, dict) and "name" in cfg:
+        return _build(cfg, "pair", PAIR_NAMES, tag="name")
     _require_keys(cfg, "pair", {"mapping", "coefficient"}, {"mapping", "coefficient"})
     return parse_mapping(cfg["mapping"]), parse_coefficient(cfg["coefficient"])
-
-
-def _quadrature(cfg):
-    try:
-        return CircleQuadrature(_int(cfg.get("n", 1024), "n", minimum=8))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,7 @@ def cmd_kappa(cfg, outdir: Path, plot: bool, say) -> int:
     if not isinstance(cfg["radii"], list) or not cfg["radii"]:
         raise ConfigError("radii must be a non-empty list of positive numbers")
     radii = [_num(r, "radius", positive=True) for r in cfg["radii"]]
-    q = _quadrature(cfg)
+    q = _quadrature(cfg.get("n", 1024))
     breakpoints = set(coefficient.radial_breakpoints)
     rows = []
     for r in radii:
@@ -419,7 +413,7 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
     z0 = _cnum(cfg.get("z0", [0, 0]), "z0")
     r0 = _num(cfg["r0"], "r0", positive=True)
     ladder = parse_ladder(cfg["ladder"])
-    q = _quadrature(cfg)
+    q = _quadrature(cfg.get("n", 1024))
     h = _num(cfg.get("h", 1e-5), "h", positive=True)
     residual_tol = _num(cfg.get("residual_tol", 1e-8), "residual_tol", positive=True)
 
@@ -495,24 +489,9 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
 
 
 def cmd_extremal(cfg, outdir: Path, plot: bool, say) -> int:
-    _require_keys(
-        cfg,
-        "config",
-        {"profile", "r0", "rho0", "R", "knots", "center"},
-        {"profile", "r0", "R"},
+    sol = _construct(
+        _extremal, cfg, "config", ("profile", "r0", "R"), ("rho0", "knots", "center")
     )
-    profile = parse_profile(cfg["profile"])
-    try:
-        sol = build_extremal(
-            profile,
-            _num(cfg["r0"], "r0", positive=True),
-            _num(cfg.get("rho0", 1.0), "rho0", positive=True),
-            _num(cfg["R"], "R", positive=True),
-            _int(cfg.get("knots", 128), "knots", minimum=64),
-            _cnum(cfg.get("center", [0, 0]), "center"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     rho_path = write_csv(
         outdir / "extremal_rho.csv", ["r", "rho"], zip(sol.knots, sol.rho)
     )
@@ -528,18 +507,9 @@ def cmd_extremal(cfg, outdir: Path, plot: bool, say) -> int:
 
 def cmd_sharpness(cfg, outdir: Path, plot: bool, say) -> int:
     _require_keys(cfg, "config", {"example", "ladder", "n"}, {"example", "ladder"})
-    example = cfg["example"]
-    _require_keys(example, "example", {"kind", "alpha"}, {"kind", "alpha"})
-    kind = example["kind"]
-    alpha = _num(example["alpha"], "alpha", positive=True)
-    if kind == "power":
-        mapping = Power(alpha)
-    elif kind == "loglog":
-        mapping = LogLog(alpha)
-    else:
-        raise ConfigError(f"sharpness example kind must be power or loglog, got {kind!r}")
+    mapping = _build(cfg["example"], "sharpness example", EXAMPLE_KINDS)
     ladder = parse_ladder(cfg["ladder"])
-    report = sharpness_ladder(mapping, ladder, _quadrature(cfg))
+    report = sharpness_ladder(mapping, ladder, _quadrature(cfg.get("n", 1024)))
     path = write_csv(outdir / "sharpness.csv", ["R", "ratio"], report.rows)
     say(f"wrote {path} ({len(report.rows)} rows)")
     if plot:
@@ -590,7 +560,7 @@ def cmd_nonexist(cfg, outdir: Path, plot: bool, say) -> int:
             raise ConfigError("a mapping-based diagnostic needs a ladder")
         mapping = parse_mapping(cfg["mapping"])
         ladder = parse_ladder(cfg["ladder"])
-        q = _quadrature(cfg)
+        q = _quadrature(cfg.get("n", 1024))
         observed = [
             (R, modulus_extremes(mapping, 0j, R, q)[0]) for R in ladder.radii().tolist()
         ]

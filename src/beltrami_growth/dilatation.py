@@ -8,7 +8,6 @@ of |K|^2 on the circle of radius r about the field's center.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .errors import (
     OutOfDomain,
     QuadratureFailure,
 )
-from .mappings import DEFAULT_FD_STEP, LOGLOG_SEAM, Mapping
+from .mappings import DEFAULT_FD_STEP, LOGLOG_SEAM, Mapping, read_table_csv
 
 JACOBIAN_FLOOR = 1e-14
 
@@ -40,6 +39,11 @@ class CircleQuadrature:
 
     def angles(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
+
+    def points(self, z0: complex, r) -> np.ndarray:
+        """The n nodes on the circle |z - z0| = r; an r of shape (k, 1) gives
+        one row of nodes per radius."""
+        return complex(z0) + r * np.exp(1j * self.angles())
 
     def mean(self, samples: np.ndarray) -> float:
         """Angular mean; np.mean uses pairwise summation, so results are
@@ -197,8 +201,8 @@ class GridCoefficient(CoefficientField):
         k2 = np.asarray(self.k2, dtype=float)
         if k2.shape != (radii.size, thetas.size):
             raise ValueError("k2 must have shape (len(radii), len(thetas))")
-        if np.any(k2 < 0.0):
-            raise ValueError("tabulated |K|^2 values must be nonnegative")
+        if not np.all((k2 >= 0.0) & np.isfinite(k2)):
+            raise ValueError("tabulated |K|^2 values must be finite and nonnegative")
         if not np.all(np.diff(radii) > 0.0) or not np.all(radii > 0.0):
             raise ValueError("radii must be positive and strictly ascending")
         if not np.all(np.diff(thetas) > 0.0) or thetas[0] < 0.0 or thetas[-1] >= TWO_PI:
@@ -217,17 +221,7 @@ class GridCoefficient(CoefficientField):
     @classmethod
     def from_csv(cls, path, center: complex = 0j) -> "GridCoefficient":
         """Load from strict CSV with header ``r,theta,k2`` sorted by (r, theta)."""
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["r", "theta", "k2"]:
-                raise ValueError(f"expected header r,theta,k2, got {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3 or any(cell.strip() == "" for cell in row):
-                    raise ValueError(f"malformed row at line {lineno}: {row}")
-                rows.append([float(c) for c in row])
-        data = np.asarray(rows, dtype=float)
+        data = read_table_csv(path, ("r", "theta", "k2"))
         radii = np.unique(data[:, 0])
         thetas = np.unique(data[:, 1])
         if data.shape[0] != radii.size * thetas.size:
@@ -256,23 +250,6 @@ class GridCoefficient(CoefficientField):
         return float(out[0]) if np.ndim(z) == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
-class SigmaField:
-    """The sigma form of a coefficient field: sigma = -i K conj(w)."""
-
-    func: object  # callable z -> complex
-    center: complex = 0j
-
-    def __call__(self, z):
-        return self.func(z)
-
-    @classmethod
-    def from_coefficient(cls, coefficient: CoefficientField) -> "SigmaField":
-        return cls(
-            lambda z: sigma_from_K(coefficient, z), center=coefficient.center
-        )
-
-
 def sigma_from_K(K: CoefficientField, z):
     """sigma = -i * K(z) * conj(z - center)."""
     w = np.asarray(z, dtype=complex) - K.center
@@ -282,12 +259,13 @@ def sigma_from_K(K: CoefficientField, z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def K_from_sigma(sig: SigmaField, z):
-    """Exact inverse of :func:`sigma_from_K`: K = -sigma / (i conj(w))."""
-    w = np.asarray(z, dtype=complex) - sig.center
+def K_from_sigma(sigma, z, center: complex = 0j):
+    """Exact inverse of :func:`sigma_from_K`: K = -sigma / (i conj(w)), from
+    the values ``sigma`` sampled at z about ``center``."""
+    w = np.asarray(z, dtype=complex) - center
     if np.any(np.abs(w) < RADIUS_FLOOR):
         raise DegenerateRadius("coefficient undefined at the field's center")
-    out = -np.asarray(sig(z)) / (1j * np.conj(w))
+    out = -np.asarray(sigma) / (1j * np.conj(w))
     return complex(out) if np.ndim(z) == 0 else out
 
 
@@ -326,8 +304,7 @@ def dilatation_on_circle(
     h: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Angular dilatation sampled on the n uniform angles of the circle."""
-    z = np.asarray(z0, dtype=complex) + r * np.exp(1j * q.angles())
-    return angular_dilatation(mapping, z0, z, h=h)
+    return angular_dilatation(mapping, z0, q.points(z0, r), h=h)
 
 
 def circle_average_D(
@@ -350,5 +327,4 @@ def kappa(K: CoefficientField, r: float, q: CircleQuadrature = CircleQuadrature(
     """Angular mean of |K|^2 on the circle of radius r about the field center."""
     if not (r > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
-    z = K.center + r * np.exp(1j * q.angles())
-    return q.mean(np.asarray(K.abs2(z), dtype=float))
+    return q.mean(np.asarray(K.abs2(q.points(K.center, r)), dtype=float))

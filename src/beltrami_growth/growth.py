@@ -349,7 +349,7 @@ def modulus_extremes(
     def distance(t):
         return np.abs(mapping.evaluate(z0c + r * np.exp(1j * np.asarray(t))) - f0)
 
-    values = distance(theta)
+    values = np.abs(mapping.evaluate(q.points(z0c, r)) - f0)
     if not np.all(np.isfinite(values)):
         raise QuadratureFailure("non-finite modulus sample on the circle")
     step = TWO_PI / q.n
@@ -381,7 +381,7 @@ def circle_length(
     """Length of the image curve: int |f_theta| d(theta) by periodic trapezoid."""
     from .complex_polar import wirtinger_to_polar
 
-    z = complex(z0) + r * np.exp(1j * q.angles())
+    z = q.points(z0, r)
     wp = _wirtinger_best(mapping, z, h)
     pd = wirtinger_to_polar(z, z0, wp)
     return TWO_PI * q.mean(np.abs(pd.d_theta))
@@ -418,11 +418,9 @@ def _disk_areas(
     r_min, r_max = float(np.min(radii)), float(np.max(radii))
     rho_min = INNER_CUTOFF * r_min
     theta = q.angles()
-    phases = np.exp(1j * theta)
 
     def mean_jacobian(rho: np.ndarray) -> np.ndarray:
-        z = complex(z0) + rho[:, None] * phases[None, :]
-        wp = _wirtinger_best(mapping, z, h)
+        wp = _wirtinger_best(mapping, q.points(z0, rho[:, None]), h)
         jac = jacobian_wirtinger(wp)
         # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
         # a < 1); only a genuinely non-positive sample is an error here
@@ -556,7 +554,7 @@ def differential_inequality_check(
     theta = q.angles()
     rows = []
     for r, area in zip(radii.tolist(), _disk_areas(mapping, z0, radii, q, h=h).tolist()):
-        jac = jacobian_wirtinger(_wirtinger_best(mapping, complex(z0) + r * np.exp(1j * theta), h))
+        jac = jacobian_wirtinger(_wirtinger_best(mapping, q.points(z0, r), h))
         if np.any(jac <= 0.0):
             worst = int(np.argmin(jac))
             raise NonPositiveJacobian(f"J_f = {jac[worst]} at r = {r}, theta = {theta[worst]}")

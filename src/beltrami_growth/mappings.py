@@ -8,6 +8,7 @@ entry points accept complex scalars or numpy arrays of complex.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +40,33 @@ def _asarray(z):
 
 def _maybe_scalar(a, scalar):
     return complex(a) if scalar else a
+
+
+def read_table_csv(path, header) -> np.ndarray:
+    """Strict CSV table: exactly ``header``, then one or more rows of finite
+    numbers, returned as a (rows, columns) float array."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader, None)
+            if found != list(header):
+                raise ValueError(f"expected header {','.join(header)} in {path}, got {found}")
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    values = []
+                if len(values) != len(header) or not all(map(math.isfinite, values)):
+                    raise ValueError(
+                        f"row at {path}:{lineno} is not {len(header)} finite numbers: {row}"
+                    )
+                rows.append(values)
+        except csv.Error as exc:
+            raise ValueError(f"unreadable CSV {path}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    return np.asarray(rows, dtype=float)
 
 
 class Mapping:
@@ -305,6 +333,12 @@ class RadialTable(Mapping):
         )
         lo = 0.0 if self.linear_inner else float(knots[0])
         object.__setattr__(self, "radial_domain", (lo, float(knots[-1])))
+
+    @classmethod
+    def from_csv(cls, path, center: complex = 0j, linear_inner: bool = False) -> "RadialTable":
+        """Load from strict CSV with header ``r,rho``."""
+        data = read_table_csv(path, ("r", "rho"))
+        return cls(data[:, 0], data[:, 1], center, linear_inner)
 
     def center_value(self, z0) -> complex:
         if abs(complex(z0) - complex(self.center)) < RADIUS_FLOOR:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_polar import TWO_PI
 from .dilatation import (
     JACOBIAN_FLOOR,
+    CircleQuadrature,
     CoefficientField,
     LinearCoefficient,
     LogLogCoefficient,
@@ -34,7 +34,6 @@ from .growth import (
     ladder_integrals,
     modulus_extremes,
 )
-from .dilatation import CircleQuadrature
 from .mappings import (
     DEFAULT_FD_STEP,
     Identity,
@@ -131,8 +130,9 @@ class AnnulusGrid:
 
     def points(self, z0: complex):
         radii = np.geomspace(self.r_inner, self.r_outer, self.n_r)
-        theta = TWO_PI * np.arange(self.n_theta) / self.n_theta
-        z = complex(z0) + radii[:, None] * np.exp(1j * theta)[None, :]
+        q = CircleQuadrature(self.n_theta)
+        theta = q.angles()
+        z = q.points(z0, radii[:, None])
         rr = np.broadcast_to(radii[:, None], z.shape)
         tt = np.broadcast_to(theta[None, :], z.shape)
         return z, rr, tt

@@ -255,6 +255,51 @@ class TestRadialTableConfig:
                 parse_mapping(cfg)
 
 
+class TestTableFiles:
+    """The radial_table mapping and the grid coefficient share one strict CSV
+    reader; every bad table is a configuration error."""
+
+    def kappa_grid(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        cfg = {"coefficient": {"kind": "grid", "path": str(path)}, "radii": [1.5], "n": 16}
+        return run(tmp_path, "kappa", cfg)[0]
+
+    def test_header_only_radial_table(self, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text("r,rho\n")
+        cfg = {
+            "mapping": {"kind": "radial_table", "path": str(path)},
+            "ladder": {"r0": 2.0, "count": 2},
+            "profile": {"kind": "constant", "alpha": 1.0},
+            "r0": 1.0,
+        }
+        code, _ = run(tmp_path, "nonexist", cfg)
+        assert code == EXIT_CONFIG
+
+    def test_header_only_grid(self, tmp_path):
+        assert self.kappa_grid(tmp_path, "r,theta,k2\n") == EXIT_CONFIG
+
+    def test_nan_cell_rejected(self, tmp_path):
+        text = "r,theta,k2\n1,0,1\n1,3,nan\n2,0,1\n2,3,1\n"
+        assert self.kappa_grid(tmp_path, text) == EXIT_CONFIG
+
+    def test_inf_cell_rejected(self, tmp_path):
+        text = "r,theta,k2\n1,0,1\n1,3,inf\n2,0,1\n2,3,1\n"
+        assert self.kappa_grid(tmp_path, text) == EXIT_CONFIG
+
+    def test_valid_grid_runs(self, tmp_path):
+        text = "r,theta,k2\n1,0,1\n1,3,1\n2,0,1\n2,3,1\n"
+        assert self.kappa_grid(tmp_path, text) == EXIT_OK
+
+    @pytest.mark.parametrize("path", [0, 1, None, ["grid.csv"]])
+    def test_path_must_be_a_string(self, tmp_path, path):
+        # an integer path is a file descriptor to open(): 0 would read stdin
+        cfg = {"coefficient": {"kind": "grid", "path": path}, "radii": [1.5]}
+        code, _ = run(tmp_path, "kappa", cfg)
+        assert code == EXIT_CONFIG
+
+
 class TestSharpness:
     def test_power_constant_ratio(self, tmp_path, capsys):
         cfg = {

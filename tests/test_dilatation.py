@@ -17,7 +17,6 @@ from beltrami_growth import (
     PowerCoefficient,
     QuadratureFailure,
     RadialCoefficient,
-    SigmaField,
     angular_dilatation,
     circle_average_D,
     kappa,
@@ -26,6 +25,23 @@ from beltrami_growth import (
 from conftest import smooth_points
 
 RNG = np.random.default_rng(1702)
+
+
+class TestCirclePoints:
+    def test_one_circle(self):
+        q = CircleQuadrature(16)
+        z = q.points(1 + 2j, 3.0)
+        assert z.shape == (16,)
+        np.testing.assert_array_equal(z, (1 + 2j) + 3.0 * np.exp(1j * q.angles()))
+
+    def test_broadcasts_over_radii(self):
+        q = CircleQuadrature(16)
+        radii = np.array([[0.5], [2.0], [7.0]])
+        z = q.points(0.5j, radii)
+        assert z.shape == (3, 16)
+        for row, r in zip(z, radii[:, 0]):
+            np.testing.assert_array_equal(row, q.points(0.5j, r))
+        np.testing.assert_allclose(np.abs(z - 0.5j), np.broadcast_to(radii, z.shape), rtol=1e-14)
 
 
 class TestSolutionIdentity:
@@ -120,11 +136,20 @@ class TestClosedFormKappa:
 class TestSigmaForm:
     def test_round_trip(self, pair):
         _, K = pair
-        sig = SigmaField.from_coefficient(K)
         z = smooth_points_for_field(K, 50)
-        for zi in z:
-            back = K_from_sigma(sig, complex(zi))
-            assert abs(back - K(complex(zi))) <= 1e-12 * max(1.0, abs(back))
+        back = K_from_sigma(sigma_from_K(K, z), z, K.center)
+        assert np.all(np.abs(back - K(z)) <= 1e-12 * np.maximum(1.0, np.abs(back)))
+        # scalar in, scalar out
+        zi = complex(z[0])
+        back = K_from_sigma(sigma_from_K(K, zi), zi, K.center)
+        assert isinstance(back, complex)
+        assert abs(back - K(zi)) <= 1e-12 * max(1.0, abs(back))
+
+    def test_round_trip_off_center(self):
+        K = LinearCoefficient(0.3 + 0.1j, 1.2 - 0.4j, center=2.0 - 1.0j)
+        z = K.center + np.array([0.5, 2j, -3.0 + 1j])
+        back = K_from_sigma(sigma_from_K(K, z), z, K.center)
+        assert np.all(np.abs(back - K(z)) <= 1e-12 * np.maximum(1.0, np.abs(back)))
 
     def test_sigma_value(self):
         # for the constant-dilatation field, sigma = -i sqrt(alpha) w^2/|w|... no:
@@ -201,3 +226,25 @@ class TestGridCoefficient:
         incomplete.write_text("r,theta,k2\n1,0,1\n1,3,1\n2,0,1\n")
         with pytest.raises(ValueError):
             GridCoefficient.from_csv(incomplete)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "r,theta,k2\n",
+            "r,theta,k2\n1,0,1\n1,3,nan\n2,0,1\n2,3,1\n",
+            "r,theta,k2\n1,0,1\n1,3,inf\n2,0,1\n2,3,1\n",
+        ],
+        ids=["header-only", "nan", "inf"],
+    )
+    def test_csv_rejects_empty_and_non_finite(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            GridCoefficient.from_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_table_values_must_be_finite_and_nonnegative(self, bad):
+        k2 = np.ones((2, 8))
+        k2[1, 3] = bad
+        with pytest.raises(ValueError):
+            GridCoefficient([1.0, 2.0], 2.0 * np.pi * np.arange(8) / 8, k2)

@@ -223,3 +223,35 @@ class TestRadialTable:
         radii = np.geomspace(0.6, 30.0, 200)
         mods = [abs(table.evaluate(complex(r))) for r in radii]
         assert np.all(np.diff(mods) > 0.0)
+
+    def test_from_csv(self, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text("r,rho\n1,1\n2,3\n4,5\n")
+        table = RadialTable.from_csv(path, 1j, linear_inner=True)
+        np.testing.assert_array_equal(table.knots, [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(table.rho, [1.0, 3.0, 5.0])
+        assert table.center == 1j and table.linear_inner
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "r,rho\n",
+            "r,rho\n1,1\n2,inf\n",
+            "r,rho\n1,nan\n2,3\n",
+            "r,rho\n1,1\n2,\n",
+            "r,rho\n1,1\n2,3,4\n",
+            "r,rho\n1,1\n2,x\n",
+            "radius,rho\n1,1\n2,3\n",
+            "",
+            "r,rho\n1,1\n2,3." + "0" * 200_000 + "\n",
+        ],
+        ids=[
+            "header-only", "inf", "nan", "empty-cell", "long-row", "word", "header", "empty",
+            "field-beyond-csv-limit",
+        ],
+    )
+    def test_from_csv_strict(self, tmp_path, text):
+        path = tmp_path / "rho.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            RadialTable.from_csv(path)
