@@ -206,8 +206,17 @@ KEY_READERS = {
     "r0": lambda v: _num(v, "r0", positive=True),
     "rho0": lambda v: _num(v, "rho0", positive=True),
     "R": lambda v: _num(v, "R", positive=True),
+    "h": lambda v: _num(v, "h", positive=True),
+    "residual_tol": lambda v: _num(v, "residual_tol", positive=True),
+    "r_inner": lambda v: _num(v, "r_inner", positive=True),
+    "r_outer": lambda v: _num(v, "r_outer", positive=True),
+    "factor": lambda v: _num(v, "factor"),
+    "z0": lambda v: _cnum(v, "z0"),
     "depth": lambda v: _int(v, "depth", minimum=1),
     "knots": lambda v: _int(v, "knots", minimum=64),
+    "count": lambda v: _int(v, "count", minimum=1),
+    "n_r": lambda v: _int(v, "n_r", minimum=2),
+    "n_theta": lambda v: _int(v, "n_theta", minimum=8),
     "n": _quadrature,
     "path": _path,
     "linear_inner": lambda v: _flag(v, "linear_inner"),
@@ -220,6 +229,11 @@ KEY_READERS = {
     "profile": lambda v: parse_profile(v),
     "coefficient": lambda v: parse_coefficient(v),
 }
+
+
+def _read(cfg, key, default=None):
+    """KEY_READERS' reading of a top-level key, or of ``default`` when absent."""
+    return KEY_READERS[key](cfg.get(key, default))
 
 
 def _radial_coefficient(profile, center=0j):
@@ -329,13 +343,8 @@ def parse_profile(cfg):
 
 
 def parse_ladder(cfg):
-    _require_keys(cfg, "ladder", {"r0", "factor", "count"}, {"r0"})
     try:
-        return RadiusLadder(
-            _num(cfg["r0"], "r0", positive=True),
-            _num(cfg.get("factor", 2.0), "factor"),
-            _int(cfg.get("count", 40), "count", minimum=1),
-        )
+        return _construct(RadiusLadder, cfg, "ladder", ("r0",), ("factor", "count"))
     except BeltramiGrowthError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -354,19 +363,21 @@ def parse_pair(cfg):
 def cmd_kappa(cfg, outdir: Path, plot: bool, say) -> int:
     _require_keys(cfg, "config", {"coefficient", "radii", "n"}, {"coefficient", "radii"})
     coefficient = parse_coefficient(cfg["coefficient"])
-    if not isinstance(cfg["radii"], list) or not cfg["radii"]:
+    radii = _read(cfg, "radii").tolist()
+    if not radii:
         raise ConfigError("radii must be a non-empty list of positive numbers")
-    radii = [_num(r, "radius", positive=True) for r in cfg["radii"]]
-    q = _quadrature(cfg.get("n", 1024))
+    q = _read(cfg, "n", 1024)
     breakpoints = set(coefficient.radial_breakpoints)
-    rows = []
-    for r in radii:
+
+    def sides(r):
+        # one row per one-sided limit at a breakpoint radius
         if r in breakpoints:
-            # one row per one-sided limit at a jump radius
-            rows.append((r, circle_kappa(coefficient, r * (1 - 1e-9), q), "left"))
-            rows.append((r, circle_kappa(coefficient, r * (1 + 1e-9), q), "right"))
-        else:
-            rows.append((r, circle_kappa(coefficient, r, q), "-"))
+            return ((r * (1 - 1e-9), "left"), (r * (1 + 1e-9), "right"))
+        return ((r, "-"),)
+
+    samples = [(r, at, piece) for r in radii for at, piece in sides(r)]
+    kappas = circle_kappa(coefficient, np.array([at for _, at, _ in samples]), q).tolist()
+    rows = [(r, k, piece) for (r, _, piece), k in zip(samples, kappas)]
     path = write_csv(outdir / "kappa.csv", ["r", "kappa", "piece"], rows)
     say(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
@@ -375,7 +386,7 @@ def cmd_kappa(cfg, outdir: Path, plot: bool, say) -> int:
 def cmd_envelope(cfg, outdir: Path, plot: bool, say) -> int:
     _require_keys(cfg, "config", {"profile", "r0", "ladder"}, {"profile", "r0", "ladder"})
     profile = parse_profile(cfg["profile"])
-    r0 = _num(cfg["r0"], "r0", positive=True)
+    r0 = _read(cfg, "r0")
     radii = parse_ladder(cfg["ladder"]).radii().tolist()
     integrals = np.cumsum(ladder_integrals(profile, r0, radii)).tolist()
     rows = [(R, I, math.exp(I)) for R, I in zip(radii, integrals)]
@@ -410,26 +421,18 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
         {"pair", "r0", "ladder"},
     )
     mapping, coefficient = parse_pair(cfg["pair"])
-    z0 = _cnum(cfg.get("z0", [0, 0]), "z0")
-    r0 = _num(cfg["r0"], "r0", positive=True)
+    z0 = _read(cfg, "z0", [0, 0])
+    r0 = _read(cfg, "r0")
     ladder = parse_ladder(cfg["ladder"])
-    q = _quadrature(cfg.get("n", 1024))
-    h = _num(cfg.get("h", 1e-5), "h", positive=True)
-    residual_tol = _num(cfg.get("residual_tol", 1e-8), "residual_tol", positive=True)
+    q = _read(cfg, "n", 1024)
+    h = _read(cfg, "h", 1e-5)
+    residual_tol = _read(cfg, "residual_tol", 1e-8)
 
     top = float(ladder.radii()[-1])
     if "grid" in cfg:
-        g = cfg["grid"]
-        _require_keys(g, "grid", {"r_inner", "r_outer", "n_r", "n_theta"}, {"r_inner", "r_outer"})
-        try:
-            grid = AnnulusGrid(
-                _num(g["r_inner"], "r_inner", positive=True),
-                _num(g["r_outer"], "r_outer", positive=True),
-                _int(g.get("n_r", 64), "n_r", minimum=2),
-                _int(g.get("n_theta", 256), "n_theta", minimum=8),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        grid = _construct(
+            AnnulusGrid, cfg["grid"], "grid", ("r_inner", "r_outer"), ("n_r", "n_theta")
+        )
     else:
         grid = AnnulusGrid(r0, min(top, 8.0 * r0), 32, 64)
 
@@ -509,7 +512,7 @@ def cmd_sharpness(cfg, outdir: Path, plot: bool, say) -> int:
     _require_keys(cfg, "config", {"example", "ladder", "n"}, {"example", "ladder"})
     mapping = _build(cfg["example"], "sharpness example", EXAMPLE_KINDS)
     ladder = parse_ladder(cfg["ladder"])
-    report = sharpness_ladder(mapping, ladder, _quadrature(cfg.get("n", 1024)))
+    report = sharpness_ladder(mapping, ladder, _read(cfg, "n", 1024))
     path = write_csv(outdir / "sharpness.csv", ["R", "ratio"], report.rows)
     say(f"wrote {path} ({len(report.rows)} rows)")
     if plot:
@@ -541,7 +544,7 @@ def cmd_nonexist(cfg, outdir: Path, plot: bool, say) -> int:
         {"profile", "r0"},
     )
     profile = parse_profile(cfg["profile"])
-    r0 = _num(cfg["r0"], "r0", positive=True)
+    r0 = _read(cfg, "r0")
     if "observed" in cfg:
         if "mapping" in cfg:
             raise ConfigError("give either observed data or a mapping, not both")
@@ -559,11 +562,9 @@ def cmd_nonexist(cfg, outdir: Path, plot: bool, say) -> int:
         if "ladder" not in cfg:
             raise ConfigError("a mapping-based diagnostic needs a ladder")
         mapping = parse_mapping(cfg["mapping"])
-        ladder = parse_ladder(cfg["ladder"])
-        q = _quadrature(cfg.get("n", 1024))
-        observed = [
-            (R, modulus_extremes(mapping, 0j, R, q)[0]) for R in ladder.radii().tolist()
-        ]
+        radii = parse_ladder(cfg["ladder"]).radii()
+        m_max, _ = modulus_extremes(mapping, 0j, radii, _read(cfg, "n", 1024))
+        observed = list(zip(radii.tolist(), m_max.tolist()))
     else:
         raise ConfigError("need observed data or a mapping plus ladder")
     report = nonexistence_diagnostic(observed, profile, r0)

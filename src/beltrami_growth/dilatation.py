@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .complex_polar import RADIUS_FLOOR, TWO_PI, jacobian_polar, wirtinger_to_polar
 from .errors import (
@@ -45,19 +44,21 @@ class CircleQuadrature:
         one row of nodes per radius."""
         return complex(z0) + r * np.exp(1j * self.angles())
 
-    def mean(self, samples: np.ndarray) -> float:
-        """Angular mean; np.mean uses pairwise summation, so results are
-        reproducible for a fixed n."""
+    def mean(self, samples: np.ndarray):
+        """Angular mean over the last axis: a float for one circle, an array
+        for one row per circle.  np.mean uses pairwise summation along each
+        row, so results are reproducible for a fixed n."""
         if not np.all(np.isfinite(samples)):
             raise QuadratureFailure("non-finite quadrature sample on the circle")
-        return float(np.mean(samples))
+        out = np.mean(samples, axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 class CoefficientField:
     """Base class for the coefficient K; callable on complex scalars/arrays."""
 
     center: complex = 0j
-    #: radii |z - center| where the field has a jump (piecewise variants)
+    #: radii |z - center| where the field jumps or kinks (piecewise variants)
     radial_breakpoints: tuple = ()
 
     def _offset(self, z):
@@ -185,6 +186,8 @@ class RadialCoefficient(CoefficientField):
 class GridCoefficient(CoefficientField):
     """|K|^2 tabulated on an (r, theta) lattice, bilinear in (ln r, theta).
 
+    The table is periodic in theta over [thetas[0], thetas[0] + 2*pi] and
+    raises OutOfDomain outside [radii[0], radii[-1]], up to 1e-12 relative.
     Only the squared modulus is tabulated; the complex value uses the same
     radial phase convention as :class:`RadialCoefficient`.
     """
@@ -193,12 +196,16 @@ class GridCoefficient(CoefficientField):
     thetas: np.ndarray
     k2: np.ndarray  # shape (len(radii), len(thetas))
     center: complex = 0j
-    _interp: RegularGridInterpolator = field(init=False, repr=False)
+    #: ln(radii), the thetas closed by thetas[0] + 2*pi, and the table closed
+    #: by its first column
+    _lattice: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=float)
         thetas = np.asarray(self.thetas, dtype=float)
         k2 = np.asarray(self.k2, dtype=float)
+        if radii.ndim != 1 or thetas.ndim != 1 or radii.size < 2 or thetas.size < 1:
+            raise ValueError("need at least two radii and one angle")
         if k2.shape != (radii.size, thetas.size):
             raise ValueError("k2 must have shape (len(radii), len(thetas))")
         if not np.all((k2 >= 0.0) & np.isfinite(k2)):
@@ -207,16 +214,17 @@ class GridCoefficient(CoefficientField):
             raise ValueError("radii must be positive and strictly ascending")
         if not np.all(np.diff(thetas) > 0.0) or thetas[0] < 0.0 or thetas[-1] >= TWO_PI:
             raise ValueError("thetas must be strictly ascending in [0, 2*pi)")
-        # periodic closure in theta
-        th = np.concatenate([thetas, [thetas[0] + TWO_PI]])
-        vals = np.concatenate([k2, k2[:, :1]], axis=1)
-        interp = RegularGridInterpolator(
-            (np.log(radii), th), vals, method="linear", bounds_error=True
+        lattice = (
+            np.log(radii),
+            np.concatenate([thetas, [thetas[0] + TWO_PI]]),
+            np.concatenate([k2, k2[:, :1]], axis=1),
         )
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "_interp", interp)
+        object.__setattr__(self, "_lattice", lattice)
+        # bilinear in ln r: each interior radius is a kink of kappa
+        object.__setattr__(self, "radial_breakpoints", tuple(radii[1:-1].tolist()))
 
     @classmethod
     def from_csv(cls, path, center: complex = 0j) -> "GridCoefficient":
@@ -234,11 +242,25 @@ class GridCoefficient(CoefficientField):
         return cls(radii, thetas, k2, center)
 
     def _k2_at(self, w, r):
-        theta = np.mod(np.angle(w), TWO_PI)
-        try:
-            return self._interp(np.stack([np.log(r), theta], axis=-1))
-        except ValueError as exc:
-            raise OutOfDomain(str(exc)) from exc
+        log_r, th, table = self._lattice
+        x = np.log(r)
+        # absorb rounding slop from r = |z - center| at the table edges
+        if not np.all((x >= log_r[0] - 1e-12) & (x <= log_r[-1] + 1e-12)):
+            raise OutOfDomain(
+                f"radius outside the tabulated range [{self.radii[0]}, {self.radii[-1]}]"
+            )
+        x = np.clip(x, log_r[0], log_r[-1])
+        t = th[0] + np.mod(np.angle(w) - th[0], TWO_PI)
+        i = np.clip(np.searchsorted(log_r, x, side="right") - 1, 0, log_r.size - 2)
+        j = np.clip(np.searchsorted(th, t, side="right") - 1, 0, th.size - 2)
+        y = (x - log_r[i]) / (log_r[i + 1] - log_r[i])
+        s = (t - th[j]) / (th[j + 1] - th[j])
+        return (
+            table[i, j] * (1 - y) * (1 - s)
+            + table[i, j + 1] * (1 - y) * s
+            + table[i + 1, j] * y * (1 - s)
+            + table[i + 1, j + 1] * y * s
+        )
 
     def _value_array(self, w, r):
         return -np.sqrt(self._k2_at(w, r)) * w / np.conj(w)
@@ -323,8 +345,14 @@ def circle_average_D(
     return q.mean(dilatation_on_circle(mapping, z0, r, q, h=h))
 
 
-def kappa(K: CoefficientField, r: float, q: CircleQuadrature = CircleQuadrature()) -> float:
-    """Angular mean of |K|^2 on the circle of radius r about the field center."""
-    if not (r > 0.0):
+def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
+    """Angular mean of |K|^2 on the circle of radius r about the field center.
+
+    A 1-d array of radii gives one mean per radius from one K.abs2 call on
+    a (radii x n) array of circle points.
+    """
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1 or not np.all(radii > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
-    return q.mean(np.asarray(K.abs2(q.points(K.center, r)), dtype=float))
+    z = q.points(K.center, radii if radii.ndim == 0 else radii[:, None])
+    return q.mean(np.asarray(K.abs2(z), dtype=float))

@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .complex_polar import TWO_PI, jacobian_wirtinger
 from .dilatation import (
@@ -74,7 +72,8 @@ class KappaProfile:
 
     #: (lower, upper) radius interval on which the profile is defined
     domain: tuple = (0.0, math.inf)
-    #: interior radii where the profile jumps; quadrature splits here
+    #: interior radii where the profile jumps or kinks; the fixed-order
+    #: quadrature splits here, and may miss a jump or kink not listed
     breakpoints: tuple = ()
 
     def __call__(self, r):
@@ -136,7 +135,10 @@ class PiecewiseProfile(KappaProfile):
         ):
             raise ValueError("cut radii must be positive and strictly ascending")
         object.__setattr__(self, "cut_radii", cuts)
-        object.__setattr__(self, "breakpoints", cuts)
+        # the cuts, and each piece's own breakpoints inside its interval
+        spans = zip(self.pieces, (0.0,) + cuts, cuts + (math.inf,))
+        inner = [b for piece, lo, hi in spans for b in piece.breakpoints if lo < b < hi]
+        object.__setattr__(self, "breakpoints", tuple(sorted(cuts + tuple(inner))))
         lo = self.pieces[0].domain[0]
         hi = self.pieces[-1].domain[1]
         object.__setattr__(self, "domain", (lo, hi))
@@ -171,6 +173,8 @@ class TableProfile(KappaProfile):
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "domain", (float(radii[0]), float(radii[-1])))
+        # piecewise linear in ln r: each interior knot is a kink
+        object.__setattr__(self, "breakpoints", tuple(radii[1:-1].tolist()))
 
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
@@ -200,9 +204,8 @@ class FieldProfile(KappaProfile):
     def __call__(self, r):
         if np.ndim(r) == 0:
             return circle_kappa(self.coefficient, float(r), self.quadrature)
-        return np.array(
-            [circle_kappa(self.coefficient, float(ri), self.quadrature) for ri in np.ravel(r)]
-        ).reshape(np.shape(r))
+        rr = np.asarray(r, dtype=float)
+        return circle_kappa(self.coefficient, rr.ravel(), self.quadrature).reshape(rr.shape)
 
 
 def loglog_example_profile(alpha: float) -> PiecewiseProfile:
@@ -275,23 +278,43 @@ def corollary_exponent(bound) -> float:
 # the attenuation integral and its envelope
 
 ENVELOPE_ABS_TOL = 1e-11
+#: Gauss-Legendre nodes on [-1, 1]: the 12-point rule, then the 6-point rule
+#: whose difference from it is each panel's error estimate
+_GL12, _W12 = np.polynomial.legendre.leggauss(12)
+_GL6, _W6 = np.polynomial.legendre.leggauss(6)
+_PANEL_NODES = np.concatenate([_GL12, _GL6])
+#: panels per profile call, which bounds the samples of a very wide gap
+PANEL_BLOCK = 16
+#: panel halvings one attenuation integral may make before it gives up
+MAX_BISECTIONS = 2000
 
 
-def _reciprocal_integrand(profile: KappaProfile):
-    def integrand(t: float) -> float:
-        value = profile(math.exp(t))
-        if not (value > 0.0) or not math.isfinite(value):
-            raise NonPositiveKappa(f"kappa sample {value} at r = {math.exp(t)}")
-        return 1.0 / value
-
-    return integrand
+def _panel_rules(profile: KappaProfile, a: np.ndarray, b: np.ndarray):
+    """12- and 6-point Gauss-Legendre values of int 1/kappa(e^t) dt over
+    each panel [a_i, b_i], from one profile call per PANEL_BLOCK panels."""
+    half = 0.5 * (b - a)
+    t = 0.5 * (b + a)[:, None] + half[:, None] * _PANEL_NODES[None, :]
+    r = np.exp(t)
+    blocks = np.split(r, range(PANEL_BLOCK, r.shape[0], PANEL_BLOCK))
+    kappa = np.concatenate([np.asarray(profile(block), dtype=float) for block in blocks])
+    bad = ~(kappa > 0.0) | ~np.isfinite(kappa)
+    if np.any(bad):
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise NonPositiveKappa(f"kappa sample {kappa[i]} at r = {r[i]}")
+    g = 1.0 / kappa
+    fine = half * np.sum(g[:, :12] * _W12, axis=1)
+    coarse = half * np.sum(g[:, 12:] * _W6, axis=1)
+    return fine, coarse
 
 
 def envelope_integral(profile: KappaProfile, r0: float, R: float):
     """I = int_{r0}^{R} dr/(r kappa(r)) and its envelope exp(I).
 
     Integrates in t = ln r (the natural variable of every catalog profile)
-    with mandatory subdivision at the profile's breakpoints.
+    by composite 12-point Gauss-Legendre panels, at most 1 wide and split at
+    the profile's breakpoints.  A panel whose 6-point value differs from its
+    12-point value by more than ENVELOPE_ABS_TOL is bisected.  Every sample
+    of kappa must be positive and finite.
     """
     lo, hi = profile.domain
     if not (lo * (1.0 - 1e-15) <= r0 <= hi and r0 <= R <= hi * (1.0 + 1e-15)):
@@ -302,12 +325,26 @@ def envelope_integral(profile: KappaProfile, r0: float, R: float):
         return 0.0, 1.0
     cuts = [math.log(b) for b in profile.breakpoints if r0 < b < R]
     edges = [math.log(r0)] + cuts + [math.log(R)]
-    integrand = _reciprocal_integrand(profile)
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        piece, _ = quad(integrand, a, b, epsabs=ENVELOPE_ABS_TOL, epsrel=1e-12, limit=200)
-        total += piece
-    return total, math.exp(total)
+    bounds = [np.linspace(a, b, max(1, math.ceil(b - a)) + 1) for a, b in zip(edges, edges[1:])]
+    a = np.concatenate([e[:-1] for e in bounds])
+    b = np.concatenate([e[1:] for e in bounds])
+    done, bisections = [], 0
+    while True:
+        fine, coarse = _panel_rules(profile, a, b)
+        retry = np.abs(fine - coarse) > ENVELOPE_ABS_TOL
+        done.extend(fine[~retry].tolist())
+        if not np.any(retry):
+            total = math.fsum(done)
+            return total, math.exp(total)
+        bisections += int(np.count_nonzero(retry))
+        if bisections > MAX_BISECTIONS:
+            raise QuadratureFailure(
+                f"attenuation integral over [{r0}, {R}] missed {ENVELOPE_ABS_TOL} "
+                f"after {MAX_BISECTIONS} panel bisections"
+            )
+        a, b = a[retry], b[retry]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
 
 
 def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
@@ -329,44 +366,76 @@ def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
 # circle functionals
 
 
+#: final width of the golden-section bracket around each extremal angle
+MODULUS_ANGLE_TOL = 1e-11
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: samples per evaluate call of the grid scan, which bounds memory on long ladders
+SCAN_POINTS = 1 << 16
+
+
 def modulus_extremes(
     mapping: Mapping,
     z0: complex,
-    r: float,
+    r,
     q: CircleQuadrature = CircleQuadrature(),
 ):
     """(max, min) of |f(z) - f(z0)| over the circle |z - z0| = r.
 
-    Grid scan on the quadrature angles, then a bounded scalar search around
-    the best cell refines each extremum to 1e-10 in theta.
+    Grid scan on the quadrature angles, then golden-section refinement
+    within 2*pi/n of the best grid angle, down to a bracket below
+    MODULUS_ANGLE_TOL in theta.  A scalar r gives two floats; a 1-d array of
+    radii gives two arrays, with every radius and both extremes refined at
+    once.
     """
-    if not (r > 0.0):
+    radii = np.asarray(r, dtype=float)
+    rr = np.atleast_1d(radii)
+    if rr.ndim != 1 or rr.size == 0 or not np.all(rr > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
     z0c = complex(z0)
     f0 = mapping.center_value(z0c)
     theta = q.angles()
 
-    def distance(t):
-        return np.abs(mapping.evaluate(z0c + r * np.exp(1j * np.asarray(t))) - f0)
+    def distance(z):
+        return np.abs(mapping.evaluate(z) - f0)
 
-    values = np.abs(mapping.evaluate(q.points(z0c, r)) - f0)
+    rows = max(1, SCAN_POINTS // q.n)
+    blocks = np.split(rr, range(rows, rr.size, rows))
+    values = np.concatenate([distance(q.points(z0c, block[:, None])) for block in blocks])
     if not np.all(np.isfinite(values)):
         raise QuadratureFailure("non-finite modulus sample on the circle")
+    # golden-section search for the maximum of +|f - f0| about the best grid
+    # maximum and of -|f - f0| about the best grid minimum, one bracket per
+    # (radius, extreme); every bracket starts 2 * step wide and shrinks by
+    # _GOLDEN per iteration
+    k = rr.size
+    rho = np.concatenate([rr, rr])
+    sign = np.repeat([1.0, -1.0], k)
+
+    def objective(t):
+        return sign * distance(z0c + rho * np.exp(1j * t))
+
     step = TWO_PI / q.n
-
-    def refine(objective, i_best):
-        t0 = theta[i_best]
-        return minimize_scalar(
-            objective,
-            bounds=(t0 - step, t0 + step),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-
-    res_max = refine(lambda t: -float(distance(t)), int(np.argmax(values)))
-    res_min = refine(lambda t: float(distance(t)), int(np.argmin(values)))
-    m_max = max(float(np.max(values)), -res_max.fun)
-    m_min = min(float(np.min(values)), res_min.fun)
+    start = theta[np.concatenate([np.argmax(values, axis=1), np.argmin(values, axis=1)])]
+    lo, hi = start - step, start + step
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    best = np.maximum(f1, f2)
+    iterations = math.ceil(math.log(MODULUS_ANGLE_TOL / (2.0 * step)) / math.log(_GOLDEN))
+    for _ in range(iterations):
+        left = f1 >= f2  # the maximum lies in [lo, x2]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        t = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        ft = objective(t)
+        # the kept interior point and the new one, in ascending order
+        x1, x2 = np.where(left, t, x2), np.where(left, x1, t)
+        f1, f2 = np.where(left, ft, f2), np.where(left, f1, ft)
+        best = np.maximum(best, ft)
+    if not np.all(np.isfinite(best)):
+        raise QuadratureFailure("non-finite modulus sample on the circle")
+    m_max = np.maximum(np.max(values, axis=1), best[:k])
+    m_min = np.minimum(np.min(values, axis=1), -best[k:])
+    if radii.ndim == 0:
+        return float(m_max[0]), float(m_min[0])
     return m_max, m_min
 
 
@@ -650,13 +719,13 @@ def theorem1_check(
     """
     radii = ladder.radii().tolist()
     integrals = np.cumsum(ladder_integrals(FieldProfile(K, q), r0, radii)).tolist()
-    _, m_inner = modulus_extremes(mapping, z0, r0, q)
-    extremes = [modulus_extremes(mapping, z0, R, q) for R in radii]
-    v = [m_max * math.exp(-I) for (m_max, _), I in zip(extremes, integrals)]
+    m_max, m_min = modulus_extremes(mapping, z0, np.array([r0] + radii), q)
+    m_inner = float(m_min[0])
+    v = [M * math.exp(-I) for M, I in zip(m_max[1:].tolist(), integrals)]
     floor = m_inner * (1.0 - rel_tol)
     rows = tuple(
-        GrowthLadderRow(R, m_max, m_min, I, math.exp(I), vk, vk >= floor)
-        for R, (m_max, m_min), I, vk in zip(radii, extremes, integrals, v)
+        GrowthLadderRow(R, M, m, I, math.exp(I), vk, vk >= floor)
+        for R, M, m, I, vk in zip(radii, m_max[1:].tolist(), m_min[1:].tolist(), integrals, v)
     )
     return GrowthLadderReport(rows, m_inner, min(v), all(row.bound_ok for row in rows))
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .complex_polar import (
     RADIUS_FLOOR,
@@ -67,6 +66,51 @@ def read_table_csv(path, header) -> np.ndarray:
     if not rows:
         raise ValueError(f"no data rows in {path}")
     return np.asarray(rows, dtype=float)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at a table end, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients (cubic first) of the monotone piecewise cubic
+    Hermite interpolant of (x, y), one column per interval.
+
+    The knot slopes are the weighted harmonic means of Fritsch and Butland
+    (SIAM J. Sci. Stat. Comput. 5, 1984), zero at a local extremum, with
+    one-sided three-point end slopes; two knots give the straight line.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(y.shape, m[0])
+    if x.size > 2:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            harmonic = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, harmonic))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def hermite_eval(x: np.ndarray, coef: np.ndarray, xv: np.ndarray, derivative=False):
+    """Value (or first derivative) at xv in [x[0], x[-1]] of the piecewise
+    cubic with power-basis coefficients ``coef`` on the intervals of x."""
+    i = np.clip(np.searchsorted(x, xv, side="right") - 1, 0, x.size - 2)
+    s = xv - x[i]
+    c3, c2, c1, c0 = coef[:, i]
+    if derivative:
+        return c1 + (2.0 * c2) * s + (3.0 * c3) * (s * s)
+    return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
 
 class Mapping:
@@ -298,8 +342,9 @@ class LogLog(Mapping):
 class RadialTable(Mapping):
     """Tabulated radial homeomorphism f(z0 + r e^{it}) = rho(r) e^{it}.
 
-    rho is interpolated monotonically (pchip) in log-log coordinates, which
-    keeps it strictly increasing and reproduces power-law profiles exactly.
+    rho is interpolated monotonically (pchip, :func:`pchip_coefficients`) in
+    log-log coordinates, which keeps it strictly increasing and reproduces
+    power-law profiles exactly.
     With ``linear_inner`` the map is extended below the first knot by the
     linear piece rho_0 * r / r_0, making it a homeomorphism of the full disk
     (continuous but generally not differentiable at the first knot).
@@ -309,8 +354,9 @@ class RadialTable(Mapping):
     rho: np.ndarray
     center: complex = 0j
     linear_inner: bool = False
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
-    _interp_slope: PchipInterpolator = field(init=False, repr=False, compare=False)
+    #: ln(knots) and the pchip coefficients of ln(rho) over them
+    _log_knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -323,9 +369,9 @@ class RadialTable(Mapping):
             raise ValueError("rho must be positive and strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "rho", rho)
-        interp = PchipInterpolator(np.log(knots), np.log(rho), extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_interp_slope", interp.derivative())
+        log_knots = np.log(knots)
+        object.__setattr__(self, "_log_knots", log_knots)
+        object.__setattr__(self, "_coef", pchip_coefficients(log_knots, np.log(rho)))
         object.__setattr__(
             self,
             "seam_radii",
@@ -356,7 +402,7 @@ class RadialTable(Mapping):
         out[inner] = self.rho[0] / self.knots[0] * r[inner]
         tab = ~inner
         if np.any(tab):
-            out[tab] = np.exp(self._interp(np.log(r[tab])))
+            out[tab] = np.exp(hermite_eval(self._log_knots, self._coef, np.log(r[tab])))
         return out
 
     def _drho_of_r(self, r: np.ndarray, rho_r: np.ndarray) -> np.ndarray:
@@ -366,7 +412,8 @@ class RadialTable(Mapping):
         tab = ~inner
         if np.any(tab):
             # d rho/d r = (rho / r) * d ln rho / d ln r
-            out[tab] = rho_r[tab] / r[tab] * self._interp_slope(np.log(r[tab]))
+            slope = hermite_eval(self._log_knots, self._coef, np.log(r[tab]), derivative=True)
+            out[tab] = rho_r[tab] / r[tab] * slope
         return out
 
     def _eval_array(self, z):

@@ -77,7 +77,7 @@ class ExtremalSolution:
         return RadialCoefficient(
             prof,
             center=self.center,
-            radial_breakpoints=(self.r0,) + tuple(self.profile.breakpoints),
+            radial_breakpoints=prof.breakpoints,
             radial_domain=(0.0, float(self.knots[-1])),
         )
 
@@ -283,11 +283,8 @@ def sharpness_ladder(
         denom = np.log(radii) ** (1.0 / mapping.alpha)
     else:
         raise TypeError("sharpness ladder applies to power and loglog maps only")
-    ratios = []
-    for R, d in zip(radii, denom):
-        m_max, _ = modulus_extremes(mapping, 0j, float(R), q)
-        ratios.append(m_max / d)
-    ratios = np.asarray(ratios)
+    m_max, _ = modulus_extremes(mapping, 0j, radii, q)
+    ratios = m_max / denom
     rows = tuple(zip(radii.tolist(), ratios.tolist()))
     decreasing = bool(np.all(np.diff(ratios) < 0.0))
     halved = bool(ratios[-1] < 0.5 * ratios[0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beltrami_growth import LOGLOG_SEAM, catalog_pair
+from beltrami_growth import catalog_pair
 
 CATALOG_SPECS = [
     ("identity", {}),

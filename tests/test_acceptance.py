@@ -8,11 +8,9 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from beltrami_growth import (
     AnnulusGrid,
-    CircleQuadrature,
     CoefficientBound,
     ConstantProfile,
     KappaBound,

@@ -107,6 +107,26 @@ def _clear_radii(mapping, n):
     return np.geomspace(lo, hi, n)
 
 
+class TestKappaOverRadii:
+    @pytest.mark.parametrize(
+        "K",
+        [LogLogCoefficient(1.5), LinearCoefficient(0.3 + 0.1j, 1.2 - 0.4j), PowerCoefficient(2.0)],
+        ids=["loglog", "linear", "power"],
+    )
+    def test_array_equals_one_radius_at_a_time(self, K):
+        radii = np.geomspace(0.3, 1e4, 17)
+        q = CircleQuadrature(128)
+        means = kappa(K, radii, q)
+        assert means.shape == radii.shape
+        assert means.tolist() == [kappa(K, float(r), q) for r in radii]
+
+    def test_rejects_bad_radii(self):
+        with pytest.raises(ValueError):
+            kappa(PowerCoefficient(2.0), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            kappa(PowerCoefficient(2.0), np.ones((2, 2)))
+
+
 class TestClosedFormKappa:
     def test_power(self):
         for alpha in (0.5, 1.0, 2.0):
@@ -203,6 +223,9 @@ class TestGridCoefficient:
         K = self._tabulated_power()
         with pytest.raises(OutOfDomain):
             K(100.0 + 0j)
+        with pytest.raises(OutOfDomain):
+            K.abs2(10.0 * (1.0 + 1e-9) + 0j)
+        assert K.abs2(10.0 * (1.0 + 1e-14) + 0j) == 2.0  # rounding slop at the edge
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -241,6 +264,35 @@ class TestGridCoefficient:
         path.write_text(text)
         with pytest.raises(ValueError):
             GridCoefficient.from_csv(path)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_cell_centred_angles(self, m):
+        # |K|^2 = g_j (a + b ln r) on angles (j + 1/2) 2 pi / m: the circle
+        # mean of the periodic bilinear table is mean(g) (a + b ln r), exactly
+        # when n is a multiple of m
+        a, b = 1.5, 0.25
+        radii = np.geomspace(0.5, 40.0, 7)
+        thetas = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+        g = np.linspace(0.5, 2.0, m) ** 2
+        K = GridCoefficient(radii, thetas, np.outer(a + b * np.log(radii), g))
+        r = np.array([0.5, 0.9, 2.0, 17.0, 40.0])
+        np.testing.assert_allclose(
+            kappa(K, r, CircleQuadrature(64 * m)), g.mean() * (a + b * np.log(r)), rtol=1e-13
+        )
+
+    def test_first_angle_above_zero(self):
+        # the table covers [0.5, 0.5 + 2 pi]: an angle below 0.5 is read on
+        # the closing cell between thetas[-1] = 4 and 0.5 + 2 pi
+        thetas = np.array([0.5, 2.0, 4.0])
+        g = np.array([1.0, 3.0, 2.0])
+        K = GridCoefficient([1.0, 4.0], thetas, np.outer([1.0, 1.0], g))
+        assert kappa(K, 2.0) == pytest.approx(
+            np.sum((g + np.roll(g, -1)) / 2.0 * np.diff([*thetas, thetas[0] + 2.0 * np.pi]))
+            / (2.0 * np.pi),
+            rel=1e-5,
+        )
+        s = (0.1 + 2.0 * np.pi - 4.0) / (0.5 + 2.0 * np.pi - 4.0)
+        assert K.abs2(2.0 * np.exp(0.1j)) == pytest.approx((1 - s) * g[2] + s * g[0], rel=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_table_values_must_be_finite_and_nonnegative(self, bad):

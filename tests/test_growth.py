@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami_growth import (
+    CircleQuadrature,
     CoefficientBound,
     ConstantProfile,
     DomainError,
     FieldProfile,
+    GridCoefficient,
     Identity,
     KappaBound,
     Linear,
-    LinearCoefficient,
     LogLog,
     LogProductProfile,
     NonPositiveKappa,
@@ -41,7 +42,7 @@ from beltrami_growth import (
     theorem1_check,
     tower,
 )
-from beltrami_growth.growth import E_1, E_2, E_3
+from beltrami_growth.growth import E_2, E_3
 
 alphas = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 
@@ -245,6 +246,74 @@ class TestLadderIntegrals:
             ladder_integrals(ConstantProfile(1.0), 1.0, radii)
 
 
+def log_linear_table_integral(radii, values, r0, R):
+    """I for kappa log-log linear between knots: on each interval
+    kappa = v_i e^{p (t - t_i)} in t = ln r, integrated exactly."""
+    total = 0.0
+    for ra, rb, va, vb in zip(radii, radii[1:], values, values[1:]):
+        lo, hi = max(ra, r0), min(rb, R)
+        if hi <= lo:
+            continue
+        p = math.log(vb / va) / math.log(rb / ra)
+        u, w = math.log(lo / ra), math.log(hi / ra)
+        total += (math.exp(-p * u) - math.exp(-p * w)) / (p * va)
+    return total
+
+
+def ln_linear_table_integral(radii, values, r0, R):
+    """I for kappa linear in t = ln r between knots, integrated exactly."""
+    total = 0.0
+    for ra, rb, va, vb in zip(radii, radii[1:], values, values[1:]):
+        lo, hi = max(ra, r0), min(rb, R)
+        if hi <= lo:
+            continue
+        slope = (vb - va) / math.log(rb / ra)
+        k_lo, k_hi = va + slope * math.log(lo / ra), va + slope * math.log(hi / ra)
+        total += math.log(k_hi / k_lo) / slope
+    return total
+
+
+class TestKnotsBetweenRungs:
+    """Piecewise-linear profiles declare their interior knots as breakpoints,
+    so a fixed-order rule never straddles a kink inside a ladder gap."""
+
+    #: knots at 0.8 * 2^x for fractional x: none lies on a rung of the ladder
+    RADII = 0.8 * 2.0 ** np.array([0.0, 1.3, 4.7, 5.1, 9.9, 13.0, 17.2, 21.0])
+    VALUES = np.array([1.0, 2.5, 1.2, 3.0, 0.7, 2.2, 1.9, 4.0])
+
+    def test_table_profile(self):
+        profile = TableProfile(self.RADII, self.VALUES)
+        assert profile.breakpoints == tuple(self.RADII[1:-1].tolist())
+        r0 = float(self.RADII[0])
+        rungs = RadiusLadder(r0, 2.0, 20).radii()
+        cumulative = np.cumsum(ladder_integrals(profile, r0, rungs))
+        expected = [log_linear_table_integral(self.RADII, self.VALUES, r0, R) for R in rungs]
+        np.testing.assert_allclose(cumulative, expected, rtol=1e-13, atol=0)
+
+    def test_grid_coefficient(self):
+        # |K|^2 = g_j c_i: the circle mean is mean(g) times the ln r
+        # interpolant of c, exactly when n is a multiple of the angle count
+        g = np.array([0.5, 1.5, 2.0, 1.0, 0.8, 1.7, 1.1, 1.4])
+        thetas = 2.0 * math.pi * np.arange(g.size) / g.size
+        K = GridCoefficient(self.RADII, thetas, np.outer(self.VALUES, g))
+        assert K.radial_breakpoints == tuple(self.RADII[1:-1].tolist())
+        profile = FieldProfile(K, CircleQuadrature(64))
+        assert profile.breakpoints == K.radial_breakpoints
+        r0 = float(self.RADII[0])
+        rungs = RadiusLadder(r0, 2.0, 20).radii()
+        cumulative = np.cumsum(ladder_integrals(profile, r0, rungs))
+        expected = [
+            ln_linear_table_integral(self.RADII, g.mean() * self.VALUES, r0, R) for R in rungs
+        ]
+        np.testing.assert_allclose(cumulative, expected, rtol=1e-13, atol=0)
+
+    def test_piecewise_profile_keeps_its_pieces_breakpoints(self):
+        table = TableProfile(self.RADII, self.VALUES)
+        profile = PiecewiseProfile((10.0,), (ConstantProfile(1.0), table))
+        inside = [b for b in table.breakpoints if b > 10.0]
+        assert profile.breakpoints == (10.0, *inside)
+
+
 class TestCircleFunctionals:
     def test_modulus_extremes_power(self):
         for alpha in (0.5, 2.0):
@@ -257,6 +326,17 @@ class TestCircleFunctionals:
         m_max, m_min = modulus_extremes(Linear(a, b, 1j), 0j, r)
         assert m_max == pytest.approx((abs(b) + abs(a)) * r, rel=1e-9)
         assert m_min == pytest.approx((abs(b) - abs(a)) * r, rel=1e-9)
+
+    def test_modulus_extremes_over_radii(self):
+        mapping = Linear(0.3 + 0.1j, 1.2 - 0.4j, 1j)
+        radii = np.array([0.5, 2.5, 2.5, 40.0])
+        q = CircleQuadrature(256)
+        m_max, m_min = modulus_extremes(mapping, 0j, radii, q)
+        assert m_max.shape == m_min.shape == radii.shape
+        for r, hi, lo in zip(radii.tolist(), m_max.tolist(), m_min.tolist()):
+            assert modulus_extremes(mapping, 0j, r, q) == (hi, lo)
+        with pytest.raises(ValueError):
+            modulus_extremes(mapping, 0j, np.array([1.0, -1.0]), q)
 
     def test_circle_length(self):
         assert circle_length(Identity(), 0j, 3.0) == pytest.approx(

@@ -1,7 +1,5 @@
 """Extremal solution construction and residual certification."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from beltrami_growth import (
     DomainError,
     LogProductProfile,
     NonPositiveJacobian,
-    PiecewiseProfile,
     Linear,
     LinearCoefficient,
     LogLog,
