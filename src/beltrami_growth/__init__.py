@@ -49,6 +49,7 @@ from .growth import (
     circle_length,
     corollary_exponent,
     differential_inequality_check,
+    disk_checks,
     envelope_integral,
     image_area,
     isoperimetric_check,

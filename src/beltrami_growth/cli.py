@@ -33,14 +33,12 @@ from .dilatation import (
 from .errors import BeltramiGrowthError
 from .growth import (
     ConstantProfile,
-    area_bound_check,
     FieldProfile,
     LogProductProfile,
     PiecewiseProfile,
     RadiusLadder,
     TableProfile,
-    differential_inequality_check,
-    isoperimetric_check,
+    disk_checks,
     ladder_integrals,
     modulus_extremes,
     nonexistence_diagnostic,
@@ -70,6 +68,9 @@ class ConfigError(Exception):
 
 
 def fmt(value) -> str:
+    # np.float64 is a float subclass, and formats the same
+    if isinstance(value, float):
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -83,8 +84,7 @@ def write_csv(path: Path, header, rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows([fmt(v) for v in row] for row in rows)
     return path
 
 
@@ -447,24 +447,22 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
     write_csv(
         outdir / "verify_residual.csv",
         ["r", "theta", "abs_residual"],
-        zip(residual.r, residual.theta, residual.abs_residual),
+        zip(residual.r.tolist(), residual.theta.tolist(), residual.abs_residual.tolist()),
     )
 
     radii = _check_radii(mapping, r0, top)
-    rows = differential_inequality_check(mapping, z0, radii, q, h=h)
+    rows, iso, area = disk_checks(mapping, coefficient, z0, r0, radii, q)
     ok = all(row.ok for row in rows)
     worst = min(row.ratio for row in rows)
     say(f"{'PASS' if ok else 'FAIL'} differential_inequality min_ratio={fmt(worst)}")
     if not ok:
         failures.append("differential_inequality")
 
-    iso_ok = all(rep.ok for rep in isoperimetric_check(mapping, z0, radii, q, h=h))
+    iso_ok = all(rep.ok for rep in iso)
     say(f"{'PASS' if iso_ok else 'FAIL'} isoperimetric")
     if not iso_ok:
         failures.append("isoperimetric")
 
-    area_R = float(radii[-1])
-    area = area_bound_check(mapping, coefficient, z0, r0, area_R, q, h=h)
     say(f"{'PASS' if area.ok else 'FAIL'} area_bound slack={fmt(area.slack)}"
         + (" (equality)" if area.equality else ""))
     if not area.ok:

@@ -17,11 +17,10 @@ from .complex_polar import RADIUS_FLOOR, TWO_PI, jacobian_polar, wirtinger_to_po
 from .errors import (
     DegenerateRadius,
     NonPositiveJacobian,
-    NotDifferentiableHere,
     OutOfDomain,
     QuadratureFailure,
 )
-from .mappings import DEFAULT_FD_STEP, LOGLOG_SEAM, Mapping, read_table_csv
+from .mappings import LOGLOG_SEAM, Mapping, read_table_csv
 
 JACOBIAN_FLOOR = 1e-14
 
@@ -60,6 +59,8 @@ class CoefficientField:
     center: complex = 0j
     #: radii |z - center| where the field jumps or kinks (piecewise variants)
     radial_breakpoints: tuple = ()
+    #: (lower, upper) radii |z - center| on which the field is defined
+    radial_domain: tuple = (0.0, math.inf)
 
     def _offset(self, z):
         w = np.asarray(z, dtype=complex) - self.center
@@ -225,6 +226,7 @@ class GridCoefficient(CoefficientField):
         object.__setattr__(self, "_lattice", lattice)
         # bilinear in ln r: each interior radius is a kink of kappa
         object.__setattr__(self, "radial_breakpoints", tuple(radii[1:-1].tolist()))
+        object.__setattr__(self, "radial_domain", (float(radii[0]), float(radii[-1])))
 
     @classmethod
     def from_csv(cls, path, center: complex = 0j) -> "GridCoefficient":
@@ -291,24 +293,9 @@ def K_from_sigma(sigma, z, center: complex = 0j):
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def _wirtinger_best(mapping: Mapping, z, h: float = DEFAULT_FD_STEP):
-    """Closed-form derivatives where available, central differences otherwise."""
-    try:
-        return mapping.wirtinger_analytic(z)
-    except NotDifferentiableHere:
-        return mapping.wirtinger_fd(z, h)
-
-
-def angular_dilatation(
-    mapping: Mapping,
-    z0: complex,
-    z,
-    *,
-    h: float = DEFAULT_FD_STEP,
-):
+def angular_dilatation(mapping: Mapping, z0: complex, z):
     """|f_theta|^2 / (r^2 J_f) at z, about the center z0."""
-    wp = _wirtinger_best(mapping, z, h)
-    pd = wirtinger_to_polar(z, z0, wp)
+    pd = wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z))
     r = np.abs(np.asarray(z, dtype=complex) - z0)
     jac = jacobian_polar(r, pd)
     if np.any(np.asarray(jac) <= JACOBIAN_FLOOR):
@@ -318,31 +305,25 @@ def angular_dilatation(
 
 
 def dilatation_on_circle(
-    mapping: Mapping,
-    z0: complex,
-    r: float,
-    q: CircleQuadrature = CircleQuadrature(),
-    *,
-    h: float = DEFAULT_FD_STEP,
+    mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()
 ) -> np.ndarray:
-    """Angular dilatation sampled on the n uniform angles of the circle."""
-    return angular_dilatation(mapping, z0, q.points(z0, r), h=h)
+    """Angular dilatation sampled on the n uniform angles of the circle; a
+    1-d array of radii gives one row of samples per radius."""
+    radii = np.asarray(r, dtype=float)
+    z = q.points(z0, radii if radii.ndim == 0 else radii[:, None])
+    return angular_dilatation(mapping, z0, z)
 
 
 def circle_average_D(
-    mapping: Mapping,
-    z0: complex,
-    r: float,
-    q: CircleQuadrature = CircleQuadrature(),
-    *,
-    h: float = DEFAULT_FD_STEP,
-) -> float:
+    mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()
+):
     """Angular mean of the dilatation over the circle |z - z0| = r.
 
     The 1/(2*pi*r) normalization and the arc element |dz| = r d(theta)
-    cancel, leaving a plain mean over theta.
+    cancel, leaving a plain mean over theta.  A 1-d array of radii gives
+    one mean per radius from one (radii x n) block of samples.
     """
-    return q.mean(dilatation_on_circle(mapping, z0, r, q, h=h))
+    return q.mean(dilatation_on_circle(mapping, z0, r, q))
 
 
 def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_polar import TWO_PI, jacobian_wirtinger
+from .complex_polar import TWO_PI, jacobian_wirtinger, wirtinger_to_polar
 from .dilatation import (
     CircleQuadrature,
     CoefficientField,
-    _wirtinger_best,
     circle_average_D,
     kappa as circle_kappa,
 )
@@ -30,7 +29,7 @@ from .errors import (
     NonPositiveKappa,
     QuadratureFailure,
 )
-from .mappings import DEFAULT_FD_STEP, Mapping
+from .mappings import Mapping
 
 # ---------------------------------------------------------------------------
 # iterated logarithms and exponential towers
@@ -198,8 +197,8 @@ class FieldProfile(KappaProfile):
         object.__setattr__(
             self, "breakpoints", tuple(self.coefficient.radial_breakpoints)
         )
-        dom = getattr(self.coefficient, "radial_domain", (0.0, math.inf))
-        object.__setattr__(self, "domain", (float(dom[0]), float(dom[1])))
+        lo, hi = self.coefficient.radial_domain
+        object.__setattr__(self, "domain", (float(lo), float(hi)))
 
     def __call__(self, r):
         if np.ndim(r) == 0:
@@ -439,20 +438,15 @@ def modulus_extremes(
     return m_max, m_min
 
 
-def circle_length(
-    mapping: Mapping,
-    z0: complex,
-    r: float,
-    q: CircleQuadrature = CircleQuadrature(),
-    *,
-    h: float = DEFAULT_FD_STEP,
-) -> float:
-    """Length of the image curve: int |f_theta| d(theta) by periodic trapezoid."""
-    from .complex_polar import wirtinger_to_polar
+def circle_length(mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()):
+    """Length of the image curve: int |f_theta| d(theta) by periodic trapezoid.
 
-    z = q.points(z0, r)
-    wp = _wirtinger_best(mapping, z, h)
-    pd = wirtinger_to_polar(z, z0, wp)
+    A 1-d array of radii gives one length per radius from one (radii x n)
+    block of circle points.
+    """
+    radii = np.asarray(r, dtype=float)
+    z = q.points(z0, radii if radii.ndim == 0 else radii[:, None])
+    pd = wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z))
     return TWO_PI * q.mean(np.abs(pd.d_theta))
 
 
@@ -468,8 +462,6 @@ def _disk_areas(
     z0: complex,
     radii,
     q: CircleQuadrature,
-    *,
-    h: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Areas of f(B(z0, r)) for every r in ``radii`` from one radial sweep.
 
@@ -489,8 +481,7 @@ def _disk_areas(
     theta = q.angles()
 
     def mean_jacobian(rho: np.ndarray) -> np.ndarray:
-        wp = _wirtinger_best(mapping, q.points(z0, rho[:, None]), h)
-        jac = jacobian_wirtinger(wp)
+        jac = jacobian_wirtinger(mapping.wirtinger_analytic(q.points(z0, rho[:, None])))
         # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
         # a < 1); only a genuinely non-positive sample is an error here
         if np.any(jac <= 0.0):
@@ -537,8 +528,6 @@ def image_area(
     z0: complex,
     r: float,
     q: CircleQuadrature = CircleQuadrature(),
-    *,
-    h: float = DEFAULT_FD_STEP,
 ) -> float:
     """Area of f(B(z0, r)) as the polar integral of the Jacobian.
 
@@ -549,11 +538,19 @@ def image_area(
     NonPositiveJacobian.  The checks below take several areas from one sweep
     of :func:`_disk_areas`; this is its one-radius case.
     """
-    return float(_disk_areas(mapping, z0, [r], q, h=h)[0])
+    return float(_disk_areas(mapping, z0, [r], q)[0])
 
 
 # ---------------------------------------------------------------------------
 # inequality checks
+#
+# Each check is judging code over swept disk areas.  The three public checks
+# run it on a sweep of their own; disk_checks runs all three on one sweep.
+
+#: relative tolerances of the verdicts, shared by the checks and disk_checks
+ISOPERIMETRIC_REL_TOL = 1e-6
+DIFFERENTIAL_REL_TOL = 1e-3
+AREA_BOUND_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -565,31 +562,34 @@ class IsoperimetricReport:
     equality: bool
 
 
+def _isoperimetric_reports(mapping, z0, radii, areas, q, rel_tol) -> tuple:
+    reports = []
+    for length, area in zip(circle_length(mapping, z0, radii, q).tolist(), areas.tolist()):
+        slack = length**2 - 4.0 * math.pi * area
+        scale = rel_tol * length**2
+        reports.append(
+            IsoperimetricReport(length, area, slack, slack >= -scale, abs(slack) <= scale)
+        )
+    return tuple(reports)
+
+
 def isoperimetric_check(
     mapping: Mapping,
     z0: complex,
     r,
     q: CircleQuadrature = CircleQuadrature(),
     *,
-    rel_tol: float = 1e-6,
-    h: float = DEFAULT_FD_STEP,
+    rel_tol: float = ISOPERIMETRIC_REL_TOL,
 ):
     """L^2 >= 4*pi*S for the image of the circle/disk of radius r.
 
     A scalar r gives one report; a 1-d array of radii gives a tuple of
     reports whose areas come from one shared radial sweep.
     """
-    radii = np.asarray(r, dtype=float)
-    areas = _disk_areas(mapping, z0, np.atleast_1d(radii), q, h=h)
-    reports = []
-    for ri, area in zip(np.atleast_1d(radii).tolist(), areas.tolist()):
-        length = circle_length(mapping, z0, ri, q, h=h)
-        slack = length**2 - 4.0 * math.pi * area
-        scale = rel_tol * length**2
-        reports.append(
-            IsoperimetricReport(length, area, slack, slack >= -scale, abs(slack) <= scale)
-        )
-    return reports[0] if radii.ndim == 0 else tuple(reports)
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    areas = _disk_areas(mapping, z0, radii, q)
+    reports = _isoperimetric_reports(mapping, z0, radii, areas, q, rel_tol)
+    return reports[0] if np.ndim(r) == 0 else reports
 
 
 @dataclass(frozen=True)
@@ -602,14 +602,31 @@ class DifferentialInequalityRow:
     ok: bool
 
 
+def _differential_rows(mapping, z0, radii, areas, q, rel_tol) -> list:
+    jac = jacobian_wirtinger(mapping.wirtinger_analytic(q.points(z0, radii[:, None])))
+    if np.any(jac <= 0.0):
+        i, j = np.unravel_index(int(np.argmin(jac)), jac.shape)
+        raise NonPositiveJacobian(f"J_f = {jac[i, j]} at r = {radii[i]}, theta = {q.angles()[j]}")
+    mean_jac = q.mean(jac)
+    d_mean = circle_average_D(mapping, z0, radii, q)
+    rows = []
+    for r, area, j, d in zip(radii.tolist(), areas.tolist(), mean_jac.tolist(), d_mean.tolist()):
+        rate = TWO_PI * r * j
+        bound = 2.0 * area / (r * d)
+        ratio = rate / bound
+        rows.append(
+            DifferentialInequalityRow(r, area, rate, bound, ratio, ratio >= 1.0 - rel_tol)
+        )
+    return rows
+
+
 def differential_inequality_check(
     mapping: Mapping,
     z0: complex,
     radii,
     q: CircleQuadrature = CircleQuadrature(),
     *,
-    rel_tol: float = 1e-3,
-    h: float = DEFAULT_FD_STEP,
+    rel_tol: float = DIFFERENTIAL_REL_TOL,
 ):
     """Check S' >= 2S/(r d_f) at each radius.
 
@@ -620,21 +637,8 @@ def differential_inequality_check(
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         return []
-    theta = q.angles()
-    rows = []
-    for r, area in zip(radii.tolist(), _disk_areas(mapping, z0, radii, q, h=h).tolist()):
-        jac = jacobian_wirtinger(_wirtinger_best(mapping, q.points(z0, r), h))
-        if np.any(jac <= 0.0):
-            worst = int(np.argmin(jac))
-            raise NonPositiveJacobian(f"J_f = {jac[worst]} at r = {r}, theta = {theta[worst]}")
-        rate = TWO_PI * r * q.mean(jac)
-        d_mean = circle_average_D(mapping, z0, r, q, h=h)
-        bound = 2.0 * area / (r * d_mean)
-        ratio = rate / bound
-        rows.append(
-            DifferentialInequalityRow(r, area, rate, bound, ratio, ratio >= 1.0 - rel_tol)
-        )
-    return rows
+    areas = _disk_areas(mapping, z0, radii, q)
+    return _differential_rows(mapping, z0, radii, areas, q, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -650,23 +654,8 @@ class AreaBoundReport:
     equality: bool
 
 
-def area_bound_check(
-    mapping: Mapping,
-    K: CoefficientField,
-    z0: complex,
-    r0: float,
-    R: float,
-    q: CircleQuadrature = CircleQuadrature(),
-    *,
-    rel_tol: float = 1e-4,
-    h: float = DEFAULT_FD_STEP,
-) -> AreaBoundReport:
-    """S(r0) <= S(R) * exp(-2 * int dr/(r kappa)) for a solution pair."""
-    if not (R > r0 > 0.0):
-        raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
-    profile = FieldProfile(K, q)
-    integral, _ = envelope_integral(profile, r0, R)
-    area_inner, area_outer = _disk_areas(mapping, z0, [r0, R], q, h=h).tolist()
+def _area_bound_report(K, r0, R, area_inner, area_outer, q, rel_tol) -> AreaBoundReport:
+    integral, _ = envelope_integral(FieldProfile(K, q), r0, R)
     rhs = area_outer * math.exp(-2.0 * integral)
     slack = rhs - area_inner
     return AreaBoundReport(
@@ -679,6 +668,51 @@ def area_bound_check(
         slack,
         slack >= -rel_tol * rhs,
         abs(slack) <= rel_tol * rhs,
+    )
+
+
+def area_bound_check(
+    mapping: Mapping,
+    K: CoefficientField,
+    z0: complex,
+    r0: float,
+    R: float,
+    q: CircleQuadrature = CircleQuadrature(),
+    *,
+    rel_tol: float = AREA_BOUND_REL_TOL,
+) -> AreaBoundReport:
+    """S(r0) <= S(R) * exp(-2 * int dr/(r kappa)) for a solution pair."""
+    if not (R > r0 > 0.0):
+        raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
+    area_inner, area_outer = _disk_areas(mapping, z0, [r0, R], q).tolist()
+    return _area_bound_report(K, r0, R, area_inner, area_outer, q, rel_tol)
+
+
+def disk_checks(
+    mapping: Mapping,
+    K: CoefficientField,
+    z0: complex,
+    r0: float,
+    radii,
+    q: CircleQuadrature = CircleQuadrature(),
+):
+    """The differential-inequality rows and isoperimetric reports at
+    ``radii``, and the area-bound report over [r0, radii[-1]].
+
+    One radial sweep over radii and r0 gives every area, so S(r0) is swept
+    even when r0 is not a check radius.  S', the mean dilatation and the
+    image length each come from one (radii x n) block of circle points.
+    """
+    radii = np.asarray(radii, dtype=float)
+    R = float(radii[-1])
+    if not (R > r0 > 0.0):
+        raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
+    swept = _disk_areas(mapping, z0, np.append(radii, r0), q)
+    areas, area_inner = swept[:-1], float(swept[-1])
+    return (
+        _differential_rows(mapping, z0, radii, areas, q, DIFFERENTIAL_REL_TOL),
+        _isoperimetric_reports(mapping, z0, radii, areas, q, ISOPERIMETRIC_REL_TOL),
+        _area_bound_report(K, r0, R, area_inner, float(areas[-1]), q, AREA_BOUND_REL_TOL),
     )
 
 

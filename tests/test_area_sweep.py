@@ -25,19 +25,23 @@ from beltrami_growth import (
     area_bound_check,
     build_extremal,
     catalog_pair,
+    circle_average_D,
     circle_length,
     differential_inequality_check,
+    disk_checks,
     image_area,
     isoperimetric_check,
     jacobian_wirtinger,
     polar_to_wirtinger,
 )
+from beltrami_growth.cli import _check_radii
 from beltrami_growth.growth import _disk_areas
 
 from conftest import CATALOG_IDS, CATALOG_SPECS
 
+EXTREMAL = build_extremal(ConstantProfile(2.0), 1.0, 1.0, 2.0**10)
 MAPS = [catalog_pair(name, **params)[0] for name, params in CATALOG_SPECS]
-MAPS.append(build_extremal(ConstantProfile(2.0), 1.0, 1.0, 2.0**10).mapping())
+MAPS.append(EXTREMAL.mapping())
 IDS = CATALOG_IDS + ["extremal"]
 
 
@@ -203,3 +207,63 @@ class TestInteriorFold:
     def test_area_bound_raises(self):
         with pytest.raises(NonPositiveJacobian):
             area_bound_check(self.mapping, PowerCoefficient(1.0), 0j, 0.5, 1.0)
+
+
+#: (mapping, coefficient, r0) of the pairs disk_checks is compared on; the
+#: extremal table has a seam at r0, so its r0 is not a check radius
+DISK_PAIRS = {
+    "power": (*catalog_pair("power", alpha=2.0), 1.0),
+    "loglog": (*catalog_pair("loglog", alpha=2.0), 1.0),
+    "spiral": (*catalog_pair("spiral"), 0.5),
+    "linear": (*catalog_pair("linear", **CATALOG_SPECS[1][1]), 0.5),
+    "extremal": (EXTREMAL.mapping(), EXTREMAL.coefficient(), 1.0),
+    "modulated": (ModulatedPower(), PowerCoefficient(2.0), 0.5),
+}
+
+
+class TestDiskChecks:
+    """disk_checks takes every area from one sweep and every circle
+    functional from one block of circle points; the three separate checks,
+    each on a sweep of its own, are its oracle."""
+
+    q = CircleQuadrature(256)
+
+    @pytest.mark.parametrize("name", DISK_PAIRS)
+    def test_matches_separate_checks(self, name):
+        mapping, K, r0 = DISK_PAIRS[name]
+        radii = _check_radii(mapping, r0, 100.0 * r0)
+        rows, iso, area = disk_checks(mapping, K, 0j, r0, radii, self.q)
+        rel = 1e-13
+        ref_rows = differential_inequality_check(mapping, 0j, radii, self.q)
+        for row, ref in zip(rows, ref_rows, strict=True):
+            # bound = 2 S / (r D), so it carries the mean dilatation D
+            for key in ("r", "area", "area_rate", "bound", "ratio"):
+                assert getattr(row, key) == pytest.approx(getattr(ref, key), rel=rel, abs=0.0)
+            assert row.ok == ref.ok
+        ref_iso = isoperimetric_check(mapping, 0j, radii, self.q)
+        for rep, ref in zip(iso, ref_iso, strict=True):
+            assert rep.length == ref.length
+            assert rep.area == pytest.approx(ref.area, rel=rel, abs=0.0)
+            # the slack is a difference that vanishes at equality: its error
+            # is measured on the scale of L^2
+            assert abs(rep.slack - ref.slack) <= rel * ref.length**2
+            assert (rep.ok, rep.equality) == (ref.ok, ref.equality)
+        ref = area_bound_check(mapping, K, 0j, r0, float(radii[-1]), self.q)
+        for key in ("area_inner", "area_outer", "integral", "rhs"):
+            assert getattr(area, key) == pytest.approx(getattr(ref, key), rel=rel, abs=0.0)
+        assert abs(area.slack - ref.slack) <= rel * ref.rhs
+        assert (area.ok, area.equality) == (ref.ok, ref.equality)
+
+    @pytest.mark.parametrize("mapping", MAPS + [ModulatedPower()], ids=IDS + ["modulated"])
+    def test_circle_functionals_over_radii_are_bit_equal(self, mapping):
+        radii = check_radii(mapping, 5)
+        lengths = circle_length(mapping, 0j, radii, self.q)
+        means = circle_average_D(mapping, 0j, radii, self.q)
+        assert lengths.shape == means.shape == radii.shape
+        for r, length, mean in zip(radii.tolist(), lengths.tolist(), means.tolist()):
+            assert length == circle_length(mapping, 0j, r, self.q)
+            assert mean == circle_average_D(mapping, 0j, r, self.q)
+
+    def test_interior_fold_raises(self):
+        with pytest.raises(NonPositiveJacobian):
+            disk_checks(InteriorFold(), PowerCoefficient(1.0), 0j, 0.5, [0.5, 1.0], self.q)

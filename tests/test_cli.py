@@ -16,7 +16,9 @@ from beltrami_growth.cli import (
     fmt,
     main,
     parse_mapping,
+    write_csv,
 )
+from beltrami_growth import growth
 from beltrami_growth.growth import E_2
 
 
@@ -46,6 +48,15 @@ class TestFormatting:
     def test_numpy_bools(self):
         assert fmt(np.bool_(True)) == "true"
         assert fmt(np.bool_(False)) == "false"
+
+    def test_csv_bytes_of_every_cell_type(self, tmp_path):
+        row = (0.1, np.float64(1.0 / 3.0), True, np.bool_(False), 7, np.int64(-3), "x")
+        path = write_csv(tmp_path / "row.csv", list("abcdefg"), [row, row[::-1]])
+        assert path.read_bytes() == (
+            b"a,b,c,d,e,f,g\n"
+            b"0.10000000000000001,0.33333333333333331,true,false,7,-3,x\n"
+            b"x,-3,7,false,true,0.33333333333333331,0.10000000000000001\n"
+        )
 
 
 class TestKappa:
@@ -88,6 +99,23 @@ class TestEnvelope:
         root = ET.parse(out / "envelope.svg").getroot()
         assert root.tag.endswith("svg")
         assert root.get("viewBox") == "0 0 640 480"
+
+    def test_grid_ladder_leaving_the_table(self, tmp_path, capsys):
+        # the grid's radial range is the field profile's domain, so the gap
+        # that leaves [1, 4] is refused before it is integrated
+        path = tmp_path / "grid.csv"
+        path.write_text(
+            "r,theta,k2\n"
+            + "".join(f"{r},{t},1\n" for r in (1, 2, 4) for t in (0, 1.5, 3, 4.5))
+        )
+        cfg = {
+            "profile": {"kind": "from_field", "coefficient": {"kind": "grid", "path": str(path)}},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "factor": 1.1, "count": 25},
+        }
+        code, _ = run(tmp_path, "envelope", cfg)
+        assert code == EXIT_NUMERIC
+        assert "leaves the profile domain [1.0, 4.0]" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -186,6 +214,35 @@ class TestVerify:
             outs.append(out)
         for name in ("verify_growth.csv", "verify_residual.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    EXTREMAL_CFG = {
+        "pair": {
+            "name": "extremal",
+            "profile": {"kind": "constant", "alpha": 2.0},
+            "r0": 1.0,
+            "R": 1024.0,
+        },
+        "r0": 1.0,
+        "ladder": {"r0": 1.0, "factor": 2.0, "count": 8},
+        "n": 64,
+    }
+
+    @pytest.mark.parametrize("cfg", [CFG, EXTREMAL_CFG], ids=["power", "extremal"])
+    def test_one_area_sweep(self, tmp_path, monkeypatch, cfg):
+        # the extremal table has a seam at r0, so r0 is not a check radius
+        # there; its area still comes from the one sweep
+        calls = []
+        sweep = growth._disk_areas
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(growth, "_disk_areas", counted)
+        code, _ = run(tmp_path, "verify", cfg)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert cfg["r0"] in np.asarray(calls[0]).tolist()
 
 
 class TestExtremal:
