@@ -1,9 +1,9 @@
 """Complex-plane / polar-coordinate calculus.
 
 Conversions between the formal derivative pair (f_z, f_zbar) and the polar
-derivative pair (f_r, f_theta) about a center z0, plus the two equivalent
-Jacobian formulas.  All functions accept python complex scalars or numpy
-arrays of complex and are pure.
+derivative pair (f_r, f_theta) about a center z0, the two equivalent
+Jacobian formulas, and the one guard that a Jacobian exceeds its floor.  All
+functions accept python complex scalars or numpy arrays of complex.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRadius
+from .errors import DegenerateRadius, NonPositiveJacobian
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,3 +101,18 @@ def jacobian_wirtinger(wp: WirtingerPair):
     """Jacobian |f_z|^2 - |f_zbar|^2."""
     out = np.abs(np.asarray(wp.d_z)) ** 2 - np.abs(np.asarray(wp.d_zbar)) ** 2
     return float(out) if out.ndim == 0 else out
+
+
+def require_jacobian_above(jac, floor: float, z, z0):
+    """Return ``jac``, the Jacobian sampled at the points ``z`` of the same
+    shape, if every sample exceeds ``floor``; otherwise raise
+    NonPositiveJacobian naming the smallest sample and its (r, theta) about z0.
+    NaN and +inf samples pass; the circle quadrature rejects them."""
+    if np.any(np.asarray(jac) <= floor):
+        i = int(np.nanargmin(jac))
+        w = np.ravel(np.asarray(z, dtype=complex) - complex(z0))[i]
+        raise NonPositiveJacobian(
+            f"J_f = {float(np.ravel(jac)[i])} <= floor {floor} at r = {abs(w)}, "
+            f"theta = {normalize_angle(float(np.angle(w)))}"
+        )
+    return jac

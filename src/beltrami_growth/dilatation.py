@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_polar import RADIUS_FLOOR, TWO_PI, jacobian_polar, wirtinger_to_polar
-from .errors import (
-    DegenerateRadius,
-    NonPositiveJacobian,
-    OutOfDomain,
-    QuadratureFailure,
+from .complex_polar import (
+    RADIUS_FLOOR,
+    TWO_PI,
+    jacobian_polar,
+    require_jacobian_above,
+    wirtinger_to_polar,
 )
+from .errors import DegenerateRadius, OutOfDomain, QuadratureFailure
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv
 
 JACOBIAN_FLOOR = 1e-14
@@ -297,9 +298,7 @@ def angular_dilatation(mapping: Mapping, z0: complex, z):
     """|f_theta|^2 / (r^2 J_f) at z, about the center z0."""
     pd = wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z))
     r = np.abs(np.asarray(z, dtype=complex) - z0)
-    jac = jacobian_polar(r, pd)
-    if np.any(np.asarray(jac) <= JACOBIAN_FLOOR):
-        raise NonPositiveJacobian(f"Jacobian {jac} at or below floor {JACOBIAN_FLOOR}")
+    jac = require_jacobian_above(jacobian_polar(r, pd), JACOBIAN_FLOOR, z, z0)
     out = np.abs(np.asarray(pd.d_theta)) ** 2 / (r**2 * jac)
     return float(out) if np.ndim(z) == 0 else out
 

@@ -16,19 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_polar import TWO_PI, jacobian_wirtinger, wirtinger_to_polar
+from .complex_polar import TWO_PI, jacobian_wirtinger, require_jacobian_above, wirtinger_to_polar
 from .dilatation import (
     CircleQuadrature,
     CoefficientField,
     circle_average_D,
     kappa as circle_kappa,
 )
-from .errors import (
-    DomainError,
-    NonPositiveJacobian,
-    NonPositiveKappa,
-    QuadratureFailure,
-)
+from .errors import DomainError, NonPositiveKappa, QuadratureFailure
 from .mappings import Mapping
 
 # ---------------------------------------------------------------------------
@@ -474,24 +469,19 @@ def _disk_areas(
     per segment, and one segment is evaluated at a time.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size == 0 or not np.all(radii > 0.0):
+    if radii.ndim != 1 or radii.size == 0:
+        raise ValueError(f"radii must be a non-empty 1-d array, got shape {radii.shape}")
+    if not np.all(radii > 0.0):
         raise ValueError(f"radii must be positive, got {radii}")
     r_min, r_max = float(np.min(radii)), float(np.max(radii))
     rho_min = INNER_CUTOFF * r_min
-    theta = q.angles()
 
     def mean_jacobian(rho: np.ndarray) -> np.ndarray:
-        jac = jacobian_wirtinger(mapping.wirtinger_analytic(q.points(z0, rho[:, None])))
+        z = q.points(z0, rho[:, None])
+        jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
         # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
         # a < 1); only a genuinely non-positive sample is an error here
-        if np.any(jac <= 0.0):
-            worst = np.unravel_index(int(np.argmin(jac)), jac.shape)
-            raise NonPositiveJacobian(
-                f"J_f = {jac[worst]} at rho = {rho[worst[0]]}, theta = {theta[worst[1]]}"
-            )
-        if not np.all(np.isfinite(jac)):
-            raise QuadratureFailure("non-finite Jacobian sample")
-        return np.mean(jac, axis=1)
+        return q.mean(require_jacobian_above(jac, 0.0, z, z0))
 
     cuts = [s for s in mapping.seam_radii if rho_min < s < r_max]
     stops = sorted(set(cuts) | set(radii.tolist()))
@@ -514,7 +504,7 @@ def _disk_areas(
     # power-law tail below the cutoff: mean J ~ c * rho^p
     j1 = float(mean_jacobian(np.array([rho_min]))[0])
     j2 = float(mean_jacobian(np.array([2.0 * rho_min]))[0])
-    p = math.log(j2 / j1) / math.log(2.0) if j1 > 0.0 and j2 > 0.0 else 0.0
+    p = math.log(j2 / j1) / math.log(2.0)
     if p + 2.0 <= 0.05:
         raise QuadratureFailure(
             f"Jacobian not integrable at the center (local exponent {p:.3f})"
@@ -603,11 +593,9 @@ class DifferentialInequalityRow:
 
 
 def _differential_rows(mapping, z0, radii, areas, q, rel_tol) -> list:
-    jac = jacobian_wirtinger(mapping.wirtinger_analytic(q.points(z0, radii[:, None])))
-    if np.any(jac <= 0.0):
-        i, j = np.unravel_index(int(np.argmin(jac)), jac.shape)
-        raise NonPositiveJacobian(f"J_f = {jac[i, j]} at r = {radii[i]}, theta = {q.angles()[j]}")
-    mean_jac = q.mean(jac)
+    z = q.points(z0, radii[:, None])
+    jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
+    mean_jac = q.mean(require_jacobian_above(jac, 0.0, z, z0))
     d_mean = circle_average_D(mapping, z0, radii, q)
     rows = []
     for r, area, j, d in zip(radii.tolist(), areas.tolist(), mean_jac.tolist(), d_mean.tolist()):

@@ -37,10 +37,6 @@ def _asarray(z):
     return a, a.ndim == 0
 
 
-def _maybe_scalar(a, scalar):
-    return complex(a) if scalar else a
-
-
 def read_table_csv(path, header) -> np.ndarray:
     """Strict CSV table: exactly ``header``, then one or more rows of finite
     numbers, returned as a (rows, columns) float array."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complex_polar import jacobian_wirtinger, require_jacobian_above
 from .dilatation import (
     JACOBIAN_FLOOR,
     CircleQuadrature,
@@ -25,7 +26,7 @@ from .dilatation import (
     RadialCoefficient,
     SpiralCoefficient,
 )
-from .errors import DomainError, NonPositiveJacobian
+from .errors import DomainError
 from .growth import (
     KappaProfile,
     PiecewiseProfile,
@@ -161,10 +162,7 @@ def _grid_derivatives(
         raise DomainError("no grid points outside the mapping's excluded bands")
     z, rr, tt = z[mask], rr[mask], tt[mask]
     wp = mapping.wirtinger_fd(z, h) if use_fd else mapping.wirtinger_analytic(z)
-    jac = np.abs(wp.d_z) ** 2 - np.abs(wp.d_zbar) ** 2
-    if np.any(jac <= JACOBIAN_FLOOR):
-        i = int(np.argmin(jac))
-        raise NonPositiveJacobian(f"J_f = {jac[i]} at r = {rr[i]}, theta = {tt[i]}")
+    jac = require_jacobian_above(jacobian_wirtinger(wp), JACOBIAN_FLOOR, z, z0)
     return z, rr, tt, wp, jac
 
 

@@ -10,18 +10,22 @@ that it would miss.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from beltrami_growth import (
+    AnnulusGrid,
     CircleQuadrature,
     ConstantProfile,
     Mapping,
     NonPositiveJacobian,
     PolarDerivPair,
+    Power,
     PowerCoefficient,
+    angular_dilatation,
     area_bound_check,
     build_extremal,
     catalog_pair,
@@ -32,9 +36,12 @@ from beltrami_growth import (
     image_area,
     isoperimetric_check,
     jacobian_wirtinger,
+    pde_residual,
     polar_to_wirtinger,
 )
 from beltrami_growth.cli import _check_radii
+from beltrami_growth.complex_polar import require_jacobian_above
+from beltrami_growth.dilatation import JACOBIAN_FLOOR
 from beltrami_growth.growth import _disk_areas
 
 from conftest import CATALOG_IDS, CATALOG_SPECS
@@ -264,6 +271,68 @@ class TestDiskChecks:
             assert length == circle_length(mapping, 0j, r, self.q)
             assert mean == circle_average_D(mapping, 0j, r, self.q)
 
-    def test_interior_fold_raises(self):
-        with pytest.raises(NonPositiveJacobian):
-            disk_checks(InteriorFold(), PowerCoefficient(1.0), 0j, 0.5, [0.5, 1.0], self.q)
+
+#: the guarded entry points on InteriorFold, each with the floor it keeps:
+#: the disk sweep samples down to INNER_CUTOFF * r, so it rejects only J <= 0
+FOLD_Q = CircleQuadrature(256)
+GUARDED = {
+    "disk_checks": (
+        0.0,
+        lambda f: disk_checks(f, PowerCoefficient(1.0), 0j, 0.5, [0.5, 1.0], FOLD_Q),
+    ),
+    "angular_dilatation": (
+        JACOBIAN_FLOOR,
+        lambda f: angular_dilatation(f, 0j, FOLD_Q.points(0j, np.array([[0.15], [1.0]]))),
+    ),
+    "circle_average_D": (JACOBIAN_FLOOR, lambda f: circle_average_D(f, 0j, 0.15, FOLD_Q)),
+    "pde_residual": (
+        JACOBIAN_FLOOR,
+        lambda f: pde_residual(f, PowerCoefficient(1.0), 0j, AnnulusGrid(0.05, 1.0, 32, 64)),
+    ),
+}
+GUARD_MESSAGE = re.compile(
+    r"J_f = (?P<jac>\S+) <= floor (?P<floor>\S+) at r = (?P<r>\S+), theta = (?P<theta>\S+)"
+)
+
+
+class TestJacobianGuard:
+    """One helper decides what a non-positive Jacobian is and how it is
+    reported: the smallest sample, the floor and its (r, theta)."""
+
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_fold_names_floor_and_worst_point(self, name):
+        floor, call = GUARDED[name]
+        with pytest.raises(NonPositiveJacobian) as info:
+            call(InteriorFold())
+        message = str(info.value)
+        assert len(message) < 200
+        found = GUARD_MESSAGE.fullmatch(message)
+        assert found is not None, message
+        assert float(found["floor"]) == floor
+        jac, r, theta = (float(found[key]) for key in ("jac", "r", "theta"))
+        assert jac <= floor and 0.0 <= theta < 2.0 * math.pi
+        # the named point is where the named sample was taken
+        z = r * np.exp(1j * theta)
+        again = jacobian_wirtinger(InteriorFold().wirtinger_analytic(z))
+        assert again == pytest.approx(jac, rel=1e-9, abs=1e-12)
+
+    def test_two_floors_stay_distinct(self):
+        # the sweep samples J = 2 |z|^2 = 2e-16 near 1e-8 * r and accepts it
+        assert image_area(Power(0.5), 0j, 1.0) == pytest.approx(math.pi, rel=0.0, abs=1e-12)
+        with pytest.raises(NonPositiveJacobian, match="floor 1e-14"):
+            angular_dilatation(Power(0.5), 0j, 1e-8)
+
+    def test_passes_samples_through_unchanged(self):
+        jac = np.array([[1.0, np.nan], [2.0, np.inf]])
+        assert require_jacobian_above(jac, 0.0, np.ones((2, 2)), 0j) is jac
+        assert require_jacobian_above(0.5, JACOBIAN_FLOOR, 1j, 0j) == 0.5
+        with pytest.raises(NonPositiveJacobian) as info:
+            require_jacobian_above(np.array([np.nan, 0.0]), 0.0, np.array([1.0, 2 + 1j]), 1j)
+        assert str(info.value) == "J_f = 0.0 <= floor 0.0 at r = 2.0, theta = 0.0"
+
+
+def test_sweep_names_a_scalar_radius_by_its_shape():
+    with pytest.raises(ValueError, match="1-d array, got shape"):
+        differential_inequality_check(Power(2.0), 0j, 2.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        _disk_areas(Power(2.0), 0j, [1.0, -1.0], FOLD_Q)
