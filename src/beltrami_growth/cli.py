@@ -236,15 +236,6 @@ def _read(cfg, key, default=None):
     return KEY_READERS[key](cfg.get(key, default))
 
 
-def _radial_coefficient(profile, center=0j):
-    return RadialCoefficient(
-        profile,
-        center=center,
-        radial_breakpoints=tuple(profile.breakpoints),
-        radial_domain=profile.domain,
-    )
-
-
 def _extremal(profile, r0, R, rho0=1.0, knots=128, center=0j):
     """The one builder of the extremal command and the extremal pair."""
     return build_extremal(profile, r0, rho0, R, knots, center)
@@ -277,7 +268,7 @@ COEFFICIENT_KINDS = {
     "power": (PowerCoefficient, ("alpha",), ("center",)),
     "loglog": (LogLogCoefficient, ("alpha",), ("center",)),
     "grid": (GridCoefficient.from_csv, ("path",), ("center",)),
-    "radial": (_radial_coefficient, ("profile",), ("center",)),
+    "radial": (RadialCoefficient, ("profile",), ("center",)),
 }
 PROFILE_KINDS = {
     "constant": (ConstantProfile, ("alpha",), ()),
@@ -407,7 +398,7 @@ def cmd_envelope(cfg, outdir: Path, plot: bool, say) -> int:
 
 def _check_radii(mapping, r0: float, top: float, count: int = 10):
     radii = np.geomspace(r0, min(top, 100.0 * r0), count)
-    mask = mapping.smooth_mask(radii.astype(complex), 0.05)
+    mask = mapping.smooth_mask(mapping.center + radii, 0.05)
     if not np.any(mask):
         raise ConfigError("no check radii clear of the mapping's excluded bands")
     return radii[mask]

@@ -21,7 +21,7 @@ from .complex_polar import (
     wirtinger_to_polar,
 )
 from .errors import DegenerateRadius, OutOfDomain, QuadratureFailure
-from .mappings import LOGLOG_SEAM, Mapping, read_table_csv
+from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
 
 JACOBIAN_FLOOR = 1e-14
 
@@ -55,7 +55,13 @@ class CircleQuadrature:
 
 
 class CoefficientField:
-    """Base class for the coefficient K; callable on complex scalars/arrays."""
+    """Base class for the coefficient K; callable on complex scalars/arrays.
+
+    A radial-phase field defines only |K|^2 (``_abs2_array``) and takes the
+    phase K = -sqrt(|K|^2) w/conj(w), the sign convention of the catalog's
+    radial solutions; any other phase has the same |K|^2.  A field with its
+    own phase defines ``_value_array`` instead.
+    """
 
     center: complex = 0j
     #: radii |z - center| where the field jumps or kinks (piecewise variants)
@@ -70,19 +76,23 @@ class CoefficientField:
             raise DegenerateRadius("coefficient undefined at the field's center")
         return w, r
 
+    def _abs2_array(self, w, r):
+        return np.abs(self._value_array(w, r)) ** 2
+
     def _value_array(self, w, r):
-        raise NotImplementedError
+        return -np.sqrt(self._abs2_array(w, r)) * w / np.conj(w)
+
+    def _at(self, method, z, scalar):
+        """method(w, r) at the points z; a scalar z gives scalar(value)."""
+        out = method(*self._offset(np.atleast_1d(np.asarray(z, dtype=complex))))
+        return scalar(out[0]) if np.ndim(z) == 0 else out
 
     def __call__(self, z):
-        za = np.atleast_1d(np.asarray(z, dtype=complex))
-        w, r = self._offset(za)
-        out = self._value_array(w, r)
-        return complex(out[0]) if np.ndim(z) == 0 else out
+        return self._at(self._value_array, z, complex)
 
     def abs2(self, z):
         """|K|^2, used by the circle average kappa."""
-        out = np.abs(self(z)) ** 2
-        return float(out) if np.ndim(out) == 0 else out
+        return self._at(self._abs2_array, z, float)
 
 
 @dataclass(frozen=True)
@@ -122,11 +132,11 @@ class PowerCoefficient(CoefficientField):
     center: complex = 0j
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    def _value_array(self, w, r):
-        return -math.sqrt(self.alpha) * w / np.conj(w)
+    def _abs2_array(self, w, r):
+        return np.full(r.shape, self.alpha, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -139,49 +149,38 @@ class LogLogCoefficient(CoefficientField):
     radial_breakpoints = (LOGLOG_SEAM,)
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    def _value_array(self, w, r):
-        unit2 = w / np.conj(w)
-        out = -unit2
+    def _abs2_array(self, w, r):
+        out = np.ones(r.shape)
         outer = r >= LOGLOG_SEAM
         if np.any(outer):
             ro = r[outer]
-            out[outer] = (
-                -np.sqrt(self.alpha * np.log(ro) * np.log(np.log(ro))) * unit2[outer]
-            )
+            out[outer] = self.alpha * np.log(ro) * np.log(np.log(ro))
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class RadialCoefficient(CoefficientField):
-    """Radial coefficient -sqrt(kappa(r)) w/conj(w) built from a kappa profile.
+    """Radial coefficient with |K|^2 = kappa(r) from a kappa profile.
 
-    The unimodular phase is fixed to match the sign convention of the
-    catalog's radial solutions; any other phase has the same |K|^2.
+    The breakpoints are the profile's, and the domain defaults to the
+    profile's.
     """
 
-    kappa_of_r: object  # callable r -> kappa(r), vectorized
+    profile: object  # a growth.KappaProfile
     center: complex = 0j
-    radial_breakpoints: tuple = ()
-    radial_domain: tuple = (0.0, math.inf)
+    radial_domain: tuple | None = None
 
-    def _check_domain(self, r):
-        lo, hi = self.radial_domain
-        if np.any(r < lo) or np.any(r > hi):
-            raise OutOfDomain("radius outside the coefficient's tabulated range")
+    def __post_init__(self):
+        object.__setattr__(self, "radial_breakpoints", tuple(self.profile.breakpoints))
+        if self.radial_domain is None:
+            object.__setattr__(self, "radial_domain", tuple(self.profile.domain))
 
-    def _value_array(self, w, r):
-        self._check_domain(r)
-        return -np.sqrt(self.kappa_of_r(r)) * w / np.conj(w)
-
-    def abs2(self, z):
-        za = np.atleast_1d(np.asarray(z, dtype=complex))
-        w, r = self._offset(za)
-        self._check_domain(r)
-        out = np.asarray(self.kappa_of_r(r), dtype=float)
-        return float(out[0]) if np.ndim(z) == 0 else out
+    def _abs2_array(self, w, r):
+        require_radii_within(r, self.radial_domain, "the coefficient's")
+        return np.asarray(self.profile(r), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +189,8 @@ class GridCoefficient(CoefficientField):
 
     The table is periodic in theta over [thetas[0], thetas[0] + 2*pi] and
     raises OutOfDomain outside [radii[0], radii[-1]], up to 1e-12 relative.
-    Only the squared modulus is tabulated; the complex value uses the same
-    radial phase convention as :class:`RadialCoefficient`.
+    Only the squared modulus is tabulated; the complex value takes the
+    radial phase of :class:`CoefficientField`.
     """
 
     radii: np.ndarray
@@ -244,7 +243,7 @@ class GridCoefficient(CoefficientField):
         k2 = data[:, 2].reshape(radii.size, thetas.size)
         return cls(radii, thetas, k2, center)
 
-    def _k2_at(self, w, r):
+    def _abs2_array(self, w, r):
         log_r, th, table = self._lattice
         x = np.log(r)
         # absorb rounding slop from r = |z - center| at the table edges
@@ -264,15 +263,6 @@ class GridCoefficient(CoefficientField):
             + table[i + 1, j] * y * (1 - s)
             + table[i + 1, j + 1] * y * s
         )
-
-    def _value_array(self, w, r):
-        return -np.sqrt(self._k2_at(w, r)) * w / np.conj(w)
-
-    def abs2(self, z):
-        za = np.atleast_1d(np.asarray(z, dtype=complex))
-        w, r = self._offset(za)
-        out = self._k2_at(w, r)
-        return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def sigma_from_K(K: CoefficientField, z):

@@ -537,10 +537,12 @@ def image_area(
 # Each check is judging code over swept disk areas.  The three public checks
 # run it on a sweep of their own; disk_checks runs all three on one sweep.
 
-#: relative tolerances of the verdicts, shared by the checks and disk_checks
+#: relative tolerances of the verdicts: the three disk checks (shared with
+#: disk_checks) and the growth ladder of theorem1_check
 ISOPERIMETRIC_REL_TOL = 1e-6
 DIFFERENTIAL_REL_TOL = 1e-3
 AREA_BOUND_REL_TOL = 1e-4
+GROWTH_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -552,11 +554,11 @@ class IsoperimetricReport:
     equality: bool
 
 
-def _isoperimetric_reports(mapping, z0, radii, areas, q, rel_tol) -> tuple:
+def _isoperimetric_reports(mapping, z0, radii, areas, q) -> tuple:
     reports = []
     for length, area in zip(circle_length(mapping, z0, radii, q).tolist(), areas.tolist()):
         slack = length**2 - 4.0 * math.pi * area
-        scale = rel_tol * length**2
+        scale = ISOPERIMETRIC_REL_TOL * length**2
         reports.append(
             IsoperimetricReport(length, area, slack, slack >= -scale, abs(slack) <= scale)
         )
@@ -568,8 +570,6 @@ def isoperimetric_check(
     z0: complex,
     r,
     q: CircleQuadrature = CircleQuadrature(),
-    *,
-    rel_tol: float = ISOPERIMETRIC_REL_TOL,
 ):
     """L^2 >= 4*pi*S for the image of the circle/disk of radius r.
 
@@ -578,7 +578,7 @@ def isoperimetric_check(
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     areas = _disk_areas(mapping, z0, radii, q)
-    reports = _isoperimetric_reports(mapping, z0, radii, areas, q, rel_tol)
+    reports = _isoperimetric_reports(mapping, z0, radii, areas, q)
     return reports[0] if np.ndim(r) == 0 else reports
 
 
@@ -592,7 +592,7 @@ class DifferentialInequalityRow:
     ok: bool
 
 
-def _differential_rows(mapping, z0, radii, areas, q, rel_tol) -> list:
+def _differential_rows(mapping, z0, radii, areas, q) -> list:
     z = q.points(z0, radii[:, None])
     jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
     mean_jac = q.mean(require_jacobian_above(jac, 0.0, z, z0))
@@ -602,9 +602,8 @@ def _differential_rows(mapping, z0, radii, areas, q, rel_tol) -> list:
         rate = TWO_PI * r * j
         bound = 2.0 * area / (r * d)
         ratio = rate / bound
-        rows.append(
-            DifferentialInequalityRow(r, area, rate, bound, ratio, ratio >= 1.0 - rel_tol)
-        )
+        ok = ratio >= 1.0 - DIFFERENTIAL_REL_TOL
+        rows.append(DifferentialInequalityRow(r, area, rate, bound, ratio, ok))
     return rows
 
 
@@ -613,8 +612,6 @@ def differential_inequality_check(
     z0: complex,
     radii,
     q: CircleQuadrature = CircleQuadrature(),
-    *,
-    rel_tol: float = DIFFERENTIAL_REL_TOL,
 ):
     """Check S' >= 2S/(r d_f) at each radius.
 
@@ -626,7 +623,7 @@ def differential_inequality_check(
     if radii.size == 0:
         return []
     areas = _disk_areas(mapping, z0, radii, q)
-    return _differential_rows(mapping, z0, radii, areas, q, rel_tol)
+    return _differential_rows(mapping, z0, radii, areas, q)
 
 
 @dataclass(frozen=True)
@@ -642,7 +639,7 @@ class AreaBoundReport:
     equality: bool
 
 
-def _area_bound_report(K, r0, R, area_inner, area_outer, q, rel_tol) -> AreaBoundReport:
+def _area_bound_report(K, r0, R, area_inner, area_outer, q) -> AreaBoundReport:
     integral, _ = envelope_integral(FieldProfile(K, q), r0, R)
     rhs = area_outer * math.exp(-2.0 * integral)
     slack = rhs - area_inner
@@ -654,8 +651,8 @@ def _area_bound_report(K, r0, R, area_inner, area_outer, q, rel_tol) -> AreaBoun
         integral,
         rhs,
         slack,
-        slack >= -rel_tol * rhs,
-        abs(slack) <= rel_tol * rhs,
+        slack >= -AREA_BOUND_REL_TOL * rhs,
+        abs(slack) <= AREA_BOUND_REL_TOL * rhs,
     )
 
 
@@ -666,14 +663,12 @@ def area_bound_check(
     r0: float,
     R: float,
     q: CircleQuadrature = CircleQuadrature(),
-    *,
-    rel_tol: float = AREA_BOUND_REL_TOL,
 ) -> AreaBoundReport:
     """S(r0) <= S(R) * exp(-2 * int dr/(r kappa)) for a solution pair."""
     if not (R > r0 > 0.0):
         raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
     area_inner, area_outer = _disk_areas(mapping, z0, [r0, R], q).tolist()
-    return _area_bound_report(K, r0, R, area_inner, area_outer, q, rel_tol)
+    return _area_bound_report(K, r0, R, area_inner, area_outer, q)
 
 
 def disk_checks(
@@ -698,9 +693,9 @@ def disk_checks(
     swept = _disk_areas(mapping, z0, np.append(radii, r0), q)
     areas, area_inner = swept[:-1], float(swept[-1])
     return (
-        _differential_rows(mapping, z0, radii, areas, q, DIFFERENTIAL_REL_TOL),
-        _isoperimetric_reports(mapping, z0, radii, areas, q, ISOPERIMETRIC_REL_TOL),
-        _area_bound_report(K, r0, R, area_inner, float(areas[-1]), q, AREA_BOUND_REL_TOL),
+        _differential_rows(mapping, z0, radii, areas, q),
+        _isoperimetric_reports(mapping, z0, radii, areas, q),
+        _area_bound_report(K, r0, R, area_inner, float(areas[-1]), q),
     )
 
 
@@ -730,8 +725,6 @@ def theorem1_check(
     r0: float,
     ladder: RadiusLadder,
     q: CircleQuadrature = CircleQuadrature(),
-    *,
-    rel_tol: float = 1e-6,
 ) -> GrowthLadderReport:
     """Lower growth bound: M(R) * exp(-I(r0, R)) >= m(r0) along the ladder.
 
@@ -744,7 +737,7 @@ def theorem1_check(
     m_max, m_min = modulus_extremes(mapping, z0, np.array([r0] + radii), q)
     m_inner = float(m_min[0])
     v = [M * math.exp(-I) for M, I in zip(m_max[1:].tolist(), integrals)]
-    floor = m_inner * (1.0 - rel_tol)
+    floor = m_inner * (1.0 - GROWTH_REL_TOL)
     rows = tuple(
         GrowthLadderRow(R, M, m, I, math.exp(I), vk, vk >= floor)
         for R, M, m, I, vk in zip(radii, m_max[1:].tolist(), m_min[1:].tolist(), integrals, v)

@@ -109,14 +109,27 @@ def hermite_eval(x: np.ndarray, coef: np.ndarray, xv: np.ndarray, derivative=Fal
     return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
 
+def require_radii_within(r: np.ndarray, domain: tuple, owner: str, slop: float = 0.0):
+    """Raise OutOfDomain, naming the radius farthest out and ``domain``,
+    unless every radius r lies in ``domain`` widened by ``slop`` relative."""
+    lo, hi = domain
+    below = r < lo * (1.0 - slop)
+    above = r > hi * (1.0 + slop)
+    if np.any(below) or np.any(above):
+        worst = np.min(r[below]) if np.any(below) else np.max(r[above])
+        raise OutOfDomain(f"radius {worst} outside {owner} radial domain [{lo}, {hi}]")
+
+
 class Mapping:
     """Base class: shared finite differences and seam logic."""
 
-    #: radii |z| where the map is continuous but not differentiable
+    #: point about which the seams, the origin and the domain are measured
+    center: complex = 0j
+    #: radii |z - center| where the map is continuous but not differentiable
     seam_radii: tuple = ()
-    #: derivatives undefined at the origin
+    #: derivatives undefined at the center
     origin_singular: bool = False
-    #: |z| interval on which evaluate is defined
+    #: |z - center| interval on which evaluate is defined
     radial_domain: tuple = (0.0, math.inf)
 
     # -- evaluation ---------------------------------------------------------
@@ -144,7 +157,7 @@ class Mapping:
     def wirtinger_analytic(self, z) -> WirtingerPair:
         za, scalar = _asarray(z)
         za1 = np.atleast_1d(za)
-        self._check_smooth(np.abs(za1))
+        self._check_smooth(np.abs(za1 - self.center))
         wp = self._wirtinger_array(za1)
         if scalar:
             return WirtingerPair(complex(wp.d_z[0]), complex(wp.d_zbar[0]))
@@ -156,9 +169,7 @@ class Mapping:
         for seam in self.seam_radii:
             if np.any(np.abs(r - seam) <= 1e-12 * seam):
                 raise NotDifferentiableHere(f"derivatives undefined on |z| = {seam}")
-        lo, hi = self.radial_domain
-        if np.any(r < lo) or np.any(r > hi):
-            raise OutOfDomain("point outside the mapping's radial domain")
+        require_radii_within(r, self.radial_domain, "the mapping's")
 
     # -- finite differences -------------------------------------------------
 
@@ -180,17 +191,17 @@ class Mapping:
         return WirtingerPair(d_z, d_zbar)
 
     def _check_stencil(self, z, s, stencil):
-        r0 = np.abs(z)
+        r0 = np.abs(z - self.center)
         if self.origin_singular and np.any(r0 <= 2.0 * s):
             raise StencilCrossesSeam("stencil reaches into the origin's excluded disk")
+        radii = [np.abs(p - self.center) for p in stencil]
         for seam in self.seam_radii:
             side0 = r0 > seam
-            for p in stencil:
-                if np.any((np.abs(p) > seam) != side0):
+            for rp in radii:
+                if np.any((rp > seam) != side0):
                     raise StencilCrossesSeam(f"stencil straddles the seam |z| = {seam}")
         lo, hi = self.radial_domain
-        for p in stencil:
-            rp = np.abs(p)
+        for rp in radii:
             if np.any(rp < lo) or np.any(rp > hi):
                 raise StencilCrossesSeam("stencil leaves the mapping's radial domain")
 
@@ -198,8 +209,9 @@ class Mapping:
         """Points whose FD stencil of step h stays inside the smooth region."""
         za, _ = _asarray(z)
         za = np.atleast_1d(za)
-        r = np.abs(za)
-        margin = 2.0 * h * np.maximum(1.0, r)
+        r = np.abs(za - self.center)
+        # the stencil step scales with |z|, as in wirtinger_fd
+        margin = 2.0 * h * np.maximum(1.0, np.abs(za))
         ok = np.ones(za.shape, dtype=bool)
         if self.origin_singular:
             ok &= r > np.maximum(margin, RADIUS_FLOOR)
@@ -208,6 +220,38 @@ class Mapping:
         lo, hi = self.radial_domain
         ok &= (r - margin >= lo) & (r + margin <= hi)
         return ok
+
+
+class RadialMapping(Mapping):
+    """Radial map f(z) = rho(r) w/|w| with w = z - center and r = |w|,
+    f(center) = 0.  A subclass supplies only rho and its derivative; the
+    polar derivatives are f_r = rho'(r) w/|w| and f_theta = i rho(r) w/|w|."""
+
+    def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _drho_of_r(self, r: np.ndarray, rho_r: np.ndarray) -> np.ndarray:
+        """rho'(r), given rho_r = rho(r)."""
+        raise NotImplementedError
+
+    def _eval_array(self, z):
+        w = z - self.center
+        r = np.abs(w)
+        out = np.zeros(z.shape, dtype=complex)
+        mask = r > 0.0
+        out[mask] = self._rho_of_r(r[mask]) * w[mask] / r[mask]
+        return out
+
+    def _wirtinger_array(self, z):
+        # one complex array holds w, then w/|w|, then f_theta: the disk sweep
+        # calls this on ~10^5 points at a time
+        d_theta = z - self.center
+        r = np.abs(d_theta)
+        d_theta /= r
+        rho_r = self._rho_of_r(r)
+        d_r = self._drho_of_r(r, rho_r) * d_theta
+        d_theta *= 1j * rho_r
+        return polar_to_wirtinger(z, self.center, PolarDerivPair(d_r, d_theta))
 
 
 @dataclass(frozen=True)
@@ -264,7 +308,7 @@ class Spiral(Mapping):
 
 
 @dataclass(frozen=True)
-class Power(Mapping):
+class Power(RadialMapping):
     """Radial stretch f(z) = |z|^{1/alpha - 1} z, f(0) = 0, alpha > 0."""
 
     alpha: float
@@ -274,23 +318,15 @@ class Power(Mapping):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    def _eval_array(self, z):
-        r = np.abs(z)
-        out = np.zeros(z.shape, dtype=complex)
-        mask = r > 0.0
-        out[mask] = r[mask] ** (1.0 / self.alpha - 1.0) * z[mask]
-        return out
+    def _rho_of_r(self, r):
+        return r ** (1.0 / self.alpha)
 
-    def _wirtinger_array(self, z):
-        r = np.abs(z)
-        unit = z / r
-        d_r = (1.0 / self.alpha) * r ** ((1.0 - self.alpha) / self.alpha) * unit
-        d_theta = 1j * r ** (1.0 / self.alpha) * unit
-        return polar_to_wirtinger(z, 0j, PolarDerivPair(d_r, d_theta))
+    def _drho_of_r(self, r, rho_r):
+        return (1.0 / self.alpha) * r ** ((1.0 - self.alpha) / self.alpha)
 
 
 @dataclass(frozen=True)
-class LogLog(Mapping):
+class LogLog(RadialMapping):
     """Bounded-growth map: (ln ln|z|)^{1/alpha} z/|z| outside |z| = e^e,
     the linear map e^{-e} z inside; continuous across the seam."""
 
@@ -302,41 +338,29 @@ class LogLog(Mapping):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    def _eval_array(self, z):
-        r = np.abs(z)
-        out = math.exp(-math.e) * z.astype(complex)
+    def _rho_of_r(self, r):
+        out = math.exp(-math.e) * r
         outer = r >= LOGLOG_SEAM
         if np.any(outer):
-            ro = r[outer]
-            out[outer] = np.log(np.log(ro)) ** (1.0 / self.alpha) * z[outer] / ro
+            out[outer] = np.log(np.log(r[outer])) ** (1.0 / self.alpha)
         return out
 
-    def _wirtinger_array(self, z):
-        r = np.abs(z)
-        unit = z / r
-        d_r = np.empty(z.shape, dtype=complex)
-        d_theta = np.empty(z.shape, dtype=complex)
+    def _drho_of_r(self, r, rho_r):
+        out = np.full(r.shape, math.exp(-math.e))
         outer = r > LOGLOG_SEAM
-        inner = ~outer
-        scale = math.exp(-math.e)
-        d_r[inner] = scale * unit[inner]
-        d_theta[inner] = 1j * scale * r[inner] * unit[inner]
         if np.any(outer):
             ro = r[outer]
-            ll = np.log(np.log(ro))
-            d_r[outer] = (
+            out[outer] = (
                 (1.0 / self.alpha)
-                * ll ** ((1.0 - self.alpha) / self.alpha)
+                * np.log(np.log(ro)) ** ((1.0 - self.alpha) / self.alpha)
                 / (np.log(ro) * ro)
-                * unit[outer]
             )
-            d_theta[outer] = 1j * ll ** (1.0 / self.alpha) * unit[outer]
-        return polar_to_wirtinger(z, 0j, PolarDerivPair(d_r, d_theta))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
-class RadialTable(Mapping):
-    """Tabulated radial homeomorphism f(z0 + r e^{it}) = rho(r) e^{it}.
+class RadialTable(RadialMapping):
+    """Tabulated radial homeomorphism f(center + r e^{it}) = rho(r) e^{it}.
 
     rho is interpolated monotonically (pchip, :func:`pchip_coefficients`) in
     log-log coordinates, which keeps it strictly increasing and reproduces
@@ -388,10 +412,9 @@ class RadialTable(Mapping):
         return self.evaluate(z0)
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
-        lo, hi = self.radial_domain
         # absorb rounding slop from r = |z - center| at the table edges
-        if np.any(r < lo * (1.0 - 1e-12)) or np.any(r > hi * (1.0 + 1e-12)):
-            raise OutOfDomain("radius outside the tabulated range")
+        require_radii_within(r, self.radial_domain, "the table's", slop=1e-12)
+        lo, hi = self.radial_domain
         r = np.clip(r, lo if lo > 0.0 else None, hi)
         out = np.empty(r.shape, dtype=float)
         inner = r < self.knots[0]
@@ -411,20 +434,3 @@ class RadialTable(Mapping):
             slope = hermite_eval(self._log_knots, self._coef, np.log(r[tab]), derivative=True)
             out[tab] = rho_r[tab] / r[tab] * slope
         return out
-
-    def _eval_array(self, z):
-        w = z - self.center
-        r = np.abs(w)
-        out = np.zeros(z.shape, dtype=complex)
-        mask = r > 0.0
-        out[mask] = self._rho_of_r(r[mask]) * w[mask] / r[mask]
-        return out
-
-    def _wirtinger_array(self, z):
-        w = z - self.center
-        r = np.abs(w)
-        unit = w / r
-        rho_r = self._rho_of_r(r)
-        drho = self._drho_of_r(r, rho_r)
-        pd = PolarDerivPair(drho * unit, 1j * rho_r * unit)
-        return polar_to_wirtinger(z, self.center, pd)

@@ -74,13 +74,7 @@ class ExtremalSolution:
         return PiecewiseProfile((self.r0,), (inner, self.profile))
 
     def coefficient(self) -> RadialCoefficient:
-        prof = self.kappa_of_r()
-        return RadialCoefficient(
-            prof,
-            center=self.center,
-            radial_breakpoints=prof.breakpoints,
-            radial_domain=(0.0, float(self.knots[-1])),
-        )
+        return RadialCoefficient(self.kappa_of_r(), self.center, (0.0, float(self.knots[-1])))
 
 
 def build_extremal(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -310,6 +311,69 @@ class TestRadialTableConfig:
         else:
             with pytest.raises(ConfigError):
                 parse_mapping(cfg)
+
+    @staticmethod
+    def sqrt_table(tmp_path, lo, hi):
+        path = tmp_path / "rho.csv"
+        knots = np.geomspace(lo, hi, 60)
+        knots[0], knots[-1] = lo, hi
+        write_csv(path, ["r", "rho"], zip(knots.tolist(), np.sqrt(knots).tolist()))
+        return path
+
+    def translated_verify(self, tmp_path, center):
+        tmp_path.mkdir()
+        path = self.sqrt_table(tmp_path, 0.05, 3.0)
+        cfg = {
+            "pair": {
+                "mapping": {
+                    "kind": "radial_table",
+                    "path": str(path),
+                    "center": center,
+                    "linear_inner": True,
+                },
+                "coefficient": {"kind": "power", "alpha": 2.0, "center": center},
+            },
+            "z0": center,
+            "r0": 0.1,
+            "ladder": {"r0": 0.1, "factor": 2.0, "count": 4},
+            "n": 256,
+        }
+        code, out = run(tmp_path, "verify", cfg, "--quiet")
+        assert code == EXIT_OK
+        _, rows = read_csv(out / "verify_growth.csv")
+        return rows
+
+    def test_translated_table_matches_centered(self, tmp_path):
+        # seams, the origin and the domain are measured about the table's center
+        centered = self.translated_verify(tmp_path / "a", [0.0, 0.0])
+        moved = self.translated_verify(tmp_path / "b", [5.0, 0.0])
+        assert len(moved) == len(centered) == 5
+        for a, b in zip(centered, moved):
+            assert a[6] == b[6] == "true"
+            np.testing.assert_allclose(
+                [float(x) for x in b[:6]], [float(x) for x in a[:6]], rtol=1e-12, atol=0
+            )
+
+    def test_radius_below_table_named(self, tmp_path, capsys):
+        # without linear_inner the table starts at 0.5, above the disk sweep's
+        # first radius 1e-8 * r0
+        path = self.sqrt_table(tmp_path, 0.5, 2000.0)
+        cfg = {
+            "pair": {
+                "mapping": {"kind": "radial_table", "path": str(path)},
+                "coefficient": {"kind": "power", "alpha": 2.0},
+            },
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "factor": 2.0, "count": 4},
+            "n": 64,
+        }
+        code, _ = run(tmp_path, "verify", cfg, "--quiet")
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip()
+        assert len(err) < 200
+        assert "[0.5, 2000" in err
+        radius = float(re.search(r"radius (\S+)", err).group(1))
+        assert 1e-8 <= radius < 1.1e-8
 
 
 class TestTableFiles:

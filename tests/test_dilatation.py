@@ -8,6 +8,7 @@ import pytest
 
 from beltrami_growth import (
     CircleQuadrature,
+    ConstantProfile,
     GridCoefficient,
     K_from_sigma,
     LinearCoefficient,
@@ -16,6 +17,7 @@ from beltrami_growth import (
     OutOfDomain,
     PowerCoefficient,
     QuadratureFailure,
+    PiecewiseProfile,
     RadialCoefficient,
     angular_dilatation,
     circle_average_D,
@@ -190,20 +192,66 @@ def smooth_points_for_field(K, n):
 
 class TestRadialCoefficient:
     def test_abs2_is_exact_profile(self):
-        K = RadialCoefficient(lambda r: 3.0 * np.ones_like(r))
+        K = RadialCoefficient(ConstantProfile(3.0))
         z = 2.0 * np.exp(1j * np.linspace(0.0, 6.0, 9))
         np.testing.assert_allclose(K.abs2(z), 3.0)
         np.testing.assert_allclose(np.abs(K(z)) ** 2, 3.0)
 
     def test_phase_convention(self):
-        K = RadialCoefficient(lambda r: np.ones_like(r))
+        K = RadialCoefficient(ConstantProfile(1.0))
         z = 1.5 * np.exp(0.8j)
         assert K(complex(z)) == pytest.approx(-z / np.conj(z), rel=1e-12)
 
     def test_domain_enforced(self):
-        K = RadialCoefficient(lambda r: np.ones_like(r), radial_domain=(1.0, 2.0))
+        K = RadialCoefficient(ConstantProfile(1.0), radial_domain=(1.0, 2.0))
         with pytest.raises(OutOfDomain):
             K(3.0 + 0j)
+
+    def test_domain_error_names_radius_and_domain(self):
+        K = RadialCoefficient(ConstantProfile(1.0), 2.0j, radial_domain=(1.0, 2.0))
+        with pytest.raises(OutOfDomain, match=r"radius 0\.5 outside .*\[1\.0, 2\.0\]"):
+            K.abs2(np.array([1.5, 0.5, 0.7]) + 2.0j)
+
+    def test_breakpoints_and_domain_from_profile(self):
+        profile = PiecewiseProfile((3.0,), (ConstantProfile(1.0), ConstantProfile(2.0)))
+        K = RadialCoefficient(profile, 1.0 + 1.0j)
+        assert K.radial_breakpoints == (3.0,)
+        assert K.radial_domain == profile.domain
+        assert K.abs2(1.0 + 5.0j) == 2.0
+
+
+class TestPhaseConvention:
+    """The radial-phase fields define only |K|^2 and share K = -|K| w/conj(w)."""
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            PowerCoefficient(2.0, 1.0 - 1.0j),
+            LogLogCoefficient(1.5, 0.5j),
+            RadialCoefficient(ConstantProfile(3.0), 2.0),
+        ],
+        ids=["power", "loglog", "radial"],
+    )
+    def test_value_is_radial_phase_of_abs2(self, K):
+        w = np.array([0.7, 30.0]) * np.exp(1j * np.array([0.4, 2.9]))
+        z = K.center + w
+        np.testing.assert_allclose(K(z), -np.sqrt(K.abs2(z)) * w / np.conj(w), rtol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.7, 2.0, 3.0])
+    def test_power_abs2_is_exactly_alpha(self, alpha):
+        K = PowerCoefficient(alpha, 5.0)
+        q = CircleQuadrature(64)
+        z = q.points(K.center, np.array([[0.1], [1.0], [1e6]]))
+        assert np.all(K.abs2(z) == alpha)
+        # a sum of 64 equal multiples of 3 is exact, so the mean is too
+        if alpha == 3.0:
+            assert kappa(K, np.array([0.1, 1.0, 1e6]), q).tolist() == [3.0] * 3
+
+    @pytest.mark.parametrize("field", [PowerCoefficient, LogLogCoefficient])
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, field, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            field(alpha)
 
 
 class TestGridCoefficient:

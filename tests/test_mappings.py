@@ -13,6 +13,7 @@ from beltrami_growth import (
     LogLog,
     LOGLOG_SEAM,
     NotDifferentiableHere,
+    OutOfDomain,
     Power,
     RadialTable,
     Spiral,
@@ -215,6 +216,31 @@ class TestRadialTable:
         table = RadialTable(knots, knots, c)
         z = c + 1.5 * cmath.exp(0.9j)
         assert abs(table.evaluate(z) - (z - c)) <= 1e-10
+
+    def test_off_center_seam_and_domain(self):
+        # seams, the center and the domain are measured about the center
+        knots = np.geomspace(0.5, 3.0, 60)
+        table = RadialTable(knots, np.sqrt(knots), 5.0, linear_inner=True)
+        centered = RadialTable(knots, np.sqrt(knots), 0j, linear_inner=True)
+        wp = table.wirtinger_analytic(6.0 + 0j)
+        wp0 = centered.wirtinger_analytic(1.0 + 0j)
+        assert wp.d_z == pytest.approx(wp0.d_z, rel=1e-14)
+        assert wp.d_zbar == pytest.approx(wp0.d_zbar, rel=1e-14)
+        with pytest.raises(NotDifferentiableHere):
+            table.wirtinger_analytic(5.0 + 0.5j)
+        with pytest.raises(StencilCrossesSeam):
+            table.wirtinger_fd(5.5 + 0j, 1e-3)
+        z = 5.0 + np.array([0.5, 1.0, 2.9999, 3.5])
+        # the stencil step, and so the margin, scales with |z|, not |z - center|
+        assert table.smooth_mask(z, 1e-5).tolist() == [False, True, False, False]
+
+    def test_domain_errors_name_radius_and_domain(self):
+        knots = np.geomspace(0.5, 4.0, 16)
+        table = RadialTable(knots, knots, 1.0j)
+        with pytest.raises(OutOfDomain, match=r"radius 0\.25 outside .*\[0\.5, 4\.0\]"):
+            table.wirtinger_analytic(np.array([1.0, 0.25, 0.3]) + 1.0j)
+        with pytest.raises(OutOfDomain, match=r"radius 5\.0 outside .*\[0\.5, 4\.0\]"):
+            table.evaluate(5.0 + 1.0j)
 
     def test_monotone_modulus(self):
         knots = np.geomspace(0.5, 32.0, 80)
