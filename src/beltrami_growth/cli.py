@@ -487,11 +487,10 @@ def cmd_extremal(cfg, outdir: Path, plot: bool, say) -> int:
     rho_path = write_csv(
         outdir / "extremal_rho.csv", ["r", "rho"], zip(sol.knots, sol.rho)
     )
-    kappa_fn = sol.kappa_of_r()
     coef_path = write_csv(
         outdir / "extremal_coefficient.csv",
         ["r", "kappa"],
-        [(r, kappa_fn(float(r))) for r in sol.knots],
+        zip(sol.knots, sol.kappa_of_r()(sol.knots)),
     )
     say(f"wrote {rho_path} and {coef_path} ({sol.knots.size} knots)")
     return EXIT_OK

@@ -20,7 +20,7 @@ from .complex_polar import (
     require_jacobian_above,
     wirtinger_to_polar,
 )
-from .errors import DegenerateRadius, OutOfDomain, QuadratureFailure
+from .errors import DegenerateRadius, QuadratureFailure
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
 
 JACOBIAN_FLOOR = 1e-14
@@ -179,7 +179,7 @@ class RadialCoefficient(CoefficientField):
             object.__setattr__(self, "radial_domain", tuple(self.profile.domain))
 
     def _abs2_array(self, w, r):
-        require_radii_within(r, self.radial_domain, "the coefficient's")
+        r = require_radii_within(r, self.radial_domain, "the coefficient's")
         return np.asarray(self.profile(r), dtype=float)
 
 
@@ -188,7 +188,7 @@ class GridCoefficient(CoefficientField):
     """|K|^2 tabulated on an (r, theta) lattice, bilinear in (ln r, theta).
 
     The table is periodic in theta over [thetas[0], thetas[0] + 2*pi] and
-    raises OutOfDomain outside [radii[0], radii[-1]], up to 1e-12 relative.
+    defined on the radial domain [radii[0], radii[-1]].
     Only the squared modulus is tabulated; the complex value takes the
     radial phase of :class:`CoefficientField`.
     """
@@ -245,13 +245,7 @@ class GridCoefficient(CoefficientField):
 
     def _abs2_array(self, w, r):
         log_r, th, table = self._lattice
-        x = np.log(r)
-        # absorb rounding slop from r = |z - center| at the table edges
-        if not np.all((x >= log_r[0] - 1e-12) & (x <= log_r[-1] + 1e-12)):
-            raise OutOfDomain(
-                f"radius outside the tabulated range [{self.radii[0]}, {self.radii[-1]}]"
-            )
-        x = np.clip(x, log_r[0], log_r[-1])
+        x = np.log(require_radii_within(r, self.radial_domain, "the coefficient's"))
         t = th[0] + np.mod(np.angle(w) - th[0], TWO_PI)
         i = np.clip(np.searchsorted(log_r, x, side="right") - 1, 0, log_r.size - 2)
         j = np.clip(np.searchsorted(th, t, side="right") - 1, 0, th.size - 2)

@@ -14,10 +14,6 @@ class DegenerateRadius(BeltramiGrowthError):
     """Evaluation point coincides with (or is too close to) the center."""
 
 
-class OutOfDomain(BeltramiGrowthError):
-    """Point lies outside the domain of a tabulated mapping or field."""
-
-
 class NotDifferentiableHere(BeltramiGrowthError):
     """Closed-form derivatives requested on an excluded set (origin, seam)."""
 
@@ -40,3 +36,7 @@ class QuadratureFailure(BeltramiGrowthError):
 
 class DomainError(BeltramiGrowthError):
     """Argument outside the mathematical domain of a profile or ladder."""
+
+
+class OutOfDomain(DomainError):
+    """Radius outside the radial domain of a mapping, field or profile."""

@@ -24,7 +24,7 @@ from .dilatation import (
     kappa as circle_kappa,
 )
 from .errors import DomainError, NonPositiveKappa, QuadratureFailure
-from .mappings import Mapping
+from .mappings import Mapping, require_radii_within
 
 # ---------------------------------------------------------------------------
 # iterated logarithms and exponential towers
@@ -102,11 +102,7 @@ class LogProductProfile(KappaProfile):
         object.__setattr__(self, "domain", (tower(self.depth), math.inf))
 
     def __call__(self, r):
-        lo, _ = self.domain
-        rr = np.asarray(r, dtype=float)
-        if np.any(rr < lo * (1.0 - 1e-15)):
-            raise DomainError(f"profile defined only for r >= e_{self.depth}")
-        rr = np.maximum(rr, lo)  # absorb rounding slop at the left endpoint
+        rr = require_radii_within(np.asarray(r, dtype=float), self.domain, "the profile's")
         out = self.alpha * np.ones(rr.shape)
         for k in range(1, self.depth + 1):
             out = out * iterated_log(k, rr)
@@ -171,10 +167,7 @@ class TableProfile(KappaProfile):
         object.__setattr__(self, "breakpoints", tuple(radii[1:-1].tolist()))
 
     def __call__(self, r):
-        rr = np.asarray(r, dtype=float)
-        lo, hi = self.domain
-        if np.any(rr < lo) or np.any(rr > hi):
-            raise DomainError("radius outside the tabulated kappa range")
+        rr = require_radii_within(np.asarray(r, dtype=float), self.domain, "the profile's")
         out = np.exp(
             np.interp(np.log(rr), np.log(self.radii), np.log(self.values))
         )
@@ -310,11 +303,9 @@ def envelope_integral(profile: KappaProfile, r0: float, R: float):
     12-point value by more than ENVELOPE_ABS_TOL is bisected.  Every sample
     of kappa must be positive and finite.
     """
-    lo, hi = profile.domain
-    if not (lo * (1.0 - 1e-15) <= r0 <= hi and r0 <= R <= hi * (1.0 + 1e-15)):
-        raise DomainError(
-            f"[{r0}, {R}] leaves the profile domain [{lo}, {hi}]"
-        )
+    if R < r0:
+        raise DomainError(f"need R >= r0, got r0 = {r0}, R = {R}")
+    r0, R = require_radii_within(np.array([r0, R]), profile.domain, "the profile's").tolist()
     if R == r0:
         return 0.0, 1.0
     cuts = [math.log(b) for b in profile.breakpoints if r0 < b < R]

@@ -109,15 +109,26 @@ def hermite_eval(x: np.ndarray, coef: np.ndarray, xv: np.ndarray, derivative=Fal
     return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
 
-def require_radii_within(r: np.ndarray, domain: tuple, owner: str, slop: float = 0.0):
-    """Raise OutOfDomain, naming the radius farthest out and ``domain``,
-    unless every radius r lies in ``domain`` widened by ``slop`` relative."""
+#: relative distance past a radial domain edge that is taken as rounding
+#: of r = |z - center| and clipped to the edge
+DOMAIN_SLOP = 1e-12
+
+
+def require_radii_within(r, domain: tuple, owner: str):
+    """Radii r clipped into ``domain``; raise OutOfDomain, naming the radius
+    farthest out and ``domain``, if one is NaN or lies beyond an edge by
+    more than DOMAIN_SLOP relative.  Radii already inside come back as r
+    itself."""
     lo, hi = domain
-    below = r < lo * (1.0 - slop)
-    above = r > hi * (1.0 + slop)
+    if np.all((r >= lo) & (r <= hi)):
+        return r
+    r = np.asarray(r, dtype=float)
+    below = ~(r >= lo * (1.0 - DOMAIN_SLOP))
+    above = r > hi * (1.0 + DOMAIN_SLOP)
     if np.any(below) or np.any(above):
         worst = np.min(r[below]) if np.any(below) else np.max(r[above])
         raise OutOfDomain(f"radius {worst} outside {owner} radial domain [{lo}, {hi}]")
+    return np.clip(r, lo, hi)
 
 
 class Mapping:
@@ -174,12 +185,12 @@ class Mapping:
     # -- finite differences -------------------------------------------------
 
     def wirtinger_fd(self, z, h: float = DEFAULT_FD_STEP) -> WirtingerPair:
-        """Central-difference (f_z, f_zbar) with relative step h*max(1,|z|)."""
+        """Central-difference (f_z, f_zbar) with step h*max(1, |z - center|)."""
         if not (h > 0.0):
             raise ValueError(f"step must be positive, got {h}")
         za, scalar = _asarray(z)
         za = np.atleast_1d(za)
-        s = h * np.maximum(1.0, np.abs(za))
+        s = h * np.maximum(1.0, np.abs(za - self.center))
         stencil = (za + s, za - s, za + 1j * s, za - 1j * s)
         self._check_stencil(za, s, stencil)
         fx = (self._eval_array(za + s) - self._eval_array(za - s)) / (2.0 * s)
@@ -210,8 +221,8 @@ class Mapping:
         za, _ = _asarray(z)
         za = np.atleast_1d(za)
         r = np.abs(za - self.center)
-        # the stencil step scales with |z|, as in wirtinger_fd
-        margin = 2.0 * h * np.maximum(1.0, np.abs(za))
+        # twice the stencil step of wirtinger_fd
+        margin = 2.0 * h * np.maximum(1.0, r)
         ok = np.ones(za.shape, dtype=bool)
         if self.origin_singular:
             ok &= r > np.maximum(margin, RADIUS_FLOOR)
@@ -412,10 +423,7 @@ class RadialTable(RadialMapping):
         return self.evaluate(z0)
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
-        # absorb rounding slop from r = |z - center| at the table edges
-        require_radii_within(r, self.radial_domain, "the table's", slop=1e-12)
-        lo, hi = self.radial_domain
-        r = np.clip(r, lo if lo > 0.0 else None, hi)
+        r = require_radii_within(r, self.radial_domain, "the table's")
         out = np.empty(r.shape, dtype=float)
         inner = r < self.knots[0]
         out[inner] = self.rho[0] / self.knots[0] * r[inner]

@@ -44,6 +44,7 @@ from .mappings import (
     Power,
     RadialTable,
     Spiral,
+    require_radii_within,
 )
 
 # ---------------------------------------------------------------------------
@@ -93,9 +94,7 @@ def build_extremal(
         raise ValueError(f"rho0 must be positive, got {rho0}")
     if not (R > r0 > 0.0):
         raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
-    lo, hi = profile.domain
-    if r0 < lo * (1.0 - 1e-15) or R > hi:
-        raise DomainError(f"[{r0}, {R}] leaves the profile domain [{lo}, {hi}]")
+    r0, R = require_radii_within(np.array([r0, R]), profile.domain, "the profile's").tolist()
     grid = np.geomspace(r0, R, knots)
     grid[0], grid[-1] = r0, R
     # ln(rho0) starts the running sum; adding it after summing the gaps

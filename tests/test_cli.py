@@ -116,7 +116,7 @@ class TestEnvelope:
         }
         code, _ = run(tmp_path, "envelope", cfg)
         assert code == EXIT_NUMERIC
-        assert "leaves the profile domain [1.0, 4.0]" in capsys.readouterr().err
+        assert "outside the profile's radial domain [1.0, 4.0]" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -20,6 +20,7 @@ from beltrami_growth import (
     StencilCrossesSeam,
     jacobian_wirtinger,
 )
+from beltrami_growth.cli import _check_radii
 from conftest import fd_wirtinger_oracle, smooth_points
 
 RNG = np.random.default_rng(20260823)
@@ -231,8 +232,20 @@ class TestRadialTable:
         with pytest.raises(StencilCrossesSeam):
             table.wirtinger_fd(5.5 + 0j, 1e-3)
         z = 5.0 + np.array([0.5, 1.0, 2.9999, 3.5])
-        # the stencil step, and so the margin, scales with |z|, not |z - center|
-        assert table.smooth_mask(z, 1e-5).tolist() == [False, True, False, False]
+        # the stencil step, and so the margin, scales with |z - center|
+        assert table.smooth_mask(z, 1e-5).tolist() == [False, True, True, False]
+
+    def test_stencil_measured_about_the_center(self):
+        # the FD step and the smooth-mask margin scale with |z - center|, so
+        # moving the center moves nothing else
+        knots = np.geomspace(0.05, 3.0, 60)
+        table = RadialTable(knots, np.sqrt(knots), 5.0, linear_inner=True)
+        centered = RadialTable(knots, np.sqrt(knots), 0j, linear_inner=True)
+        assert _check_radii(table, 0.1, 1.6).tolist() == _check_radii(centered, 0.1, 1.6).tolist()
+        wp = table.wirtinger_fd(6.0 + 0j)
+        wp0 = centered.wirtinger_fd(1.0 + 0j)
+        assert wp.d_z == pytest.approx(wp0.d_z, rel=1e-9)
+        assert wp.d_zbar == pytest.approx(wp0.d_zbar, abs=1e-9)
 
     def test_domain_errors_name_radius_and_domain(self):
         knots = np.geomspace(0.5, 4.0, 16)
