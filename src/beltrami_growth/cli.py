@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -81,10 +82,16 @@ def fmt(value) -> str:
 
 
 def write_csv(path: Path, header, rows) -> Path:
+    floats = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([fmt(v) for v in row] for row in rows)
+        for row in rows:
+            # a float never needs quoting, and "%.17g" spells it as fmt does
+            if len(row) == len(header) and all(isinstance(v, float) for v in row):
+                fh.write(floats % tuple(row))
+            else:
+                writer.writerow([fmt(v) for v in row])
     return path
 
 
@@ -587,9 +594,21 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
     args = parser.parse_args(argv)
 
+    quiet = args.quiet
+
     def say(message: str):
-        if not args.quiet:
-            print(message)
+        nonlocal quiet
+        if quiet:
+            return
+        try:
+            # flushed per line, so a closed stdout shows here and not at exit
+            print(message, flush=True)
+        except BrokenPipeError:
+            # the reader has gone: the rest of the output goes to os.devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            quiet = True
 
     try:
         with open(args.config) as fh:

@@ -24,6 +24,10 @@ from .errors import DegenerateRadius, QuadratureFailure
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
 
 JACOBIAN_FLOOR = 1e-14
+#: most circle points one call of a many-circle kernel evaluates.  Larger
+#: blocks were slower on verify: their temporaries (256 KiB and up per complex
+#: array) come back from the allocator as fresh pages on every call
+BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,17 @@ class CircleQuadrature:
             raise QuadratureFailure("non-finite quadrature sample on the circle")
         out = np.mean(samples, axis=-1)
         return float(out) if np.ndim(out) == 0 else out
+
+    def blockwise(self, fn, radii: np.ndarray) -> np.ndarray:
+        """fn over consecutive slices of the 1-d array ``radii``, at most
+        BLOCK_POINTS // n circles (and at least one) per slice, concatenated
+        along the first axis.  fn must treat each circle on its own, as a
+        row-wise mean does, so the result does not depend on the slicing."""
+        rows = max(1, BLOCK_POINTS // self.n)
+        # an empty radii array still makes one (empty) call
+        return np.concatenate(
+            [fn(radii[i : i + rows]) for i in range(0, max(1, radii.size), rows)]
+        )
 
 
 class CoefficientField:
@@ -109,7 +124,8 @@ class LinearCoefficient(CoefficientField):
 
     def _value_array(self, w, r):
         delta = abs(self.b) ** 2 - abs(self.a) ** 2
-        return (self.a * np.conj(w) - self.b * w) / (
+        # np.multiply keeps the scalar first, as in mappings.Linear
+        return (np.multiply(self.a, np.conj(w)) - self.b * w) / (
             math.sqrt(abs(delta)) * np.conj(w)
         )
 
@@ -312,11 +328,17 @@ def circle_average_D(
 def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     """Angular mean of |K|^2 on the circle of radius r about the field center.
 
-    A 1-d array of radii gives one mean per radius from one K.abs2 call on
-    a (radii x n) array of circle points.
+    A 1-d array of radii gives one mean per radius, from one K.abs2 call per
+    block of circles (CircleQuadrature.blockwise).
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1 or not np.all(radii > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
-    z = q.points(K.center, radii if radii.ndim == 0 else radii[:, None])
-    return q.mean(np.asarray(K.abs2(z), dtype=float))
+
+    def means(rows):
+        # rows: one radius, or a column of radii
+        return q.mean(np.asarray(K.abs2(q.points(K.center, rows)), dtype=float))
+
+    if radii.ndim == 0:
+        return means(radii)
+    return q.blockwise(lambda block: means(block[:, None]), radii)

@@ -270,20 +270,18 @@ ENVELOPE_ABS_TOL = 1e-11
 _GL12, _W12 = np.polynomial.legendre.leggauss(12)
 _GL6, _W6 = np.polynomial.legendre.leggauss(6)
 _PANEL_NODES = np.concatenate([_GL12, _GL6])
-#: panels per profile call, which bounds the samples of a very wide gap
-PANEL_BLOCK = 16
-#: panel halvings one attenuation integral may make before it gives up
+#: panel halvings the attenuation integral over one gap may make before it
+#: gives up
 MAX_BISECTIONS = 2000
 
 
 def _panel_rules(profile: KappaProfile, a: np.ndarray, b: np.ndarray):
     """12- and 6-point Gauss-Legendre values of int 1/kappa(e^t) dt over
-    each panel [a_i, b_i], from one profile call per PANEL_BLOCK panels."""
+    each panel [a_i, b_i], from one profile call."""
     half = 0.5 * (b - a)
     t = 0.5 * (b + a)[:, None] + half[:, None] * _PANEL_NODES[None, :]
     r = np.exp(t)
-    blocks = np.split(r, range(PANEL_BLOCK, r.shape[0], PANEL_BLOCK))
-    kappa = np.concatenate([np.asarray(profile(block), dtype=float) for block in blocks])
+    kappa = np.asarray(profile(r), dtype=float)
     bad = ~(kappa > 0.0) | ~np.isfinite(kappa)
     if np.any(bad):
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -297,39 +295,13 @@ def _panel_rules(profile: KappaProfile, a: np.ndarray, b: np.ndarray):
 def envelope_integral(profile: KappaProfile, r0: float, R: float):
     """I = int_{r0}^{R} dr/(r kappa(r)) and its envelope exp(I).
 
-    Integrates in t = ln r (the natural variable of every catalog profile)
-    by composite 12-point Gauss-Legendre panels, at most 1 wide and split at
-    the profile's breakpoints.  A panel whose 6-point value differs from its
-    12-point value by more than ENVELOPE_ABS_TOL is bisected.  Every sample
-    of kappa must be positive and finite.
+    The one-gap case of :func:`ladder_integrals`, which holds the
+    quadrature; R = r0 gives (0.0, 1.0).
     """
     if R < r0:
         raise DomainError(f"need R >= r0, got r0 = {r0}, R = {R}")
-    r0, R = require_radii_within(np.array([r0, R]), profile.domain, "the profile's").tolist()
-    if R == r0:
-        return 0.0, 1.0
-    cuts = [math.log(b) for b in profile.breakpoints if r0 < b < R]
-    edges = [math.log(r0)] + cuts + [math.log(R)]
-    bounds = [np.linspace(a, b, max(1, math.ceil(b - a)) + 1) for a, b in zip(edges, edges[1:])]
-    a = np.concatenate([e[:-1] for e in bounds])
-    b = np.concatenate([e[1:] for e in bounds])
-    done, bisections = [], 0
-    while True:
-        fine, coarse = _panel_rules(profile, a, b)
-        retry = np.abs(fine - coarse) > ENVELOPE_ABS_TOL
-        done.extend(fine[~retry].tolist())
-        if not np.any(retry):
-            total = math.fsum(done)
-            return total, math.exp(total)
-        bisections += int(np.count_nonzero(retry))
-        if bisections > MAX_BISECTIONS:
-            raise QuadratureFailure(
-                f"attenuation integral over [{r0}, {R}] missed {ENVELOPE_ABS_TOL} "
-                f"after {MAX_BISECTIONS} panel bisections"
-            )
-        a, b = a[retry], b[retry]
-        mid = 0.5 * (a + b)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    total = float(ladder_integrals(profile, r0, [R])[0])
+    return total, math.exp(total)
 
 
 def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
@@ -338,13 +310,56 @@ def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
     The rungs must ascend strictly from a first rung at or above r0; a first
     rung equal to r0 gives an exact 0.0 gap.  ``np.cumsum`` of the result is
     I(r0, R_k) at every rung.
+
+    Integrates in t = ln r (the natural variable of every catalog profile)
+    by composite 12-point Gauss-Legendre panels, at most 1 wide and split at
+    the profile's breakpoints.  The panels of every gap are refined together:
+    a panel whose 6-point value differs from its 12-point value by more than
+    ENVELOPE_ABS_TOL is bisected, and a gap that needs more than
+    MAX_BISECTIONS bisections raises QuadratureFailure.  Each gap is the
+    math.fsum of its accepted panels, which is exactly rounded, so it does
+    not depend on the order in which panels are accepted.  Every sample of
+    kappa must be positive and finite.
     """
     rungs = [float(R) for R in radii]
     if (rungs and rungs[0] < r0) or any(b <= a for a, b in zip(rungs, rungs[1:])):
         raise DomainError(f"ladder rungs must ascend strictly from r0 = {r0} or above")
-    return np.array(
-        [envelope_integral(profile, a, b)[0] for a, b in zip([r0] + rungs, rungs)]
-    )
+    if not rungs:
+        return np.zeros(0)
+    edges = require_radii_within(np.array([r0] + rungs), profile.domain, "the profile's")
+    edges = edges.tolist()
+    # every gap's panels, each tagged with the index of its gap
+    a, b, gap = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if hi == lo:
+            continue
+        cuts = [math.log(c) for c in profile.breakpoints if lo < c < hi]
+        stops = [math.log(lo)] + cuts + [math.log(hi)]
+        for s, e in zip(stops, stops[1:]):
+            bounds = np.linspace(s, e, max(1, math.ceil(e - s)) + 1)
+            a.append(bounds[:-1])
+            b.append(bounds[1:])
+            gap.append(np.full(bounds.size - 1, k))
+    a, b, gap = np.concatenate(a), np.concatenate(b), np.concatenate(gap)
+    done_gap, done_value = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    bisections = np.zeros(len(rungs), dtype=int)
+    while gap.size:
+        fine, coarse = _panel_rules(profile, a, b)
+        retry = np.abs(fine - coarse) > ENVELOPE_ABS_TOL
+        done_gap.append(gap[~retry])
+        done_value.append(fine[~retry])
+        bisections += np.bincount(gap[retry], minlength=bisections.size)
+        if np.any(bisections > MAX_BISECTIONS):
+            k = int(np.argmax(bisections > MAX_BISECTIONS))
+            raise QuadratureFailure(
+                f"attenuation integral over gap {k}, [{edges[k]}, {edges[k + 1]}], "
+                f"missed {ENVELOPE_ABS_TOL} after {MAX_BISECTIONS} panel bisections"
+            )
+        a, b, gap = a[retry], b[retry], gap[retry]
+        mid = 0.5 * (a + b)
+        a, b, gap = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([gap, gap])
+    done_gap, done_value = np.concatenate(done_gap), np.concatenate(done_value)
+    return np.array([math.fsum(done_value[done_gap == k]) for k in range(len(rungs))])
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +369,6 @@ def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
 #: final width of the golden-section bracket around each extremal angle
 MODULUS_ANGLE_TOL = 1e-11
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: samples per evaluate call of the grid scan, which bounds memory on long ladders
-SCAN_POINTS = 1 << 16
 
 
 def modulus_extremes(
@@ -383,9 +396,7 @@ def modulus_extremes(
     def distance(z):
         return np.abs(mapping.evaluate(z) - f0)
 
-    rows = max(1, SCAN_POINTS // q.n)
-    blocks = np.split(rr, range(rows, rr.size, rows))
-    values = np.concatenate([distance(q.points(z0c, block[:, None])) for block in blocks])
+    values = q.blockwise(lambda block: distance(q.points(z0c, block[:, None])), rr)
     if not np.all(np.isfinite(values)):
         raise QuadratureFailure("non-finite modulus sample on the circle")
     # golden-section search for the maximum of +|f - f0| about the best grid
@@ -457,7 +468,8 @@ def _disk_areas(
     give the area at each radius.  The disk below rho_min is accounted for by
     a local power-law extrapolation of the angular mean of J.  Panel density
     is RADIAL_STEPS panels over the smallest radius's log span, at least two
-    per segment, and one segment is evaluated at a time.
+    per segment; a segment's circles are evaluated in blocks
+    (CircleQuadrature.blockwise) and summed as one.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
@@ -488,7 +500,7 @@ def _disk_areas(
         u = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
         w = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
         rho = np.exp(u)
-        g = TWO_PI * rho**2 * mean_jacobian(rho)
+        g = TWO_PI * rho**2 * q.blockwise(mean_jacobian, rho)
         total += float(np.sum(w * g))
         cumulative[stop] = total
 

@@ -290,7 +290,10 @@ class Linear(Mapping):
             raise ValueError("degenerate linear map: |A| must differ from |B|")
 
     def _eval_array(self, z):
-        return self.a * np.conj(z) + self.b * z + self.c
+        # np.multiply keeps the scalar first: numpy may evaluate
+        # ``a * temporary`` in place as ``temporary * a`` on large arrays,
+        # which rounds differently, so a value would depend on the array size
+        return np.multiply(self.a, np.conj(z)) + self.b * z + self.c
 
     def _wirtinger_array(self, z):
         return WirtingerPair(

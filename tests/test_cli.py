@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,38 @@ class TestFormatting:
             b"0.10000000000000001,0.33333333333333331,true,false,7,-3,x\n"
             b"x,-3,7,false,true,0.33333333333333331,0.10000000000000001\n"
         )
+
+    #: floats whose spelling is easy to get wrong: nan, the infinities, a
+    #: signed zero, subnormals and numpy scalars
+    EDGE_FLOATS = (
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        5e-324,
+        2.5e-310,
+        np.float64(1.0 / 3.0),
+        np.float64(-0.0),
+        np.float64(math.nan),
+        1e300,
+    )
+
+    @pytest.mark.parametrize(
+        "last",
+        [None, 7, np.int64(-3), True, False, np.bool_(True), np.bool_(False)],
+        ids=["floats", "int", "np.int64", "True", "False", "np.True_", "np.False_"],
+    )
+    def test_rows_spelled_as_fmt(self, tmp_path, last):
+        # an all-float row is written by one "%.17g" template, any other row
+        # cell by cell through fmt; both must give fmt's bytes
+        row = self.EDGE_FLOATS + (() if last is None else (last,))
+        header = [f"c{i}" for i in range(len(row))]
+        path = write_csv(tmp_path / "row.csv", header, [row, row])
+        line = ",".join(fmt(v) for v in row)
+        assert path.read_text() == ",".join(header) + "\n" + (line + "\n") * 2
+        assert line.startswith("nan,inf,-inf,-0,4.9406564584124654e-324,")
+        if isinstance(last, (bool, np.bool_)):
+            assert line.endswith("true" if last else "false")
 
 
 class TestKappa:
@@ -244,6 +280,34 @@ class TestVerify:
         assert code == EXIT_OK
         assert len(calls) == 1
         assert cfg["r0"] in np.asarray(calls[0]).tolist()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(tmp_path, buffered):
+    # the reader of stdout goes away before the first line is written
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(TestVerify.CFG))
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = ["verify", "--config", str(cfg_path), "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "beltrami_growth.cli", *command],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OK, stderr
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert (out / "verify_residual.csv").exists()
+    assert (out / "verify_growth.csv").exists()
 
 
 class TestExtremal:

@@ -35,6 +35,7 @@ from beltrami_growth import (
     image_area,
     isoperimetric_check,
     iterated_log,
+    kappa,
     ladder_integrals,
     loglog_example_profile,
     modulus_extremes,
@@ -42,7 +43,9 @@ from beltrami_growth import (
     theorem1_check,
     tower,
 )
-from beltrami_growth.growth import E_2, E_3
+from beltrami_growth import dilatation, growth
+from beltrami_growth.errors import QuadratureFailure
+from beltrami_growth.growth import E_2, E_3, KappaProfile, _disk_areas
 
 alphas = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 
@@ -202,19 +205,82 @@ class TestEnvelope:
             envelope_integral(LogProductProfile(1.0, 2), 1.0, 100.0)
 
 
+def _grid_coefficient():
+    """|K|^2 tabulated on [1, 100] with a different mean on every circle."""
+    radii = np.geomspace(1.0, 100.0, 6)
+    thetas = 2.0 * math.pi * np.arange(8) / 8
+    k2 = 1.0 + 0.5 * np.sin(np.add.outer(np.arange(6), 1.3 * np.arange(8))) ** 2
+    return GridCoefficient(radii, thetas, k2)
+
+
+class UndeclaredSteps(KappaProfile):
+    """kappa = 1, rising by 2 at each radius in ``at``; no breakpoint is
+    declared, so the quadrature has to find the jumps by bisection."""
+
+    def __init__(self, *at):
+        self.at = at
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        return 1.0 + 2.0 * sum((r >= s).astype(float) for s in self.at)
+
+
 class TestLadderIntegrals:
     @pytest.mark.parametrize(
         "profile",
-        [ConstantProfile(2.3), loglog_example_profile(1.7), LogProductProfile(1.9, 2)],
+        [
+            ConstantProfile(2.3),
+            loglog_example_profile(1.7),
+            LogProductProfile(1.9, 2),
+            TableProfile([1.0, 3.0, 20.0, 900.0], [1.0, 2.5, 0.7, 3.0]),
+            FieldProfile(_grid_coefficient(), CircleQuadrature(64)),
+        ],
     )
     def test_gaps_bit_equal_to_envelope_integral(self, profile):
+        # the first rung is r0 itself, an exact 0.0 gap; a tabulated
+        # profile keeps the rungs inside its table
         r0 = max(1.3, profile.domain[0])
-        radii = RadiusLadder(1.5 * r0, 3.0, 12).radii()
+        rungs = RadiusLadder(1.5 * r0, 3.0, 12).radii()
+        radii = [r0] + rungs[rungs <= profile.domain[1]].tolist()
         gaps = ladder_integrals(profile, r0, radii)
-        edges = [r0] + radii.tolist()
+        edges = [r0] + radii
         assert gaps.tolist() == [
             envelope_integral(profile, a, b)[0] for a, b in zip(edges, edges[1:])
         ]
+        assert gaps[0] == 0.0 and np.all(gaps[1:] > 0.0)
+
+    @staticmethod
+    def _fewest_bisections(monkeypatch, profile, r0, R):
+        """The smallest MAX_BISECTIONS with which the gap [r0, R] converges."""
+        for cap in range(200):
+            monkeypatch.setattr(growth, "MAX_BISECTIONS", cap)
+            try:
+                ladder_integrals(profile, r0, [R])
+                return cap
+            except QuadratureFailure:
+                pass
+        raise AssertionError("the gap did not converge")
+
+    def test_bisections_counted_per_gap(self, monkeypatch):
+        profile = UndeclaredSteps(1.9, 2.6)
+        smooth = self._fewest_bisections(monkeypatch, profile, 1.0, 1.5)
+        first = self._fewest_bisections(monkeypatch, profile, 1.5, 2.0)
+        second = self._fewest_bisections(monkeypatch, profile, 2.0, 3.0)
+        assert smooth == 0 and 0 < first < second
+        rungs = [1.5, 2.0, 3.0]
+        # the gaps' bisections add up past the cap, but no one gap's do
+        monkeypatch.setattr(growth, "MAX_BISECTIONS", second)
+        assert first + second > second
+        gaps = ladder_integrals(profile, 1.0, rungs)
+        assert gaps.tolist() == [
+            envelope_integral(profile, a, b)[0] for a, b in ((1.0, 1.5), (1.5, 2.0), (2.0, 3.0))
+        ]
+        # one bisection short for the second jump: its gap is named, and the
+        # neighbouring gap with the first jump does not trip the cap
+        monkeypatch.setattr(growth, "MAX_BISECTIONS", second - 1)
+        with pytest.raises(QuadratureFailure, match=r"gap 2, \[2\.0, 3\.0\]"):
+            ladder_integrals(profile, 1.0, rungs)
+        ladder_integrals(profile, 1.0, rungs[:2])
 
     def test_constant_closed_form(self):
         radii = [1.5, 2.0, 7.0, 1e3]
@@ -312,6 +378,76 @@ class TestKnotsBetweenRungs:
         profile = PiecewiseProfile((10.0,), (ConstantProfile(1.0), table))
         inside = [b for b in table.breakpoints if b > 10.0]
         assert profile.breakpoints == (10.0, *inside)
+
+
+class TestBlockSize:
+    """Many-circle kernels run in blocks of at most dilatation.BLOCK_POINTS
+    points; every block size, from one circle per block to a single block,
+    gives bit-equal results."""
+
+    Q = CircleQuadrature(64)
+    LINEAR = {"a": 0.3 + 0.1j, "b": 1.2 - 0.4j, "c": 0.5j}
+    #: one circle per block, the default, and every call in one block
+    SIZES = [Q.n, dilatation.BLOCK_POINTS, 1 << 30]
+
+    def _each_size(self, monkeypatch, run):
+        results = []
+        for size in self.SIZES:
+            monkeypatch.setattr(dilatation, "BLOCK_POINTS", size)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("power", {"alpha": 2.0}),
+            ("loglog", {"alpha": 2.0}),
+            ("linear", LINEAR),
+            ("spiral", {}),
+        ],
+        ids=["power", "loglog", "linear", "spiral"],
+    )
+    def test_mapping_kernels(self, monkeypatch, name, params):
+        # radii about the loglog seam e^e = 15.15; the sweep's first segment
+        # holds 384 circles, more than one default block at n = 64
+        mapping, _ = catalog_pair(name, **params)
+        radii = np.geomspace(4.0, 60.0, 300)
+        first, *others = self._each_size(
+            monkeypatch,
+            lambda: (
+                _disk_areas(mapping, 0j, radii[::30], self.Q),
+                *modulus_extremes(mapping, 0j, radii, self.Q),
+            ),
+        )
+        for other in others:
+            for a, b in zip(first, other):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "coefficient",
+        [
+            catalog_pair("power", alpha=2.0)[1],
+            catalog_pair("loglog", alpha=2.0)[1],
+            catalog_pair("linear", **LINEAR)[1],
+            catalog_pair("spiral")[1],
+            _grid_coefficient(),
+        ],
+        ids=["power", "loglog", "linear", "spiral", "grid"],
+    )
+    def test_coefficient_kernels(self, monkeypatch, coefficient):
+        radii = np.geomspace(4.0, 60.0, 600)
+        rungs = RadiusLadder(4.0, 2.0, 4).radii()
+        first, *others = self._each_size(
+            monkeypatch,
+            lambda: (
+                kappa(coefficient, radii, self.Q),
+                ladder_integrals(FieldProfile(coefficient, self.Q), 4.0, rungs),
+            ),
+        )
+        for other in others:
+            for a, b in zip(first, other):
+                assert np.array_equal(a, b)
+        assert kappa(coefficient, np.zeros(0), self.Q).shape == (0,)
 
 
 class TestCircleFunctionals:
