@@ -12,17 +12,26 @@ from .complex_polar import (
 from .dilatation import (
     CircleQuadrature,
     CoefficientField,
+    ConstantProfile,
+    FieldProfile,
     GridCoefficient,
+    KappaProfile,
     LinearCoefficient,
     LogLogCoefficient,
+    LogProductProfile,
+    PiecewiseProfile,
     PowerCoefficient,
     RadialCoefficient,
     SpiralCoefficient,
+    TableProfile,
     K_from_sigma,
     angular_dilatation,
     circle_average_D,
+    iterated_log,
     kappa,
+    loglog_example_profile,
     sigma_from_K,
+    tower,
 )
 from .errors import (
     BeltramiGrowthError,
@@ -37,14 +46,8 @@ from .errors import (
 )
 from .growth import (
     CoefficientBound,
-    ConstantProfile,
-    FieldProfile,
     KappaBound,
-    KappaProfile,
-    LogProductProfile,
-    PiecewiseProfile,
     RadiusLadder,
-    TableProfile,
     area_bound_check,
     circle_length,
     corollary_exponent,
@@ -53,13 +56,10 @@ from .growth import (
     envelope_integral,
     image_area,
     isoperimetric_check,
-    iterated_log,
     ladder_integrals,
-    loglog_example_profile,
     modulus_extremes,
     nonexistence_diagnostic,
     theorem1_check,
-    tower,
 )
 from .mappings import (
     Identity,

@@ -23,22 +23,22 @@ import numpy as np
 
 from .dilatation import (
     CircleQuadrature,
+    ConstantProfile,
+    FieldProfile,
     GridCoefficient,
     LinearCoefficient,
     LogLogCoefficient,
+    LogProductProfile,
+    PiecewiseProfile,
     PowerCoefficient,
     RadialCoefficient,
     SpiralCoefficient,
+    TableProfile,
     kappa as circle_kappa,
 )
 from .errors import BeltramiGrowthError
 from .growth import (
-    ConstantProfile,
-    FieldProfile,
-    LogProductProfile,
-    PiecewiseProfile,
     RadiusLadder,
-    TableProfile,
     disk_checks,
     ladder_integrals,
     modulus_extremes,

@@ -1,9 +1,10 @@
-"""Coefficient fields, the sigma form, angular dilatation and circle averages.
+"""Coefficient fields, kappa profiles, the sigma form, dilatation and circle means.
 
 The coefficient field K is the right-hand-side multiplier of the equation
 f_zbar - (w/conj(w)) f_z = K |J_f|^{1/2}, w = z - z0.  Its sigma form is
 sigma = -i K conj(w), and the radial profile kappa(r) is the angular mean
-of |K|^2 on the circle of radius r about the field's center.
+of |K|^2 on the circle of radius r about the field's center.  A radial
+coefficient takes |K|^2 from a kappa profile; FieldProfile goes the other way.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .complex_polar import (
     require_jacobian_above,
     wirtinger_to_polar,
 )
-from .errors import DegenerateRadius, QuadratureFailure
+from .errors import DegenerateRadius, DomainError, NonPositiveKappa, QuadratureFailure
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
 
 JACOBIAN_FLOOR = 1e-14
@@ -140,52 +141,12 @@ class SpiralCoefficient(CoefficientField):
         return -(w / np.conj(w)) * np.exp(2j * np.log(r))
 
 
-@dataclass(frozen=True)
-class PowerCoefficient(CoefficientField):
-    """Constant-dilatation coefficient -sqrt(alpha) w/conj(w)."""
-
-    alpha: float
-    center: complex = 0j
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    def _abs2_array(self, w, r):
-        return np.full(r.shape, self.alpha, dtype=float)
-
-
-@dataclass(frozen=True)
-class LogLogCoefficient(CoefficientField):
-    """Piecewise coefficient solved by the doubly-logarithmic map:
-    -sqrt(alpha * ln r * ln ln r) * w/conj(w) outside |w| = e^e, -w/conj(w) inside."""
-
-    alpha: float
-    center: complex = 0j
-    radial_breakpoints = (LOGLOG_SEAM,)
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    def _abs2_array(self, w, r):
-        out = np.ones(r.shape)
-        outer = r >= LOGLOG_SEAM
-        if np.any(outer):
-            ro = r[outer]
-            out[outer] = self.alpha * np.log(ro) * np.log(np.log(ro))
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class RadialCoefficient(CoefficientField):
-    """Radial coefficient with |K|^2 = kappa(r) from a kappa profile.
+    """Radial coefficient with |K|^2 = kappa(r) from a kappa profile, whose
+    breakpoints it takes; the domain defaults to the profile's."""
 
-    The breakpoints are the profile's, and the domain defaults to the
-    profile's.
-    """
-
-    profile: object  # a growth.KappaProfile
+    profile: KappaProfile
     center: complex = 0j
     radial_domain: tuple | None = None
 
@@ -197,6 +158,20 @@ class RadialCoefficient(CoefficientField):
     def _abs2_array(self, w, r):
         r = require_radii_within(r, self.radial_domain, "the coefficient's")
         return np.asarray(self.profile(r), dtype=float)
+
+
+class PowerCoefficient(RadialCoefficient):
+    """Constant-dilatation coefficient -sqrt(alpha) w/conj(w): kappa = alpha."""
+
+    def __init__(self, alpha: float, center: complex = 0j):
+        super().__init__(ConstantProfile(alpha), center)
+
+
+class LogLogCoefficient(RadialCoefficient):
+    """Coefficient solved by the doubly-logarithmic map: kappa = loglog_example_profile."""
+
+    def __init__(self, alpha: float, center: complex = 0j):
+        super().__init__(loglog_example_profile(alpha), center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,3 +317,180 @@ def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     if radii.ndim == 0:
         return means(radii)
     return q.blockwise(lambda block: means(block[:, None]), radii)
+
+
+# ---------------------------------------------------------------------------
+# iterated logarithms and exponential towers
+
+E_1 = math.e
+E_2 = LOGLOG_SEAM  # e^e
+E_3 = math.exp(E_2)
+
+
+def tower(k: int) -> float:
+    """e_k with e_1 = e, e_{k+1} = e^{e_k}; finite in doubles only for k <= 3."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"tower index must be a positive integer, got {k!r}")
+    if k >= 4:
+        raise OverflowError(f"e_{k} exceeds double-precision range")
+    return (E_1, E_2, E_3)[k - 1]
+
+
+def iterated_log(k: int, t):
+    """k-fold logarithm ln_k(t); requires t > e_{k-1} so the result is positive."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"log depth must be a positive integer, got {k!r}")
+    out = np.asarray(t, dtype=float)
+    for _ in range(k):
+        if np.any(out <= 0.0):
+            raise DomainError(f"argument too small for a depth-{k} iterated log")
+        out = np.log(out)
+    if np.any(out <= 0.0):
+        raise DomainError(f"argument too small for a depth-{k} iterated log")
+    return float(out) if np.ndim(t) == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# kappa profiles
+
+
+class KappaProfile:
+    """Radial profile kappa(r) > 0; callable on floats or arrays."""
+
+    #: (lower, upper) radius interval on which the profile is defined
+    domain: tuple = (0.0, math.inf)
+    #: interior radii where the profile jumps or kinks; the fixed-order
+    #: quadrature splits here, and may miss a jump or kink not listed
+    breakpoints: tuple = ()
+
+    def __call__(self, r):
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class ConstantProfile(KappaProfile):
+    alpha: float
+
+    def __post_init__(self):
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+
+    def __call__(self, r):
+        out = np.full(np.shape(r), self.alpha)
+        return self.alpha if np.ndim(r) == 0 else out
+
+
+@dataclass(frozen=True, eq=False)
+class LogProductProfile(KappaProfile):
+    """alpha * ln(r) * ln ln(r) * ... (depth factors), defined for r >= e_depth."""
+
+    alpha: float
+    depth: int
+
+    def __post_init__(self):
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (1 <= self.depth <= 3):
+            raise ValueError(f"depth must be in 1..3, got {self.depth}")
+        object.__setattr__(self, "domain", (tower(self.depth), math.inf))
+
+    def __call__(self, r):
+        rr = require_radii_within(np.asarray(r, dtype=float), self.domain, "the profile's")
+        # ln_k r = ln(ln_{k-1} r) >= 1 after the clip, so no log leaves its domain
+        out = self.alpha * np.ones(rr.shape)
+        log_k = rr
+        for _ in range(self.depth):
+            log_k = np.log(log_k)
+            out = out * log_k
+        return float(out) if np.ndim(r) == 0 else out
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseProfile(KappaProfile):
+    """Radially piecewise profile; piece i applies on [b_{i-1}, b_i)."""
+
+    cut_radii: tuple
+    pieces: tuple
+
+    def __post_init__(self):
+        cuts = tuple(float(b) for b in self.cut_radii)
+        if len(self.pieces) != len(cuts) + 1:
+            raise ValueError("need exactly one more piece than cut radius")
+        if any(b2 <= b1 for b1, b2 in zip(cuts, cuts[1:])) or any(
+            b <= 0.0 for b in cuts
+        ):
+            raise ValueError("cut radii must be positive and strictly ascending")
+        object.__setattr__(self, "cut_radii", cuts)
+        # the cuts, and each piece's own breakpoints inside its interval
+        spans = zip(self.pieces, (0.0,) + cuts, cuts + (math.inf,))
+        inner = [b for piece, lo, hi in spans for b in piece.breakpoints if lo < b < hi]
+        object.__setattr__(self, "breakpoints", tuple(sorted(cuts + tuple(inner))))
+        lo = self.pieces[0].domain[0]
+        hi = self.pieces[-1].domain[1]
+        object.__setattr__(self, "domain", (lo, hi))
+
+    def __call__(self, r):
+        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        idx = np.searchsorted(self.cut_radii, rr, side="right")
+        out = np.empty(rr.shape, dtype=float)
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = piece(rr[mask])
+        return float(out[0]) if np.ndim(r) == 0 else out
+
+
+@dataclass(frozen=True, eq=False)
+class TableProfile(KappaProfile):
+    """kappa tabulated at radius knots, log-log linear in between."""
+
+    radii: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        radii = np.asarray(self.radii, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
+            raise ValueError("radii and values must be equal-length 1-d arrays")
+        if not (np.all(radii > 0.0) and np.all(np.diff(radii) > 0.0)):
+            raise ValueError("radii must be positive and strictly ascending")
+        if not np.all(values > 0.0):
+            raise NonPositiveKappa("tabulated kappa values must be positive")
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "domain", (float(radii[0]), float(radii[-1])))
+        # piecewise linear in ln r: each interior knot is a kink
+        object.__setattr__(self, "breakpoints", tuple(radii[1:-1].tolist()))
+
+    def __call__(self, r):
+        rr = require_radii_within(np.asarray(r, dtype=float), self.domain, "the profile's")
+        out = np.exp(
+            np.interp(np.log(rr), np.log(self.radii), np.log(self.values))
+        )
+        return float(out) if np.ndim(r) == 0 else out
+
+
+@dataclass(frozen=True, eq=False)
+class FieldProfile(KappaProfile):
+    """kappa(r) computed on demand from a coefficient field by circle quadrature."""
+
+    coefficient: CoefficientField
+    quadrature: CircleQuadrature = CircleQuadrature()
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "breakpoints", tuple(self.coefficient.radial_breakpoints)
+        )
+        lo, hi = self.coefficient.radial_domain
+        object.__setattr__(self, "domain", (float(lo), float(hi)))
+
+    def __call__(self, r):
+        if np.ndim(r) == 0:
+            return kappa(self.coefficient, float(r), self.quadrature)
+        rr = np.asarray(r, dtype=float)
+        return kappa(self.coefficient, rr.ravel(), self.quadrature).reshape(rr.shape)
+
+
+def loglog_example_profile(alpha: float) -> PiecewiseProfile:
+    """The piecewise profile 1 below e^e and alpha*ln(r)*ln ln(r) above it."""
+    return PiecewiseProfile((E_2,), (ConstantProfile(1.0), LogProductProfile(alpha, 2)))

@@ -1,9 +1,9 @@
 """Growth functionals and the differential/integral inequalities they satisfy.
 
-Radial dilatation profiles kappa(r), iterated-logarithm utilities, the
-attenuation integral I = int dr/(r kappa) with its envelope exp(I), modulus
-extremes M/m on circles, curve length, image area, and the checks that tie
-them together: the isoperimetric inequality, the differential inequality
+The attenuation integral I = int dr/(r kappa) of a kappa profile (the
+profiles live in dilatation) with its envelope exp(I), modulus extremes M/m
+on circles, curve length, image area, and the checks that tie them
+together: the isoperimetric inequality, the differential inequality
 S' >= 2S/(r d_f), the area bound, the growth ladder, and the non-existence
 diagnostic.
 """
@@ -17,188 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_polar import TWO_PI, jacobian_wirtinger, require_jacobian_above, wirtinger_to_polar
+# ConstantProfile and LogProductProfile are bound here for bench/tracing.py
 from .dilatation import (
     CircleQuadrature,
     CoefficientField,
+    ConstantProfile,
+    FieldProfile,
+    KappaProfile,
+    LogProductProfile,
     circle_average_D,
-    kappa as circle_kappa,
 )
 from .errors import DomainError, NonPositiveKappa, QuadratureFailure
 from .mappings import Mapping, require_radii_within
-
-# ---------------------------------------------------------------------------
-# iterated logarithms and exponential towers
-
-E_1 = math.e
-E_2 = math.exp(math.e)
-E_3 = math.exp(E_2)
-
-
-def tower(k: int) -> float:
-    """e_k with e_1 = e, e_{k+1} = e^{e_k}; finite in doubles only for k <= 3."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"tower index must be a positive integer, got {k!r}")
-    if k >= 4:
-        raise OverflowError(f"e_{k} exceeds double-precision range")
-    return (E_1, E_2, E_3)[k - 1]
-
-
-def iterated_log(k: int, t):
-    """k-fold logarithm ln_k(t); requires t > e_{k-1} so the result is positive."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"log depth must be a positive integer, got {k!r}")
-    out = np.asarray(t, dtype=float)
-    for _ in range(k):
-        if np.any(out <= 0.0):
-            raise DomainError(f"argument too small for a depth-{k} iterated log")
-        out = np.log(out)
-    if np.any(out <= 0.0):
-        raise DomainError(f"argument too small for a depth-{k} iterated log")
-    return float(out) if np.ndim(t) == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# kappa profiles
-
-
-class KappaProfile:
-    """Radial profile kappa(r) > 0; callable on floats or arrays."""
-
-    #: (lower, upper) radius interval on which the profile is defined
-    domain: tuple = (0.0, math.inf)
-    #: interior radii where the profile jumps or kinks; the fixed-order
-    #: quadrature splits here, and may miss a jump or kink not listed
-    breakpoints: tuple = ()
-
-    def __call__(self, r):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantProfile(KappaProfile):
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    def __call__(self, r):
-        out = np.full(np.shape(r), self.alpha)
-        return self.alpha if np.ndim(r) == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class LogProductProfile(KappaProfile):
-    """alpha * ln(r) * ln ln(r) * ... (depth factors), defined for r >= e_depth."""
-
-    alpha: float
-    depth: int
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (1 <= self.depth <= 3):
-            raise ValueError(f"depth must be in 1..3, got {self.depth}")
-        object.__setattr__(self, "domain", (tower(self.depth), math.inf))
-
-    def __call__(self, r):
-        rr = require_radii_within(np.asarray(r, dtype=float), self.domain, "the profile's")
-        out = self.alpha * np.ones(rr.shape)
-        for k in range(1, self.depth + 1):
-            out = out * iterated_log(k, rr)
-        return float(out) if np.ndim(r) == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseProfile(KappaProfile):
-    """Radially piecewise profile; piece i applies on [b_{i-1}, b_i)."""
-
-    cut_radii: tuple
-    pieces: tuple
-
-    def __post_init__(self):
-        cuts = tuple(float(b) for b in self.cut_radii)
-        if len(self.pieces) != len(cuts) + 1:
-            raise ValueError("need exactly one more piece than cut radius")
-        if any(b2 <= b1 for b1, b2 in zip(cuts, cuts[1:])) or any(
-            b <= 0.0 for b in cuts
-        ):
-            raise ValueError("cut radii must be positive and strictly ascending")
-        object.__setattr__(self, "cut_radii", cuts)
-        # the cuts, and each piece's own breakpoints inside its interval
-        spans = zip(self.pieces, (0.0,) + cuts, cuts + (math.inf,))
-        inner = [b for piece, lo, hi in spans for b in piece.breakpoints if lo < b < hi]
-        object.__setattr__(self, "breakpoints", tuple(sorted(cuts + tuple(inner))))
-        lo = self.pieces[0].domain[0]
-        hi = self.pieces[-1].domain[1]
-        object.__setattr__(self, "domain", (lo, hi))
-
-    def __call__(self, r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.searchsorted(self.cut_radii, rr, side="right")
-        out = np.empty(rr.shape, dtype=float)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = piece(rr[mask])
-        return float(out[0]) if np.ndim(r) == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class TableProfile(KappaProfile):
-    """kappa tabulated at radius knots, log-log linear in between."""
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
-            raise ValueError("radii and values must be equal-length 1-d arrays")
-        if not (np.all(radii > 0.0) and np.all(np.diff(radii) > 0.0)):
-            raise ValueError("radii must be positive and strictly ascending")
-        if not np.all(values > 0.0):
-            raise NonPositiveKappa("tabulated kappa values must be positive")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "domain", (float(radii[0]), float(radii[-1])))
-        # piecewise linear in ln r: each interior knot is a kink
-        object.__setattr__(self, "breakpoints", tuple(radii[1:-1].tolist()))
-
-    def __call__(self, r):
-        rr = require_radii_within(np.asarray(r, dtype=float), self.domain, "the profile's")
-        out = np.exp(
-            np.interp(np.log(rr), np.log(self.radii), np.log(self.values))
-        )
-        return float(out) if np.ndim(r) == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class FieldProfile(KappaProfile):
-    """kappa(r) computed on demand from a coefficient field by circle quadrature."""
-
-    coefficient: CoefficientField
-    quadrature: CircleQuadrature = CircleQuadrature()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "breakpoints", tuple(self.coefficient.radial_breakpoints)
-        )
-        lo, hi = self.coefficient.radial_domain
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
-
-    def __call__(self, r):
-        if np.ndim(r) == 0:
-            return circle_kappa(self.coefficient, float(r), self.quadrature)
-        rr = np.asarray(r, dtype=float)
-        return circle_kappa(self.coefficient, rr.ravel(), self.quadrature).reshape(rr.shape)
-
-
-def loglog_example_profile(alpha: float) -> PiecewiseProfile:
-    """The piecewise profile 1 below e^e and alpha*ln(r)*ln ln(r) above it."""
-    return PiecewiseProfile((E_2,), (ConstantProfile(1.0), LogProductProfile(alpha, 2)))
-
 
 # ---------------------------------------------------------------------------
 # ladders and exponents
@@ -447,6 +277,19 @@ def circle_length(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Circle
     return TWO_PI * q.mean(np.abs(pd.d_theta))
 
 
+def _mean_jacobians(mapping: Mapping, z0: complex, radii: np.ndarray, q: CircleQuadrature):
+    """Angular mean of J_f on each circle |z - z0| = r, r in the 1-d ``radii``, in blocks."""
+
+    def means(rows):
+        z = q.points(z0, rows[:, None])
+        jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
+        # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
+        # a < 1); only a genuinely non-positive sample is an error here
+        return q.mean(require_jacobian_above(jac, 0.0, z, z0))
+
+    return q.blockwise(means, radii)
+
+
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 #: panel count over ln(1/INNER_CUTOFF), and the relative radius below which
 #: the area integral is replaced by a power-law tail
@@ -478,14 +321,6 @@ def _disk_areas(
         raise ValueError(f"radii must be positive, got {radii}")
     r_min, r_max = float(np.min(radii)), float(np.max(radii))
     rho_min = INNER_CUTOFF * r_min
-
-    def mean_jacobian(rho: np.ndarray) -> np.ndarray:
-        z = q.points(z0, rho[:, None])
-        jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
-        # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
-        # a < 1); only a genuinely non-positive sample is an error here
-        return q.mean(require_jacobian_above(jac, 0.0, z, z0))
-
     cuts = [s for s in mapping.seam_radii if rho_min < s < r_max]
     stops = sorted(set(cuts) | set(radii.tolist()))
     edges = np.log(np.array([rho_min] + stops))
@@ -500,13 +335,12 @@ def _disk_areas(
         u = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
         w = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
         rho = np.exp(u)
-        g = TWO_PI * rho**2 * q.blockwise(mean_jacobian, rho)
+        g = TWO_PI * rho**2 * _mean_jacobians(mapping, z0, rho, q)
         total += float(np.sum(w * g))
         cumulative[stop] = total
 
     # power-law tail below the cutoff: mean J ~ c * rho^p
-    j1 = float(mean_jacobian(np.array([rho_min]))[0])
-    j2 = float(mean_jacobian(np.array([2.0 * rho_min]))[0])
+    j1, j2 = _mean_jacobians(mapping, z0, np.array([rho_min, 2.0 * rho_min]), q).tolist()
     p = math.log(j2 / j1) / math.log(2.0)
     if p + 2.0 <= 0.05:
         raise QuadratureFailure(
@@ -596,9 +430,7 @@ class DifferentialInequalityRow:
 
 
 def _differential_rows(mapping, z0, radii, areas, q) -> list:
-    z = q.points(z0, radii[:, None])
-    jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
-    mean_jac = q.mean(require_jacobian_above(jac, 0.0, z, z0))
+    mean_jac = _mean_jacobians(mapping, z0, radii, q)
     d_mean = circle_average_D(mapping, z0, radii, q)
     rows = []
     for r, area, j, d in zip(radii.tolist(), areas.tolist(), mean_jac.tolist(), d_mean.tolist()):

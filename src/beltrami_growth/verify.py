@@ -20,21 +20,17 @@ from .dilatation import (
     JACOBIAN_FLOOR,
     CircleQuadrature,
     CoefficientField,
+    ConstantProfile,
+    KappaProfile,
     LinearCoefficient,
     LogLogCoefficient,
+    PiecewiseProfile,
     PowerCoefficient,
     RadialCoefficient,
     SpiralCoefficient,
 )
 from .errors import DomainError
-from .growth import (
-    KappaProfile,
-    PiecewiseProfile,
-    ConstantProfile,
-    RadiusLadder,
-    ladder_integrals,
-    modulus_extremes,
-)
+from .growth import RadiusLadder, ladder_integrals, modulus_extremes
 from .mappings import (
     DEFAULT_FD_STEP,
     Identity,

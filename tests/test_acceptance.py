@@ -36,7 +36,7 @@ from beltrami_growth import (
     tower,
 )
 from beltrami_growth.cli import main
-from beltrami_growth.growth import E_2, E_3
+from beltrami_growth.dilatation import E_2, E_3
 from conftest import CATALOG_IDS, CATALOG_SPECS, smooth_points
 
 RNG = np.random.default_rng(42)

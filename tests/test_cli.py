@@ -24,7 +24,7 @@ from beltrami_growth.cli import (
     write_csv,
 )
 from beltrami_growth import growth
-from beltrami_growth.growth import E_2
+from beltrami_growth.dilatation import E_2
 
 
 def run(tmp_path, command, cfg, *extra):

@@ -13,6 +13,7 @@ from beltrami_growth import (
     K_from_sigma,
     LinearCoefficient,
     LogLogCoefficient,
+    LogProductProfile,
     LOGLOG_SEAM,
     OutOfDomain,
     PowerCoefficient,
@@ -21,8 +22,10 @@ from beltrami_growth import (
     RadialCoefficient,
     angular_dilatation,
     circle_average_D,
+    iterated_log,
     kappa,
     sigma_from_K,
+    tower,
 )
 from conftest import smooth_points
 
@@ -252,6 +255,64 @@ class TestPhaseConvention:
     def test_non_finite_alpha_rejected(self, field, alpha):
         with pytest.raises(ValueError, match="alpha"):
             field(alpha)
+
+
+class TestCatalogRadialCoefficients:
+    """The power and loglog coefficients are radial coefficients over the
+    catalog profiles, and equal their closed forms bit for bit."""
+
+    # a purely imaginary center: z = center + x with x real gives w = x and
+    # r = |x| exactly, so the seam e^e and its neighbours are hit as written
+    CENTER = -1.25j
+    ALPHA = 1.7
+
+    def points(self):
+        rng = np.random.default_rng(20)
+        seam = np.array(
+            [
+                LOGLOG_SEAM * (1 - 1e-16),
+                np.nextafter(LOGLOG_SEAM, 0.0),
+                LOGLOG_SEAM,
+                np.nextafter(LOGLOG_SEAM, np.inf),
+                LOGLOG_SEAM * (1 + 1e-16),
+            ]
+        )
+        r = np.exp(rng.uniform(np.log(0.01), np.log(1e6), 20000))
+        w = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
+        return np.concatenate([self.CENTER + seam, self.CENTER - seam, self.CENTER + w])
+
+    def check(self, K, closed_form):
+        z = self.points()
+        w = z - self.CENTER
+        expected = closed_form(np.abs(w))
+        assert np.array_equal(K.abs2(z), expected)
+        assert np.array_equal(K(z), -np.sqrt(expected) * w / np.conj(w))
+
+    def test_power(self):
+        K = PowerCoefficient(self.ALPHA, self.CENTER)
+        assert isinstance(K, RadialCoefficient)
+        assert K.radial_breakpoints == ()
+        self.check(K, lambda r: np.full(r.shape, self.ALPHA))
+
+    def test_loglog(self):
+        K = LogLogCoefficient(self.ALPHA, self.CENTER)
+        assert isinstance(K, RadialCoefficient)
+        assert K.radial_breakpoints == (math.exp(math.e),)
+
+        def closed_form(r):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                outer = self.ALPHA * np.log(r) * np.log(np.log(r))
+            return np.where(r >= math.exp(math.e), outer, 1.0)
+
+        self.check(K, closed_form)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_log_product_is_the_product_of_iterated_logs(self, depth):
+        r = tower(depth) * np.exp(RNG.uniform(0.0, 30.0, 2000))
+        expected = 1.9 * np.ones(r.shape)
+        for k in range(1, depth + 1):
+            expected = expected * iterated_log(k, r)
+        assert np.array_equal(LogProductProfile(1.9, depth)(r), expected)
 
 
 class TestGridCoefficient:

@@ -45,7 +45,8 @@ from beltrami_growth import (
 )
 from beltrami_growth import dilatation, growth
 from beltrami_growth.errors import QuadratureFailure
-from beltrami_growth.growth import E_2, E_3, KappaProfile, _disk_areas
+from beltrami_growth.dilatation import E_2, E_3, KappaProfile
+from beltrami_growth.growth import _disk_areas, _mean_jacobians
 
 alphas = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 
@@ -409,13 +410,15 @@ class TestBlockSize:
     )
     def test_mapping_kernels(self, monkeypatch, name, params):
         # radii about the loglog seam e^e = 15.15; the sweep's first segment
-        # holds 384 circles, more than one default block at n = 64
+        # holds 384 circles, and the check circles' mean J 300, each more
+        # than one default block at n = 64
         mapping, _ = catalog_pair(name, **params)
         radii = np.geomspace(4.0, 60.0, 300)
         first, *others = self._each_size(
             monkeypatch,
             lambda: (
                 _disk_areas(mapping, 0j, radii[::30], self.Q),
+                _mean_jacobians(mapping, 0j, radii, self.Q),
                 *modulus_extremes(mapping, 0j, radii, self.Q),
             ),
         )

@@ -36,7 +36,8 @@ from beltrami_growth import (
     loglog_example_profile,
     modulus_extremes,
 )
-from beltrami_growth.growth import E_3, ENVELOPE_ABS_TOL
+from beltrami_growth.dilatation import E_3
+from beltrami_growth.growth import ENVELOPE_ABS_TOL
 from beltrami_growth.mappings import hermite_eval, pchip_coefficients
 
 RNG = np.random.default_rng(6)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import beltrami_growth
 from beltrami_growth import mappings
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -57,3 +58,10 @@ def test_traced_methods_defined_only_on_mapping(tracing):
         if method in vars(cls)
     ]
     assert overrides == []
+
+
+def test_attrs_finds_the_classes_it_reads(tracing):
+    # _attrs reads growth.ConstantProfile, growth.LogProductProfile and
+    # mappings.Power when it is called, before any span is recorded
+    attrs = tracing._attrs(beltrami_growth)
+    assert {"growth.image_area", "growth.envelope_integral"} <= set(attrs)
