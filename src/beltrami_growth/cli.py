@@ -201,6 +201,19 @@ def _quadrature(n) -> CircleQuadrature:
     return CircleQuadrature(_int(n, "n", minimum=8))
 
 
+def _observed(value) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError("observed must be a non-empty list of [R, M] pairs")
+    observed = [
+        (_num(p[0], "R", positive=True), _num(p[1], "M", positive=True))
+        for p in value
+        if isinstance(p, list) and len(p) == 2
+    ]
+    if len(observed) != len(value):
+        raise ConfigError("observed entries must be [R, M] pairs")
+    return observed
+
+
 #: how the JSON value of each key is read, in every section that allows it;
 #: the nested parsers are looked up when called, so wrapping a module-level
 #: parser after import also wraps its nested calls
@@ -235,12 +248,15 @@ KEY_READERS = {
     "pieces": lambda v: tuple(parse_profile(p) for p in _list(v, "pieces")),
     "profile": lambda v: parse_profile(v),
     "coefficient": lambda v: parse_coefficient(v),
+    "mapping": lambda v: parse_mapping(v),
+    "pair": lambda v: parse_pair(v),
+    "ladder": lambda v: parse_ladder(v),
+    "example": lambda v: _build(v, "sharpness example", EXAMPLE_KINDS),
+    "grid": lambda v: _construct(
+        AnnulusGrid, v, "grid", ("r_inner", "r_outer"), ("n_r", "n_theta")
+    ),
+    "observed": _observed,
 }
-
-
-def _read(cfg, key, default=None):
-    """KEY_READERS' reading of a top-level key, or of ``default`` when absent."""
-    return KEY_READERS[key](cfg.get(key, default))
 
 
 def _extremal(profile, r0, R, rho0=1.0, knots=128, center=0j):
@@ -350,21 +366,18 @@ def parse_ladder(cfg):
 def parse_pair(cfg):
     if isinstance(cfg, dict) and "name" in cfg:
         return _build(cfg, "pair", PAIR_NAMES, tag="name")
-    _require_keys(cfg, "pair", {"mapping", "coefficient"}, {"mapping", "coefficient"})
-    return parse_mapping(cfg["mapping"]), parse_coefficient(cfg["coefficient"])
+    keys = ("mapping", "coefficient")
+    return _construct(lambda mapping, coefficient: (mapping, coefficient), cfg, "pair", keys, ())
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_kappa(cfg, outdir: Path, plot: bool, say) -> int:
-    _require_keys(cfg, "config", {"coefficient", "radii", "n"}, {"coefficient", "radii"})
-    coefficient = parse_coefficient(cfg["coefficient"])
-    radii = _read(cfg, "radii").tolist()
+def cmd_kappa(outdir: Path, plot: bool, say, coefficient, radii, n=CircleQuadrature()) -> int:
+    radii = radii.tolist()
     if not radii:
         raise ConfigError("radii must be a non-empty list of positive numbers")
-    q = _read(cfg, "n", 1024)
     breakpoints = set(coefficient.radial_breakpoints)
 
     def sides(r):
@@ -374,18 +387,15 @@ def cmd_kappa(cfg, outdir: Path, plot: bool, say) -> int:
         return ((r, "-"),)
 
     samples = [(r, at, piece) for r in radii for at, piece in sides(r)]
-    kappas = circle_kappa(coefficient, np.array([at for _, at, _ in samples]), q).tolist()
+    kappas = circle_kappa(coefficient, np.array([at for _, at, _ in samples]), n).tolist()
     rows = [(r, k, piece) for (r, _, piece), k in zip(samples, kappas)]
     path = write_csv(outdir / "kappa.csv", ["r", "kappa", "piece"], rows)
     say(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def cmd_envelope(cfg, outdir: Path, plot: bool, say) -> int:
-    _require_keys(cfg, "config", {"profile", "r0", "ladder"}, {"profile", "r0", "ladder"})
-    profile = parse_profile(cfg["profile"])
-    r0 = _read(cfg, "r0")
-    radii = parse_ladder(cfg["ladder"]).radii().tolist()
+def cmd_envelope(outdir: Path, plot: bool, say, profile, r0, ladder) -> int:
+    radii = ladder.radii().tolist()
     integrals = np.cumsum(ladder_integrals(profile, r0, radii)).tolist()
     rows = [(R, I, math.exp(I)) for R, I in zip(radii, integrals)]
     path = write_csv(outdir / "envelope.csv", ["R", "I", "envelope"], rows)
@@ -411,27 +421,11 @@ def _check_radii(mapping, r0: float, top: float, count: int = 10):
     return radii[mask]
 
 
-def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
-    _require_keys(
-        cfg,
-        "config",
-        {"pair", "z0", "r0", "ladder", "n", "h", "grid", "residual_tol"},
-        {"pair", "r0", "ladder"},
-    )
-    mapping, coefficient = parse_pair(cfg["pair"])
-    z0 = _read(cfg, "z0", [0, 0])
-    r0 = _read(cfg, "r0")
-    ladder = parse_ladder(cfg["ladder"])
-    q = _read(cfg, "n", 1024)
-    h = _read(cfg, "h", 1e-5)
-    residual_tol = _read(cfg, "residual_tol", 1e-8)
-
+def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, z0=0j, n=CircleQuadrature(),
+               h=1e-5, grid=None, residual_tol=1e-8) -> int:
+    mapping, coefficient = pair
     top = float(ladder.radii()[-1])
-    if "grid" in cfg:
-        grid = _construct(
-            AnnulusGrid, cfg["grid"], "grid", ("r_inner", "r_outer"), ("n_r", "n_theta")
-        )
-    else:
+    if grid is None:
         grid = AnnulusGrid(r0, min(top, 8.0 * r0), 32, 64)
 
     failures = []
@@ -449,7 +443,7 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
     )
 
     radii = _check_radii(mapping, r0, top)
-    rows, iso, area = disk_checks(mapping, coefficient, z0, r0, radii, q)
+    rows, iso, area = disk_checks(mapping, coefficient, z0, r0, radii, n)
     ok = all(row.ok for row in rows)
     worst = min(row.ratio for row in rows)
     say(f"{'PASS' if ok else 'FAIL'} differential_inequality min_ratio={fmt(worst)}")
@@ -466,7 +460,7 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
     if not area.ok:
         failures.append("area_bound")
 
-    growth = theorem1_check(mapping, coefficient, z0, r0, ladder, q)
+    growth = theorem1_check(mapping, coefficient, z0, r0, ladder, n)
     say(f"{'PASS' if growth.all_ok else 'FAIL'} growth_ladder "
         f"m={fmt(growth.m_inner)} liminf_proxy={fmt(growth.liminf_proxy)}")
     if not growth.all_ok:
@@ -487,10 +481,8 @@ def cmd_verify(cfg, outdir: Path, plot: bool, say) -> int:
     return EXIT_OK
 
 
-def cmd_extremal(cfg, outdir: Path, plot: bool, say) -> int:
-    sol = _construct(
-        _extremal, cfg, "config", ("profile", "r0", "R"), ("rho0", "knots", "center")
-    )
+def cmd_extremal(outdir: Path, plot: bool, say, **params) -> int:
+    sol = _extremal(**params)
     rho_path = write_csv(
         outdir / "extremal_rho.csv", ["r", "rho"], zip(sol.knots, sol.rho)
     )
@@ -503,11 +495,8 @@ def cmd_extremal(cfg, outdir: Path, plot: bool, say) -> int:
     return EXIT_OK
 
 
-def cmd_sharpness(cfg, outdir: Path, plot: bool, say) -> int:
-    _require_keys(cfg, "config", {"example", "ladder", "n"}, {"example", "ladder"})
-    mapping = _build(cfg["example"], "sharpness example", EXAMPLE_KINDS)
-    ladder = parse_ladder(cfg["ladder"])
-    report = sharpness_ladder(mapping, ladder, _read(cfg, "n", 1024))
+def cmd_sharpness(outdir: Path, plot: bool, say, example, ladder, n=CircleQuadrature()) -> int:
+    report = sharpness_ladder(example, ladder, n)
     path = write_csv(outdir / "sharpness.csv", ["R", "ratio"], report.rows)
     say(f"wrote {path} ({len(report.rows)} rows)")
     if plot:
@@ -531,34 +520,16 @@ def cmd_sharpness(cfg, outdir: Path, plot: bool, say) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_nonexist(cfg, outdir: Path, plot: bool, say) -> int:
-    _require_keys(
-        cfg,
-        "config",
-        {"observed", "mapping", "ladder", "profile", "r0", "n"},
-        {"profile", "r0"},
-    )
-    profile = parse_profile(cfg["profile"])
-    r0 = _read(cfg, "r0")
-    if "observed" in cfg:
-        if "mapping" in cfg:
+def cmd_nonexist(outdir: Path, plot: bool, say, profile, r0, observed=None, mapping=None,
+                 ladder=None, n=CircleQuadrature()) -> int:
+    if observed is not None:
+        if mapping is not None:
             raise ConfigError("give either observed data or a mapping, not both")
-        raw = cfg["observed"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("observed must be a non-empty list of [R, M] pairs")
-        observed = [
-            (_num(p[0], "R", positive=True), _num(p[1], "M", positive=True))
-            for p in raw
-            if isinstance(p, list) and len(p) == 2
-        ]
-        if len(observed) != len(raw):
-            raise ConfigError("observed entries must be [R, M] pairs")
-    elif "mapping" in cfg:
-        if "ladder" not in cfg:
+    elif mapping is not None:
+        if ladder is None:
             raise ConfigError("a mapping-based diagnostic needs a ladder")
-        mapping = parse_mapping(cfg["mapping"])
-        radii = parse_ladder(cfg["ladder"]).radii()
-        m_max, _ = modulus_extremes(mapping, 0j, radii, _read(cfg, "n", 1024))
+        radii = ladder.radii()
+        m_max, _ = modulus_extremes(mapping, mapping.center, radii, n)
         observed = list(zip(radii.tolist(), m_max.tolist()))
     else:
         raise ConfigError("need observed data or a mapping plus ladder")
@@ -569,13 +540,16 @@ def cmd_nonexist(cfg, outdir: Path, plot: bool, say) -> int:
     return EXIT_OK
 
 
+#: subcommand -> (command, required keys, optional keys), read like the kind
+#: tables; the command takes the keys as keyword arguments after
+#: (outdir, plot, say), and its signature holds the optional keys' defaults
 COMMANDS = {
-    "kappa": cmd_kappa,
-    "envelope": cmd_envelope,
-    "verify": cmd_verify,
-    "extremal": cmd_extremal,
-    "sharpness": cmd_sharpness,
-    "nonexist": cmd_nonexist,
+    "kappa": (cmd_kappa, ("coefficient", "radii"), ("n",)),
+    "envelope": (cmd_envelope, ("profile", "r0", "ladder"), ()),
+    "verify": (cmd_verify, ("pair", "r0", "ladder"), ("z0", "n", "h", "grid", "residual_tol")),
+    "extremal": (cmd_extremal, ("profile", "r0", "R"), ("rho0", "knots", "center")),
+    "sharpness": (cmd_sharpness, ("example", "ladder"), ("n",)),
+    "nonexist": (cmd_nonexist, ("profile", "r0"), ("observed", "mapping", "ladder", "n")),
 }
 
 
@@ -617,10 +591,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    command, required, optional = COMMANDS[args.command]
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, outdir, args.plot, say)
+        params = _construct(dict, cfg, "config", required, optional)
+        # outside _construct: a ValueError of the numerics is no config error
+        return command(outdir, args.plot, say, **params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, outputs, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 from beltrami_growth.cli import (
+    COMMANDS,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    _extremal,
     fmt,
     main,
     parse_mapping,
@@ -550,12 +553,80 @@ class TestNonexist:
         # the first gap [r0, r0] is empty, so v = M there
         assert rows[0][0] == "1" and rows[0][2] == rows[0][1]
 
-    def test_both_sources_rejected(self, tmp_path):
+    PROFILE = {"kind": "constant", "alpha": 1.0}
+
+    def rejected(self, tmp_path, capsys, sources, message):
+        cfg = {**sources, "profile": self.PROFILE, "r0": 1.0}
+        code, _ = run(tmp_path, "nonexist", cfg)
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_both_sources_rejected(self, tmp_path, capsys):
+        sources = {"observed": [[2.0, 1.0], [4.0, 1.0]], "mapping": {"kind": "identity"}}
+        self.rejected(
+            tmp_path, capsys, sources, "give either observed data or a mapping, not both"
+        )
+
+    def test_neither_source_rejected(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, {}, "need observed data or a mapping plus ladder")
+
+    def test_mapping_without_ladder_rejected(self, tmp_path, capsys):
+        sources = {"mapping": {"kind": "identity"}}
+        self.rejected(tmp_path, capsys, sources, "a mapping-based diagnostic needs a ladder")
+
+    def test_malformed_ladder_beside_observed_rejected(self, tmp_path, capsys):
+        # a ladder is read whenever it is given, even where observed data is used
         cfg = {
             "observed": [[2.0, 1.0], [4.0, 1.0]],
-            "mapping": {"kind": "identity"},
-            "profile": {"kind": "constant", "alpha": 1.0},
+            "ladder": {"r0": 1.0, "factor": 0.5},
+            "profile": self.PROFILE,
             "r0": 1.0,
         }
         code, _ = run(tmp_path, "nonexist", cfg)
         assert code == EXIT_CONFIG
+        assert "ladder factor must exceed 1" in capsys.readouterr().err
+
+    def translated_nonexist(self, tmp_path, center):
+        tmp_path.mkdir()
+        path = TestRadialTableConfig.sqrt_table(tmp_path, 0.05, 3.0)
+        cfg = {
+            "mapping": {
+                "kind": "radial_table",
+                "path": str(path),
+                "center": center,
+                "linear_inner": True,
+            },
+            "profile": {"kind": "constant", "alpha": 2.0},
+            "r0": 0.1,
+            "ladder": {"r0": 0.1, "factor": 2.0, "count": 4},
+        }
+        code, out = run(tmp_path, "nonexist", cfg, "--quiet")
+        assert code == EXIT_OK
+        _, rows = read_csv(out / "nonexist.csv")
+        return np.array(rows, dtype=float)
+
+    def test_translated_table_matches_centered(self, tmp_path):
+        # M is measured about the mapping's center, not about the origin
+        centered = self.translated_nonexist(tmp_path / "a", [0.0, 0.0])
+        moved = self.translated_nonexist(tmp_path / "b", [5.0, 0.0])
+        assert moved.shape == centered.shape == (5, 3)
+        np.testing.assert_allclose(moved, centered, rtol=1e-13, atol=0)
+
+
+def test_first_bad_value_in_document_order_named(tmp_path, capsys):
+    cfg = {"radii": "1.0", "coefficient": {"kind": "bogus"}}
+    code, _ = run(tmp_path, "kappa", cfg)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: radii must be a list\n"
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_signature_matches_its_row(name):
+    # main passes the row's keys as keyword arguments, outside the config-error
+    # wrapper, so a key the signature lacks would be a TypeError, not exit 2
+    command, required, optional = COMMANDS[name]
+    params = list(inspect.signature(command).parameters.values())[3:]
+    if params[0].kind is inspect.Parameter.VAR_KEYWORD:
+        params = list(inspect.signature(_extremal).parameters.values())
+    assert {p.name for p in params if p.default is p.empty} == set(required)
+    assert {p.name for p in params if p.default is not p.empty} == set(optional)
