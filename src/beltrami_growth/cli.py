@@ -231,7 +231,6 @@ KEY_READERS = {
     "r_inner": lambda v: _num(v, "r_inner", positive=True),
     "r_outer": lambda v: _num(v, "r_outer", positive=True),
     "factor": lambda v: _num(v, "factor"),
-    "z0": lambda v: _cnum(v, "z0"),
     "depth": lambda v: _int(v, "depth", minimum=1),
     "knots": lambda v: _int(v, "knots", minimum=64),
     "count": lambda v: _int(v, "count", minimum=1),
@@ -259,9 +258,9 @@ KEY_READERS = {
 }
 
 
-def _extremal(profile, r0, R, rho0=1.0, knots=128, center=0j):
+def _extremal(profile, r0, R, rho0=1.0, knots=128):
     """The one builder of the extremal command and the extremal pair."""
-    return build_extremal(profile, r0, rho0, R, knots, center)
+    return build_extremal(profile, r0, rho0, R, knots)
 
 
 def _extremal_pair(**params):
@@ -413,29 +412,33 @@ def cmd_envelope(outdir: Path, plot: bool, say, profile, r0, ladder) -> int:
     return EXIT_OK
 
 
-def _check_radii(mapping, r0: float, top: float, count: int = 10):
-    radii = np.geomspace(r0, min(top, 100.0 * r0), count)
+def _check_radii(mapping, r0: float, top: float):
+    radii = np.geomspace(r0, min(top, 100.0 * r0), 10)
     mask = mapping.smooth_mask(mapping.center + radii, 0.05)
     if not np.any(mask):
         raise ConfigError("no check radii clear of the mapping's excluded bands")
     return radii[mask]
 
 
-def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, z0=0j, n=CircleQuadrature(),
+def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadrature(),
                h=1e-5, grid=None, residual_tol=1e-8) -> int:
     mapping, coefficient = pair
+    # the equation is written about the coefficient's center
+    z0 = coefficient.center
     top = float(ladder.radii()[-1])
     if grid is None:
-        grid = AnnulusGrid(r0, min(top, 8.0 * r0), 32, 64)
+        grid = AnnulusGrid(r0, min(top, 8.0 * r0))
 
     failures = []
 
+    def judge(name, ok, detail=""):
+        say(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
+        if not ok:
+            failures.append(name)
+
     residual = pde_residual(mapping, coefficient, z0, grid, h=h)
-    ok = residual.max_abs <= residual_tol
-    say(f"{'PASS' if ok else 'FAIL'} pde_residual max={fmt(residual.max_abs)} "
-        f"rms={fmt(residual.rms)} tol={fmt(residual_tol)}")
-    if not ok:
-        failures.append("pde_residual")
+    judge("pde_residual", residual.max_abs <= residual_tol,
+          f" max={fmt(residual.max_abs)} rms={fmt(residual.rms)} tol={fmt(residual_tol)}")
     write_csv(
         outdir / "verify_residual.csv",
         ["r", "theta", "abs_residual"],
@@ -444,27 +447,15 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, z0=0j, n=CircleQ
 
     radii = _check_radii(mapping, r0, top)
     rows, iso, area = disk_checks(mapping, coefficient, z0, r0, radii, n)
-    ok = all(row.ok for row in rows)
-    worst = min(row.ratio for row in rows)
-    say(f"{'PASS' if ok else 'FAIL'} differential_inequality min_ratio={fmt(worst)}")
-    if not ok:
-        failures.append("differential_inequality")
-
-    iso_ok = all(rep.ok for rep in iso)
-    say(f"{'PASS' if iso_ok else 'FAIL'} isoperimetric")
-    if not iso_ok:
-        failures.append("isoperimetric")
-
-    say(f"{'PASS' if area.ok else 'FAIL'} area_bound slack={fmt(area.slack)}"
-        + (" (equality)" if area.equality else ""))
-    if not area.ok:
-        failures.append("area_bound")
+    judge("differential_inequality", all(row.ok for row in rows),
+          f" min_ratio={fmt(min(row.ratio for row in rows))}")
+    judge("isoperimetric", all(rep.ok for rep in iso))
+    judge("area_bound", area.ok,
+          f" slack={fmt(area.slack)}" + (" (equality)" if area.equality else ""))
 
     growth = theorem1_check(mapping, coefficient, z0, r0, ladder, n)
-    say(f"{'PASS' if growth.all_ok else 'FAIL'} growth_ladder "
-        f"m={fmt(growth.m_inner)} liminf_proxy={fmt(growth.liminf_proxy)}")
-    if not growth.all_ok:
-        failures.append("growth_ladder")
+    judge("growth_ladder", growth.all_ok,
+          f" m={fmt(growth.m_inner)} liminf_proxy={fmt(growth.liminf_proxy)}")
     write_csv(
         outdir / "verify_growth.csv",
         ["R", "M", "m", "I", "envelope", "v", "bound_ok"],
@@ -546,8 +537,8 @@ def cmd_nonexist(outdir: Path, plot: bool, say, profile, r0, observed=None, mapp
 COMMANDS = {
     "kappa": (cmd_kappa, ("coefficient", "radii"), ("n",)),
     "envelope": (cmd_envelope, ("profile", "r0", "ladder"), ()),
-    "verify": (cmd_verify, ("pair", "r0", "ladder"), ("z0", "n", "h", "grid", "residual_tol")),
-    "extremal": (cmd_extremal, ("profile", "r0", "R"), ("rho0", "knots", "center")),
+    "verify": (cmd_verify, ("pair", "r0", "ladder"), ("n", "h", "grid", "residual_tol")),
+    "extremal": (cmd_extremal, ("profile", "r0", "R"), ("rho0", "knots")),
     "sharpness": (cmd_sharpness, ("example", "ladder"), ("n",)),
     "nonexist": (cmd_nonexist, ("profile", "r0"), ("observed", "mapping", "ladder", "n")),
 }
@@ -598,7 +589,8 @@ def main(argv=None) -> int:
         params = _construct(dict, cfg, "config", required, optional)
         # outside _construct: a ValueError of the numerics is no config error
         return command(outdir, args.plot, say, **params)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # an OSError here is an --out that cannot be made or written to
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BeltramiGrowthError, OverflowError) as exc:

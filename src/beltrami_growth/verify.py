@@ -11,6 +11,7 @@ system of two real equations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,19 +60,18 @@ class ExtremalSolution:
     profile: KappaProfile
     r0: float
     rho0: float
-    center: complex
     knots: np.ndarray
     rho: np.ndarray
 
     def mapping(self) -> RadialTable:
-        return RadialTable(self.knots, self.rho, self.center, linear_inner=True)
+        return RadialTable(self.knots, self.rho, linear_inner=True)
 
     def kappa_of_r(self):
         inner = ConstantProfile(1.0)
         return PiecewiseProfile((self.r0,), (inner, self.profile))
 
     def coefficient(self) -> RadialCoefficient:
-        return RadialCoefficient(self.kappa_of_r(), self.center, (0.0, float(self.knots[-1])))
+        return RadialCoefficient(self.kappa_of_r(), radial_domain=(0.0, float(self.knots[-1])))
 
 
 def build_extremal(
@@ -80,7 +80,6 @@ def build_extremal(
     rho0: float,
     R: float,
     knots: int = 128,
-    center: complex = 0j,
 ) -> ExtremalSolution:
     """Tabulate rho(r) = rho0 * exp(int_{r0}^{r} ds/(s kappa(s))) on a
     geometric knot grid from r0 to R."""
@@ -96,7 +95,10 @@ def build_extremal(
     # ln(rho0) starts the running sum; adding it after summing the gaps
     # would round each knot differently
     log_rho = np.cumsum([math.log(rho0), *ladder_integrals(profile, r0, grid[1:])])
-    return ExtremalSolution(profile, r0, rho0, center, grid, np.exp(log_rho))
+    over = np.flatnonzero(log_rho > math.log(sys.float_info.max))
+    if over.size:
+        raise DomainError(f"rho overflows double precision at r = {float(grid[over[0]])!r}")
+    return ExtremalSolution(profile, r0, rho0, grid, np.exp(log_rho))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +111,8 @@ class AnnulusGrid:
 
     r_inner: float
     r_outer: float
-    n_r: int = 64
-    n_theta: int = 256
+    n_r: int = 32
+    n_theta: int = 64
 
     def __post_init__(self):
         if not (0.0 < self.r_inner < self.r_outer):
@@ -140,9 +142,7 @@ class ResidualReport:
     abs_residual: np.ndarray
 
 
-def _grid_derivatives(
-    mapping: Mapping, z0: complex, grid: AnnulusGrid, h: float, use_fd: bool
-):
+def _grid_derivatives(mapping: Mapping, z0: complex, grid: AnnulusGrid, h: float):
     """(z, r, theta, derivatives, J_f) at the grid points clear of seams and
     the origin; J_f must exceed JACOBIAN_FLOOR at every one of them."""
     z, rr, tt = grid.points(z0)
@@ -150,7 +150,7 @@ def _grid_derivatives(
     if not np.any(mask):
         raise DomainError("no grid points outside the mapping's excluded bands")
     z, rr, tt = z[mask], rr[mask], tt[mask]
-    wp = mapping.wirtinger_fd(z, h) if use_fd else mapping.wirtinger_analytic(z)
+    wp = mapping.wirtinger_analytic(z)
     jac = require_jacobian_above(jacobian_wirtinger(wp), JACOBIAN_FLOOR, z, z0)
     return z, rr, tt, wp, jac
 
@@ -162,14 +162,13 @@ def pde_residual(
     grid: AnnulusGrid,
     *,
     h: float = DEFAULT_FD_STEP,
-    use_fd: bool = False,
 ) -> ResidualReport:
     """Pointwise residual of f_zbar - (w/conj(w)) f_z - K |J_f|^{1/2}.
 
     Grid points whose 2h-stencil would touch a seam or the origin are
     excluded; J_f must be positive at every retained point.
     """
-    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h, use_fd)
+    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h)
     w = z - complex(z0)
     residual = wp.d_zbar - (w / np.conj(w)) * wp.d_z - np.asarray(K(z)) * np.sqrt(
         np.abs(jac)
@@ -206,7 +205,6 @@ def real_system_residual(
     grid: AnnulusGrid,
     *,
     h: float = DEFAULT_FD_STEP,
-    use_fd: bool = False,
 ) -> RealSystemReport:
     """Residuals of the equivalent pair of real first-order equations.
 
@@ -214,7 +212,7 @@ def real_system_residual(
     where k1 = -Im(conj(w) K) and k2 = Re(conj(w) K).  The combined
     magnitude equals r times the complex residual at every point.
     """
-    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h, use_fd)
+    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h)
     root = np.sqrt(np.abs(jac))
     fx = wp.d_z + wp.d_zbar
     fy = 1j * (wp.d_z - wp.d_zbar)

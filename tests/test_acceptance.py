@@ -37,7 +37,7 @@ from beltrami_growth import (
 )
 from beltrami_growth.cli import main
 from beltrami_growth.dilatation import E_2, E_3
-from conftest import CATALOG_IDS, CATALOG_SPECS, smooth_points
+from conftest import CATALOG_IDS, CATALOG_SPECS, fd_residual_max, smooth_points
 
 RNG = np.random.default_rng(42)
 
@@ -215,12 +215,12 @@ def test_criterion_07_extremal_constructor():
             failures.append(f"rho table off at alpha={alpha}")
     sol = build_extremal(ConstantProfile(2.0), 1.0, 1.0, 64.0, knots=64)
     grid = AnnulusGrid(1.5, 50.0, 16, 64)
-    r1 = pde_residual(sol.mapping(), sol.coefficient(), 0j, grid, h=2e-3, use_fd=True)
-    r2 = pde_residual(sol.mapping(), sol.coefficient(), 0j, grid, h=1e-3, use_fd=True)
-    if r1.max_abs > 1e-4:
-        failures.append(f"FD residual {r1.max_abs:.2e} above 1e-4")
-    if not 3.0 <= r1.max_abs / r2.max_abs <= 5.0:
-        failures.append(f"h-convergence factor {r1.max_abs / r2.max_abs:.2f}")
+    r1 = fd_residual_max(sol.mapping(), sol.coefficient(), 0j, grid, 2e-3)
+    r2 = fd_residual_max(sol.mapping(), sol.coefficient(), 0j, grid, 1e-3)
+    if r1 > 1e-4:
+        failures.append(f"FD residual {r1:.2e} above 1e-4")
+    if not 3.0 <= r1 / r2 <= 5.0:
+        failures.append(f"h-convergence factor {r1 / r2:.2f}")
     assert verdict(
         7,
         "extremal constructor reproduces r^(1/a); second-order FD residual",

@@ -207,13 +207,55 @@ class TestVerify:
     @pytest.mark.parametrize(
         "value", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "1e400"]
     )
-    @pytest.mark.parametrize("key", ["residual_tol", "r0", "z0"])
+    @pytest.mark.parametrize("key", ["residual_tol", "r0", "h"])
     def test_non_finite_number_rejected(self, tmp_path, key, value):
         # json reads Infinity, NaN and integers beyond the float range; an
         # infinite tolerance would pass any residual
-        cfg = dict(self.CFG, **{key: [value, 0.0] if key == "z0" else value})
+        cfg = dict(self.CFG, **{key: value})
         code, _ = run(tmp_path, "verify", cfg)
         assert code == EXIT_CONFIG
+
+    @staticmethod
+    def linear_verify(tmp_path, center, c):
+        tmp_path.mkdir()
+        cfg = {
+            "pair": {
+                "mapping": {"kind": "linear", "a": [0.3, 0.1], "b": [1.2, -0.4], "c": c},
+                "coefficient": {
+                    "kind": "linear", "a": [0.3, 0.1], "b": [1.2, -0.4], "center": center
+                },
+            },
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "factor": 2.0, "count": 4},
+            "n": 256,
+        }
+        code, out = run(tmp_path, "verify", cfg, "--quiet")
+        assert code == EXIT_OK
+        _, rows = read_csv(out / "verify_growth.csv")
+        return rows
+
+    def test_off_center_linear_pair_verified_about_its_center(self, tmp_path):
+        # f(z0 + w) = a conj(w) + b w + (a conj(z0) + b z0 + c): the pair moved
+        # to z0 is the centered pair with that constant term
+        a, b, c, z0 = 0.3 + 0.1j, 1.2 - 0.4j, 0.5 + 0j, 2.0 - 1.0j
+        shifted = a * z0.conjugate() + b * z0 + c
+        moved = self.linear_verify(tmp_path / "a", [z0.real, z0.imag], [c.real, c.imag])
+        centered = self.linear_verify(tmp_path / "b", [0.0, 0.0], [shifted.real, shifted.imag])
+        assert len(moved) == len(centered) == 5
+        for x, y in zip(moved, centered):
+            assert x[6] == y[6] == "true"
+            np.testing.assert_allclose(
+                [float(v) for v in x[:6]], [float(v) for v in y[:6]], rtol=1e-12, atol=0
+            )
+
+    def test_grid_defaults(self, tmp_path):
+        # the power pair has no seam, so every point of the 32 x 64 grid is a row
+        grid = {"r_inner": 1.0, "r_outer": 8.0}
+        for cfg in (self.CFG, dict(self.CFG, grid=grid)):
+            code, out = run(tmp_path, "verify", cfg, "--quiet")
+            assert code == EXIT_OK
+            _, rows = read_csv(out / "verify_residual.csv")
+            assert len(rows) == 32 * 64
 
     def test_malformed_json_rejected(self, tmp_path):
         cfg_path = tmp_path / "broken.json"
@@ -366,6 +408,46 @@ class TestExtremal:
         code, _ = run(tmp_path, "verify", verify_cfg)
         assert code == EXIT_OK
 
+    def test_overflowing_rho_is_numeric_failure(self, tmp_path, capsys):
+        # rho = r^100 leaves the double range at the third knot
+        cfg = {"profile": {"kind": "constant", "alpha": 0.01}, "r0": 1.0, "R": 1e300}
+        code, out = run(tmp_path, "extremal", cfg)
+        assert code == EXIT_NUMERIC
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: rho overflows double precision at r = 53016.30")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("verify", TestVerify.CFG, "z0"),
+        ("extremal", {"profile": {"kind": "constant", "alpha": 2.0}, "r0": 1.0, "R": 16.0},
+         "center"),
+    ],
+)
+def test_center_comes_from_the_inputs(tmp_path, capsys, command, cfg, key):
+    # verify checks about the coefficient's center, and the extremal tables
+    # do not depend on a center, so neither command takes one
+    code, _ = run(tmp_path, command, dict(cfg, **{key: [5.0, 0.0]}))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: unknown keys in config: ['{key}']\n"
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_unusable_out_is_config_error(tmp_path, capsys, under):
+    # --out names a regular file, or a path below one
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"profile": {"kind": "constant", "alpha": 2.0},
+                                    "r0": 1.0, "R": 16.0}))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = main(["extremal", "--config", str(cfg_path), "--out", str(afile / under)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [Errno ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
 
 class TestRadialTableConfig:
     @pytest.mark.parametrize("flag", [True, False, "false", "true", 0, 1, None])
@@ -400,7 +482,6 @@ class TestRadialTableConfig:
                 },
                 "coefficient": {"kind": "power", "alpha": 2.0, "center": center},
             },
-            "z0": center,
             "r0": 0.1,
             "ladder": {"r0": 0.1, "factor": 2.0, "count": 4},
             "n": 256,

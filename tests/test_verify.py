@@ -25,7 +25,7 @@ from beltrami_growth import (
     sharpness_ladder,
     theorem1_check,
 )
-from conftest import smooth_points
+from conftest import fd_residual_max, smooth_points
 
 RNG = np.random.default_rng(907)
 
@@ -44,11 +44,11 @@ class TestCatalogResiduals:
         mapping, K = pair
         grid = _grid_for(mapping)
         h = 2e-3
-        r1 = pde_residual(mapping, K, 0j, grid, h=h, use_fd=True)
-        r2 = pde_residual(mapping, K, 0j, grid, h=h / 2.0, use_fd=True)
-        assert r1.max_abs <= 1e-4
-        if r1.max_abs > 1e-9:  # maps with curvature in the derivatives
-            assert 3.0 <= r1.max_abs / r2.max_abs <= 5.0
+        r1 = fd_residual_max(mapping, K, 0j, grid, h)
+        r2 = fd_residual_max(mapping, K, 0j, grid, h / 2.0)
+        assert r1 <= 1e-4
+        if r1 > 1e-9:  # maps with curvature in the derivatives
+            assert 3.0 <= r1 / r2 <= 5.0
 
     def test_real_system_matches_complex_residual(self, pair):
         # the two real equations are the components of conj(w) times the
@@ -97,6 +97,12 @@ class TestAnnulusGrid:
 
 
 class TestExtremalConstruction:
+    def test_overflowing_rho_raises(self):
+        # rho = r^100 on knots 1, 230.2..., 53016.3..., ...: the third knot
+        # is the first above the double range
+        with pytest.raises(DomainError, match=r"rho overflows double precision at r = 53016\.30"):
+            build_extremal(ConstantProfile(0.01), 1.0, 1.0, 1e300)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_constant_profile_reproduces_power_law(self, alpha):
         sol = build_extremal(ConstantProfile(alpha), 1.0, 1.0, 64.0, knots=64)
@@ -117,8 +123,7 @@ class TestExtremalConstruction:
         sol = build_extremal(profile, LOGLOG_SEAM, 1.0, 40.0 * LOGLOG_SEAM)
         mapping, K = sol.mapping(), sol.coefficient()
         grid = AnnulusGrid(1.1 * LOGLOG_SEAM, 30.0 * LOGLOG_SEAM, 16, 64)
-        r1 = pde_residual(mapping, K, 0j, grid, h=1e-5, use_fd=True)
-        assert r1.max_abs <= 1e-4
+        assert fd_residual_max(mapping, K, 0j, grid, 1e-5) <= 1e-4
 
     def test_dilatation_identity_on_extremal(self):
         sol = build_extremal(ConstantProfile(0.5), 1.0, 2.0, 64.0)
