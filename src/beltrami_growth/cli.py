@@ -82,16 +82,18 @@ def fmt(value) -> str:
 
 
 def write_csv(path: Path, header, rows) -> Path:
-    floats = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = [tuple(row) for row in rows]
+    cells = [v for row in rows for v in row]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            # a float never needs quoting, and "%.17g" spells it as fmt does
-            if len(row) == len(header) and all(isinstance(v, float) for v in row):
-                fh.write(floats % tuple(row))
-            else:
-                writer.writerow([fmt(v) for v in row])
+        # a float never needs quoting, and "%.17g" spells it as fmt does
+        if {len(row) for row in rows} <= {len(header)} and all(
+            issubclass(t, float) for t in set(map(type, cells))
+        ):
+            fh.write((",".join(["%.17g"] * len(header)) + "\n") * len(rows) % tuple(cells))
+        else:
+            writer.writerows([fmt(v) for v in row] for row in rows)
     return path
 
 

@@ -76,10 +76,14 @@ class CoefficientField:
     A radial-phase field defines only |K|^2 (``_abs2_array``) and takes the
     phase K = -sqrt(|K|^2) w/conj(w), the sign convention of the catalog's
     radial solutions; any other phase has the same |K|^2.  A field with its
-    own phase defines ``_value_array`` instead.
+    own phase defines ``_value_array`` instead.  A class whose |K|^2 depends
+    on |z - center| alone sets ``radial_abs2``, and kappa then reads one
+    sample per circle.
     """
 
     center: complex = 0j
+    #: |K|^2 depends on |z - center| alone
+    radial_abs2: bool = False
     #: radii |z - center| where the field jumps or kinks (piecewise variants)
     radial_breakpoints: tuple = ()
     #: (lower, upper) radii |z - center| on which the field is defined
@@ -136,6 +140,7 @@ class SpiralCoefficient(CoefficientField):
     """Coefficient solved by the spiral map: -(w/conj(w)) e^{2i ln|w|}."""
 
     center: complex = 0j
+    radial_abs2 = True
 
     def _value_array(self, w, r):
         return -(w / np.conj(w)) * np.exp(2j * np.log(r))
@@ -149,6 +154,7 @@ class RadialCoefficient(CoefficientField):
     profile: KappaProfile
     center: complex = 0j
     radial_domain: tuple | None = None
+    radial_abs2 = True
 
     def __post_init__(self):
         object.__setattr__(self, "radial_breakpoints", tuple(self.profile.breakpoints))
@@ -304,11 +310,15 @@ def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     """Angular mean of |K|^2 on the circle of radius r about the field center.
 
     A 1-d array of radii gives one mean per radius, from one K.abs2 call per
-    block of circles (CircleQuadrature.blockwise).
+    block of circles (CircleQuadrature.blockwise).  When K.radial_abs2 is
+    set, |K|^2 is constant on each circle, and the mean is that of the
+    circle's theta = 0 node center + r alone.
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1 or not np.all(radii > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
+    if K.radial_abs2:
+        return q.mean(np.asarray(K.abs2(K.center + radii[..., None]), dtype=float))
 
     def means(rows):
         # rows: one radius, or a column of radii

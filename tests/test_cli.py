@@ -1,6 +1,8 @@
 """Command-line interface: config parsing, outputs, exit codes, determinism."""
 
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -87,8 +89,8 @@ class TestFormatting:
         ids=["floats", "int", "np.int64", "True", "False", "np.True_", "np.False_"],
     )
     def test_rows_spelled_as_fmt(self, tmp_path, last):
-        # an all-float row is written by one "%.17g" template, any other row
-        # cell by cell through fmt; both must give fmt's bytes
+        # all-float rows are written by one "%.17g" template, rows with any
+        # other cell by csv.writer through fmt; both must give fmt's bytes
         row = self.EDGE_FLOATS + (() if last is None else (last,))
         header = [f"c{i}" for i in range(len(row))]
         path = write_csv(tmp_path / "row.csv", header, [row, row])
@@ -97,6 +99,55 @@ class TestFormatting:
         assert line.startswith("nan,inf,-inf,-0,4.9406564584124654e-324,")
         if isinstance(last, (bool, np.bool_)):
             assert line.endswith("true" if last else "false")
+
+
+def reference_csv(header, rows) -> bytes:
+    """Every row through csv.writer, cell by cell through fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+class TestWriteCsvReference:
+    """write_csv writes the bytes of a per-row csv.writer over fmt."""
+
+    FLOATS = [
+        (-0.0, 5e-324, 1e308),
+        (math.inf, -math.inf, math.nan),
+        (0.1, np.float64(1.0 / 3.0), -2.5e-310),
+        (1.0, 2.0, np.float64(-0.0)),
+    ]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            FLOATS,
+            FLOATS[:1],
+            [(1.0, True, "x"), (2.0, np.bool_(False), 7)] + FLOATS,
+            FLOATS + [(np.int64(3), -1, "a,b")],
+            FLOATS + [(1.0, 2.0)],
+            FLOATS[:2] + [(1.0, 2.0, 3.0, 4.0)],
+            [],
+        ],
+        ids=["floats", "one-row", "mixed-first", "mixed-last", "short", "long", "no-rows"],
+    )
+    def test_bytes_equal_reference(self, tmp_path, rows):
+        header = ["a", "b", "c"]
+        path = write_csv(tmp_path / "t.csv", header, rows)
+        assert path.read_bytes() == reference_csv(header, rows)
+
+    def test_generator_rows(self, tmp_path):
+        header = ["a", "b", "c"]
+        path = write_csv(tmp_path / "t.csv", header, (row for row in self.FLOATS))
+        assert path.read_bytes() == reference_csv(header, self.FLOATS)
+        radii = np.geomspace(0.5, 4.0, 5)
+        path = write_csv(tmp_path / "z.csv", ["r", "rho"], zip(radii, np.sqrt(radii)))
+        assert path.read_bytes() == reference_csv(["r", "rho"], zip(radii, np.sqrt(radii)))
+        path = write_csv(tmp_path / "e.csv", header, iter(()))
+        assert path.read_bytes() == reference_csv(header, []) == b"a,b,c\n"
 
 
 class TestKappa:

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami_growth import (
     CircleQuadrature,
+    CoefficientField,
     ConstantProfile,
     GridCoefficient,
     K_from_sigma,
+    KappaProfile,
     LinearCoefficient,
     LogLogCoefficient,
     LogProductProfile,
@@ -20,7 +24,10 @@ from beltrami_growth import (
     QuadratureFailure,
     PiecewiseProfile,
     RadialCoefficient,
+    SpiralCoefficient,
+    TableProfile,
     angular_dilatation,
+    build_extremal,
     circle_average_D,
     iterated_log,
     kappa,
@@ -130,6 +137,138 @@ class TestKappaOverRadii:
             kappa(PowerCoefficient(2.0), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             kappa(PowerCoefficient(2.0), np.ones((2, 2)))
+
+
+# the extremal coefficient of a log-product profile from r0 = 3 to R = 1e3:
+# kappa is 1 on (0, 3) and 1.5 ln r above
+EXTREMAL = build_extremal(LogProductProfile(1.5, 1), 3.0, 1.0, 1e3)
+TABLE = TableProfile(np.geomspace(0.1, 1e3, 30), 1.0 + np.sqrt(np.geomspace(0.1, 1e3, 30)))
+
+#: every class that sets radial_abs2, with a builder taking the center and
+#: radii on both sides of each jump, clear of the jumps themselves
+RADIAL_FIELDS = {
+    "power": (lambda c: PowerCoefficient(2.3, c), [0.2, 1.0, 7.5, 1e3]),
+    "loglog": (lambda c: LogLogCoefficient(1.7, c), [0.4, 1.3, 2.5, 40.0, 1e4]),
+    "extremal": (
+        lambda c: RadialCoefficient(EXTREMAL.kappa_of_r(), c, (0.0, float(EXTREMAL.knots[-1]))),
+        [0.5, 2.0, 5.0, 50.0, 900.0],
+    ),
+    "table": (lambda c: RadialCoefficient(TABLE, c), [0.15, 1.0, 30.0, 900.0]),
+    "spiral": (SpiralCoefficient, [0.2, 1.0, 7.5, 1e3]),
+}
+
+
+def full_circle_kappa(K, radii, q):
+    """The mean of |K|^2 over all n nodes of each circle."""
+    return q.mean(K.abs2(q.points(K.center, radii[:, None])))
+
+
+class TestRadialShortcut:
+    """A field with radial_abs2 set takes kappa from one node per circle."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("center", [0j, 5 + 0j], ids=["origin", "off-center"])
+    @pytest.mark.parametrize("name", RADIAL_FIELDS)
+    def test_equals_full_circle_mean(self, name, center, n):
+        build, radii = RADIAL_FIELDS[name]
+        K, radii, q = build(center), np.array(radii), CircleQuadrature(n)
+        assert K.radial_abs2
+        np.testing.assert_allclose(kappa(K, radii, q), full_circle_kappa(K, radii, q), rtol=1e-14)
+
+    def test_extremal_coefficient_is_flagged(self):
+        K = EXTREMAL.coefficient()
+        radii = np.array([0.5, 5.0, 900.0])
+        assert K.radial_abs2
+        np.testing.assert_allclose(
+            kappa(K, radii), full_circle_kappa(K, radii, CircleQuadrature()), rtol=1e-14
+        )
+
+    @given(
+        st.sampled_from([(name, r) for name, (_, radii) in RADIAL_FIELDS.items() for r in radii]),
+        st.floats(0.8, 1.0),
+        st.floats(-5.0, 5.0),
+        st.floats(-5.0, 5.0),
+        st.sampled_from([64, 256]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_abs2_constant_on_circles(self, case, shrink, x, y, n):
+        # the flag is honest: |K|^2 is the same at every node of a circle;
+        # shrinking a sample radius by up to 20% stays clear of every jump
+        name, r = case
+        K = RADIAL_FIELDS[name][0](complex(x, y))
+        samples = K.abs2(CircleQuadrature(n).points(K.center, shrink * r))
+        assert np.ptp(samples) <= 1e-14 * np.max(samples)
+
+    def test_flagged_classes(self):
+        # a new coefficient class must opt in here, not silently
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        flagged = {
+            cls.__name__
+            for cls in subclasses(CoefficientField)
+            if cls.__module__.startswith("beltrami_growth") and cls.radial_abs2
+        }
+        assert flagged == {
+            "RadialCoefficient",
+            "PowerCoefficient",
+            "LogLogCoefficient",
+            "SpiralCoefficient",
+        }
+        assert not LinearCoefficient.radial_abs2 and not GridCoefficient.radial_abs2
+
+    def test_theta_dependent_grid_keeps_circle_mean(self):
+        thetas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        radii = np.geomspace(0.5, 5.0, 4)
+        K = GridCoefficient(radii, thetas, 2.0 + np.cos(thetas) + 0.1 * radii[:, None])
+        r, q = np.array([0.7, 1.5, 4.0]), CircleQuadrature(256)
+        means = kappa(K, r, q)
+        assert np.array_equal(means, full_circle_kappa(K, r, q))
+        # the theta = 0 node alone would read the table's peak, 3 + 0.1 r
+        assert np.all(K.abs2(K.center + r) - means > 0.9)
+
+
+class NanProfile(KappaProfile):
+    def __call__(self, r):
+        return np.full(np.shape(r), math.nan)
+
+
+class TestRadialShortcutGuards:
+    """The shortcut still goes through K.abs2 and q.mean, and keeps their guards."""
+
+    def test_extremal_past_its_last_knot(self):
+        K = EXTREMAL.coefficient()
+        top = float(EXTREMAL.knots[-1])
+        with pytest.raises(OutOfDomain, match="radius 1500"):
+            kappa(K, 1.5 * top)
+        with pytest.raises(OutOfDomain):
+            kappa(K, np.array([1.0, 1.5 * top]))
+
+    def test_non_finite_profile(self):
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            kappa(RadialCoefficient(NanProfile()), 2.0)
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            kappa(RadialCoefficient(NanProfile(), 1j), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("name", RADIAL_FIELDS)
+    def test_bad_radii(self, name):
+        K = RADIAL_FIELDS[name][0](0j)
+        for r in (0.0, -1.0, np.array([1.0, -2.0]), np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                kappa(K, r)
+        with pytest.raises(ValueError):
+            kappa(K, np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "K",
+        [PowerCoefficient(2.0), SpiralCoefficient(1j), LinearCoefficient(0.3, 1.2)],
+        ids=["power", "spiral", "linear"],
+    )
+    def test_empty_radii(self, K):
+        out = kappa(K, np.array([]))
+        assert out.shape == (0,)
 
 
 class TestClosedFormKappa:
@@ -246,9 +385,8 @@ class TestPhaseConvention:
         q = CircleQuadrature(64)
         z = q.points(K.center, np.array([[0.1], [1.0], [1e6]]))
         assert np.all(K.abs2(z) == alpha)
-        # a sum of 64 equal multiples of 3 is exact, so the mean is too
-        if alpha == 3.0:
-            assert kappa(K, np.array([0.1, 1.0, 1e6]), q).tolist() == [3.0] * 3
+        # kappa reads one node per circle, whose |K|^2 is alpha exactly
+        assert kappa(K, np.array([0.1, 1.0, 1e6]), q).tolist() == [alpha] * 3
 
     @pytest.mark.parametrize("field", [PowerCoefficient, LogLogCoefficient])
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
