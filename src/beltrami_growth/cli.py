@@ -425,8 +425,6 @@ def _check_radii(mapping, r0: float, top: float):
 def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadrature(),
                h=1e-5, grid=None, residual_tol=1e-8) -> int:
     mapping, coefficient = pair
-    # the equation is written about the coefficient's center
-    z0 = coefficient.center
     top = float(ladder.radii()[-1])
     if grid is None:
         grid = AnnulusGrid(r0, min(top, 8.0 * r0))
@@ -438,7 +436,7 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
         if not ok:
             failures.append(name)
 
-    residual = pde_residual(mapping, coefficient, z0, grid, h=h)
+    residual = pde_residual(mapping, coefficient, grid, h=h)
     judge("pde_residual", residual.max_abs <= residual_tol,
           f" max={fmt(residual.max_abs)} rms={fmt(residual.rms)} tol={fmt(residual_tol)}")
     write_csv(
@@ -448,14 +446,14 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
     )
 
     radii = _check_radii(mapping, r0, top)
-    rows, iso, area = disk_checks(mapping, coefficient, z0, r0, radii, n)
+    rows, iso, area = disk_checks(mapping, coefficient, r0, radii, n)
     judge("differential_inequality", all(row.ok for row in rows),
           f" min_ratio={fmt(min(row.ratio for row in rows))}")
     judge("isoperimetric", all(rep.ok for rep in iso))
     judge("area_bound", area.ok,
           f" slack={fmt(area.slack)}" + (" (equality)" if area.equality else ""))
 
-    growth = theorem1_check(mapping, coefficient, z0, r0, ladder, n)
+    growth = theorem1_check(mapping, coefficient, coefficient.center, r0, ladder, n)
     judge("growth_ladder", growth.all_ok,
           f" m={fmt(growth.m_inner)} liminf_proxy={fmt(growth.liminf_proxy)}")
     write_csv(

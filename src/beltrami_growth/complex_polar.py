@@ -2,8 +2,9 @@
 
 Conversions between the formal derivative pair (f_z, f_zbar) and the polar
 derivative pair (f_r, f_theta) about a center z0, the two equivalent
-Jacobian formulas, and the one guard that a Jacobian exceeds its floor.  All
-functions accept python complex scalars or numpy arrays of complex.
+Jacobian formulas, and the guards that a point is clear of its center and
+that a Jacobian exceeds its floor.  All functions accept python complex
+scalars or numpy arrays of complex.
 """
 
 from __future__ import annotations
@@ -60,12 +61,20 @@ class PolarDerivPair:
         _require_finite(self.d_theta, "d_theta")
 
 
-def _offset(z, z0):
-    w = np.asarray(z, dtype=complex) - np.asarray(z0, dtype=complex)
-    r = np.abs(w)
-    if np.any(r < RADIUS_FLOOR):
-        raise DegenerateRadius("evaluation point too close to the center")
-    return w, r
+def require_radius_above_floor(r):
+    """Return the radii ``r`` = |z - center| if none is below RADIUS_FLOOR;
+    otherwise raise DegenerateRadius naming the smallest radius and the floor."""
+    if np.any(np.asarray(r) < RADIUS_FLOOR):
+        raise DegenerateRadius(
+            f"|z - center| = {float(np.nanmin(r))} below the floor {RADIUS_FLOOR}"
+        )
+    return r
+
+
+def center_offset(z, center):
+    """w = z - center and r = |w|, through :func:`require_radius_above_floor`."""
+    w = np.asarray(z, dtype=complex) - np.asarray(center, dtype=complex)
+    return w, require_radius_above_floor(np.abs(w))
 
 
 def wirtinger_to_polar(z, z0, wp: WirtingerPair) -> PolarDerivPair:
@@ -74,7 +83,7 @@ def wirtinger_to_polar(z, z0, wp: WirtingerPair) -> PolarDerivPair:
     Uses r*f_r = w*f_z + conj(w)*f_zbar and f_theta = i*(w*f_z - conj(w)*f_zbar)
     with w = z - z0.
     """
-    w, r = _offset(z, z0)
+    w, r = center_offset(z, z0)
     d_r = (w * wp.d_z + np.conj(w) * wp.d_zbar) / r
     d_theta = 1j * (w * wp.d_z - np.conj(w) * wp.d_zbar)
     return PolarDerivPair(d_r, d_theta)
@@ -82,7 +91,7 @@ def wirtinger_to_polar(z, z0, wp: WirtingerPair) -> PolarDerivPair:
 
 def polar_to_wirtinger(z, z0, pd: PolarDerivPair) -> WirtingerPair:
     """Exact inverse of :func:`wirtinger_to_polar`."""
-    w, r = _offset(z, z0)
+    w, r = center_offset(z, z0)
     d_z = (r * pd.d_r - 1j * pd.d_theta) / (2.0 * w)
     d_zbar = (r * pd.d_r + 1j * pd.d_theta) / (2.0 * np.conj(w))
     return WirtingerPair(d_z, d_zbar)
@@ -90,9 +99,7 @@ def polar_to_wirtinger(z, z0, pd: PolarDerivPair) -> WirtingerPair:
 
 def jacobian_polar(r, pd: PolarDerivPair):
     """Jacobian from polar derivatives: (1/r) * Im(conj(f_r) * f_theta)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DegenerateRadius("radius must be positive")
+    r = require_radius_above_floor(np.asarray(r, dtype=float))
     out = np.imag(np.conj(pd.d_r) * pd.d_theta) / r
     return float(out) if out.ndim == 0 else out
 

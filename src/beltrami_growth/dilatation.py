@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_polar import (
-    RADIUS_FLOOR,
     TWO_PI,
+    center_offset,
     jacobian_polar,
     require_jacobian_above,
     wirtinger_to_polar,
 )
-from .errors import DegenerateRadius, DomainError, NonPositiveKappa, QuadratureFailure
+from .errors import DomainError, NonPositiveKappa, QuadratureFailure
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
 
 JACOBIAN_FLOOR = 1e-14
@@ -89,13 +89,6 @@ class CoefficientField:
     #: (lower, upper) radii |z - center| on which the field is defined
     radial_domain: tuple = (0.0, math.inf)
 
-    def _offset(self, z):
-        w = np.asarray(z, dtype=complex) - self.center
-        r = np.abs(w)
-        if np.any(r < RADIUS_FLOOR):
-            raise DegenerateRadius("coefficient undefined at the field's center")
-        return w, r
-
     def _abs2_array(self, w, r):
         return np.abs(self._value_array(w, r)) ** 2
 
@@ -104,7 +97,7 @@ class CoefficientField:
 
     def _at(self, method, z, scalar):
         """method(w, r) at the points z; a scalar z gives scalar(value)."""
-        out = method(*self._offset(np.atleast_1d(np.asarray(z, dtype=complex))))
+        out = method(*center_offset(np.atleast_1d(z), self.center))
         return scalar(out[0]) if np.ndim(z) == 0 else out
 
     def __call__(self, z):
@@ -257,20 +250,15 @@ class GridCoefficient(CoefficientField):
 
 
 def sigma_from_K(K: CoefficientField, z):
-    """sigma = -i * K(z) * conj(z - center)."""
-    w = np.asarray(z, dtype=complex) - K.center
-    if np.any(np.abs(w) < RADIUS_FLOOR):
-        raise DegenerateRadius("sigma undefined at the field's center")
-    out = -1j * np.asarray(K(z)) * np.conj(w)
+    """sigma = -i * K(z) * conj(z - center); K(z) rejects the center."""
+    out = -1j * np.asarray(K(z)) * np.conj(np.asarray(z, dtype=complex) - K.center)
     return complex(out) if np.ndim(z) == 0 else out
 
 
 def K_from_sigma(sigma, z, center: complex = 0j):
     """Exact inverse of :func:`sigma_from_K`: K = -sigma / (i conj(w)), from
     the values ``sigma`` sampled at z about ``center``."""
-    w = np.asarray(z, dtype=complex) - center
-    if np.any(np.abs(w) < RADIUS_FLOOR):
-        raise DegenerateRadius("coefficient undefined at the field's center")
+    w, _ = center_offset(z, center)
     out = -np.asarray(sigma) / (1j * np.conj(w))
     return complex(out) if np.ndim(z) == 0 else out
 

@@ -494,28 +494,28 @@ def _area_bound_report(K, r0, R, area_inner, area_outer, q) -> AreaBoundReport:
 def area_bound_check(
     mapping: Mapping,
     K: CoefficientField,
-    z0: complex,
     r0: float,
     R: float,
     q: CircleQuadrature = CircleQuadrature(),
 ) -> AreaBoundReport:
-    """S(r0) <= S(R) * exp(-2 * int dr/(r kappa)) for a solution pair."""
+    """S(r0) <= S(R) * exp(-2 * int dr/(r kappa)) for a solution pair, with
+    the disks and kappa's circles about K.center."""
     if not (R > r0 > 0.0):
         raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
-    area_inner, area_outer = _disk_areas(mapping, z0, [r0, R], q).tolist()
+    area_inner, area_outer = _disk_areas(mapping, K.center, [r0, R], q).tolist()
     return _area_bound_report(K, r0, R, area_inner, area_outer, q)
 
 
 def disk_checks(
     mapping: Mapping,
     K: CoefficientField,
-    z0: complex,
     r0: float,
     radii,
     q: CircleQuadrature = CircleQuadrature(),
 ):
     """The differential-inequality rows and isoperimetric reports at
-    ``radii``, and the area-bound report over [r0, radii[-1]].
+    ``radii``, and the area-bound report over [r0, radii[-1]], on disks and
+    circles about K.center, the center of the pair's equation.
 
     One radial sweep over radii and r0 gives every area, so S(r0) is swept
     even when r0 is not a check radius.  S', the mean dilatation and the
@@ -525,11 +525,11 @@ def disk_checks(
     R = float(radii[-1])
     if not (R > r0 > 0.0):
         raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
-    swept = _disk_areas(mapping, z0, np.append(radii, r0), q)
+    swept = _disk_areas(mapping, K.center, np.append(radii, r0), q)
     areas, area_inner = swept[:-1], float(swept[-1])
     return (
-        _differential_rows(mapping, z0, radii, areas, q),
-        _isoperimetric_reports(mapping, z0, radii, areas, q),
+        _differential_rows(mapping, K.center, radii, areas, q),
+        _isoperimetric_reports(mapping, K.center, radii, areas, q),
         _area_bound_report(K, r0, R, area_inner, float(areas[-1]), q),
     )
 
@@ -563,13 +563,16 @@ def theorem1_check(
 ) -> GrowthLadderReport:
     """Lower growth bound: M(R) * exp(-I(r0, R)) >= m(r0) along the ladder.
 
+    M, m and kappa are measured about K.center; a z0 elsewhere raises DomainError.
     The ladder must start at or above r0.  The running minimum of v(R)
     stands in for the liminf; with a finite ladder this is a proxy, not the
     limit itself.
     """
+    if complex(z0) != complex(K.center):
+        raise DomainError(f"z0 = {z0} is not the coefficient's center {K.center}")
     radii = ladder.radii().tolist()
     integrals = np.cumsum(ladder_integrals(FieldProfile(K, q), r0, radii)).tolist()
-    m_max, m_min = modulus_extremes(mapping, z0, np.array([r0] + radii), q)
+    m_max, m_min = modulus_extremes(mapping, K.center, np.array([r0] + radii), q)
     m_inner = float(m_min[0])
     v = [M * math.exp(-I) for M, I in zip(m_max[1:].tolist(), integrals)]
     floor = m_inner * (1.0 - GROWTH_REL_TOL)

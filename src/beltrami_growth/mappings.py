@@ -179,7 +179,9 @@ class Mapping:
             raise NotDifferentiableHere("derivatives undefined at the origin")
         for seam in self.seam_radii:
             if np.any(np.abs(r - seam) <= 1e-12 * seam):
-                raise NotDifferentiableHere(f"derivatives undefined on |z| = {seam}")
+                raise NotDifferentiableHere(
+                    f"derivatives undefined on |z - {complex(self.center)}| = {seam}"
+                )
         require_radii_within(r, self.radial_domain, "the mapping's")
 
     # -- finite differences -------------------------------------------------
@@ -210,7 +212,9 @@ class Mapping:
             side0 = r0 > seam
             for rp in radii:
                 if np.any((rp > seam) != side0):
-                    raise StencilCrossesSeam(f"stencil straddles the seam |z| = {seam}")
+                    raise StencilCrossesSeam(
+                        f"stencil straddles the seam |z - {complex(self.center)}| = {seam}"
+                    )
         lo, hi = self.radial_domain
         for rp in radii:
             if np.any(rp < lo) or np.any(rp > hi):

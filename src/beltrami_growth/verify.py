@@ -142,37 +142,35 @@ class ResidualReport:
     abs_residual: np.ndarray
 
 
-def _grid_derivatives(mapping: Mapping, z0: complex, grid: AnnulusGrid, h: float):
-    """(z, r, theta, derivatives, J_f) at the grid points clear of seams and
-    the origin; J_f must exceed JACOBIAN_FLOOR at every one of them."""
-    z, rr, tt = grid.points(z0)
+def _grid_derivatives(mapping: Mapping, K: CoefficientField, grid: AnnulusGrid, h: float):
+    """(w = z - K.center, r, theta, derivatives, J_f, K(z)) at the points z
+    of the grid about K.center clear of seams and the origin; J_f must
+    exceed JACOBIAN_FLOOR at every one of them."""
+    z, rr, tt = grid.points(K.center)
     mask = mapping.smooth_mask(z, h)
     if not np.any(mask):
         raise DomainError("no grid points outside the mapping's excluded bands")
     z, rr, tt = z[mask], rr[mask], tt[mask]
     wp = mapping.wirtinger_analytic(z)
-    jac = require_jacobian_above(jacobian_wirtinger(wp), JACOBIAN_FLOOR, z, z0)
-    return z, rr, tt, wp, jac
+    jac = require_jacobian_above(jacobian_wirtinger(wp), JACOBIAN_FLOOR, z, K.center)
+    return z - complex(K.center), rr, tt, wp, jac, np.asarray(K(z))
 
 
 def pde_residual(
     mapping: Mapping,
     K: CoefficientField,
-    z0: complex,
     grid: AnnulusGrid,
     *,
     h: float = DEFAULT_FD_STEP,
 ) -> ResidualReport:
-    """Pointwise residual of f_zbar - (w/conj(w)) f_z - K |J_f|^{1/2}.
+    """Pointwise residual of f_zbar - (w/conj(w)) f_z - K |J_f|^{1/2}, with
+    w = z - K.center on the grid about K.center.
 
     Grid points whose 2h-stencil would touch a seam or the origin are
     excluded; J_f must be positive at every retained point.
     """
-    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h)
-    w = z - complex(z0)
-    residual = wp.d_zbar - (w / np.conj(w)) * wp.d_z - np.asarray(K(z)) * np.sqrt(
-        np.abs(jac)
-    )
+    w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
+    residual = wp.d_zbar - (w / np.conj(w)) * wp.d_z - k * np.sqrt(np.abs(jac))
     abs_res = np.abs(residual)
     i = int(np.argmax(abs_res))
     return ResidualReport(
@@ -201,7 +199,6 @@ class RealSystemReport:
 def real_system_residual(
     mapping: Mapping,
     K: CoefficientField,
-    z0: complex,
     grid: AnnulusGrid,
     *,
     h: float = DEFAULT_FD_STEP,
@@ -209,15 +206,15 @@ def real_system_residual(
     """Residuals of the equivalent pair of real first-order equations.
 
     (y-y0) u_x - (x-x0) u_y = k1 |J|^{1/2} and the same with v and k2,
-    where k1 = -Im(conj(w) K) and k2 = Re(conj(w) K).  The combined
-    magnitude equals r times the complex residual at every point.
+    where z0 = x0 + i y0 = K.center, k1 = -Im(conj(w) K) and
+    k2 = Re(conj(w) K).  The combined magnitude equals r times the complex
+    residual at every point.
     """
-    z, rr, tt, wp, jac = _grid_derivatives(mapping, z0, grid, h)
+    w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
     root = np.sqrt(np.abs(jac))
     fx = wp.d_z + wp.d_zbar
     fy = 1j * (wp.d_z - wp.d_zbar)
-    w = z - complex(z0)
-    kw = np.conj(w) * np.asarray(K(z))
+    kw = np.conj(w) * k
     k1 = -np.imag(kw)
     k2 = np.real(kw)
     res_u = w.imag * np.real(fx) - w.real * np.real(fy) - k1 * root

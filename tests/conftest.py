@@ -68,19 +68,19 @@ def fd_wirtinger_oracle(func, z, h):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def fd_residual_max(mapping, K, z0, grid, h):
+def fd_residual_max(mapping, K, grid, h):
     """Largest |f_zbar - (w/conj(w)) f_z - K |J_f|^{1/2}| over the points of
-    ``grid`` about z0 whose stencil of step h is clear of seams and the
+    ``grid`` about K.center whose stencil of step h is clear of seams and the
     origin, with the derivatives from ``Mapping.wirtinger_fd`` at step h.
 
     The finite-difference counterpart of ``verify.pde_residual``, whose
     derivatives are analytic; its h-convergence checks the residual itself.
     """
-    z, _, _ = grid.points(z0)
+    z, _, _ = grid.points(K.center)
     z = z[mapping.smooth_mask(z, h)]
     wp = mapping.wirtinger_fd(z, h)
     jac = np.abs(wp.d_z) ** 2 - np.abs(wp.d_zbar) ** 2
     assert z.size and np.all(jac > 0.0)
-    w = z - z0
+    w = z - K.center
     residual = wp.d_zbar - (w / np.conj(w)) * wp.d_z - K(z) * np.sqrt(jac)
     return float(np.max(np.abs(residual)))

@@ -56,7 +56,7 @@ def test_criterion_01_spiral_certification():
     z, _, _ = grid.points(0j)
     jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
     jac_dev = float(np.max(np.abs(jac - 1.0)))
-    rep = pde_residual(mapping, K, 0j, grid)
+    rep = pde_residual(mapping, K, grid)
     ok = jac_dev <= 1e-12 and rep.max_abs <= 1e-12 and rep.count == 10000
     assert verdict(
         1,
@@ -189,12 +189,12 @@ def test_criterion_06_area_bound():
         ("loglog", {"alpha": 2.0}, 1.05 * LOGLOG_SEAM),
     ):
         mapping, K = catalog_pair(name, **params)
-        rep = area_bound_check(mapping, K, 0j, r0, 8.0 * r0)
+        rep = area_bound_check(mapping, K, r0, 8.0 * r0)
         if not rep.ok:
             failures.append(f"area bound fails for {name}")
     for alpha in (0.5, 2.0):
         sol = build_extremal(ConstantProfile(alpha), 1.0, 1.0, 64.0)
-        rep = area_bound_check(sol.mapping(), sol.coefficient(), 0j, 2.0, 32.0)
+        rep = area_bound_check(sol.mapping(), sol.coefficient(), 2.0, 32.0)
         if not (rep.ok and rep.equality):
             failures.append(f"extremal equality fails for alpha={alpha}")
     assert verdict(
@@ -215,8 +215,8 @@ def test_criterion_07_extremal_constructor():
             failures.append(f"rho table off at alpha={alpha}")
     sol = build_extremal(ConstantProfile(2.0), 1.0, 1.0, 64.0, knots=64)
     grid = AnnulusGrid(1.5, 50.0, 16, 64)
-    r1 = fd_residual_max(sol.mapping(), sol.coefficient(), 0j, grid, 2e-3)
-    r2 = fd_residual_max(sol.mapping(), sol.coefficient(), 0j, grid, 1e-3)
+    r1 = fd_residual_max(sol.mapping(), sol.coefficient(), grid, 2e-3)
+    r2 = fd_residual_max(sol.mapping(), sol.coefficient(), grid, 1e-3)
     if r1 > 1e-4:
         failures.append(f"FD residual {r1:.2e} above 1e-4")
     if not 3.0 <= r1 / r2 <= 5.0:
@@ -246,8 +246,8 @@ def test_criterion_08_derivative_oracle():
         if mapping.seam_radii:
             lo, hi = 1.05 * max(mapping.seam_radii), 20.0 * max(mapping.seam_radii)
         grid = AnnulusGrid(lo, hi, 12, 32)
-        rep_c = pde_residual(mapping, K, 0j, grid)
-        rep_r = real_system_residual(mapping, K, 0j, grid)
+        rep_c = pde_residual(mapping, K, grid)
+        rep_r = real_system_residual(mapping, K, grid)
         combined = np.hypot(rep_r.residual_u, rep_r.residual_v)
         if np.max(np.abs(combined - rep_r.r * rep_c.abs_residual)) > 1e-10:
             failures.append(f"real-system decomposition off for {label}")

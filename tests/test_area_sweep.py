@@ -213,7 +213,7 @@ class TestInteriorFold:
 
     def test_area_bound_raises(self):
         with pytest.raises(NonPositiveJacobian):
-            area_bound_check(self.mapping, PowerCoefficient(1.0), 0j, 0.5, 1.0)
+            area_bound_check(self.mapping, PowerCoefficient(1.0), 0.5, 1.0)
 
 
 #: (mapping, coefficient, r0) of the pairs disk_checks is compared on; the
@@ -239,7 +239,7 @@ class TestDiskChecks:
     def test_matches_separate_checks(self, name):
         mapping, K, r0 = DISK_PAIRS[name]
         radii = _check_radii(mapping, r0, 100.0 * r0)
-        rows, iso, area = disk_checks(mapping, K, 0j, r0, radii, self.q)
+        rows, iso, area = disk_checks(mapping, K, r0, radii, self.q)
         rel = 1e-13
         ref_rows = differential_inequality_check(mapping, 0j, radii, self.q)
         for row, ref in zip(rows, ref_rows, strict=True):
@@ -255,7 +255,7 @@ class TestDiskChecks:
             # is measured on the scale of L^2
             assert abs(rep.slack - ref.slack) <= rel * ref.length**2
             assert (rep.ok, rep.equality) == (ref.ok, ref.equality)
-        ref = area_bound_check(mapping, K, 0j, r0, float(radii[-1]), self.q)
+        ref = area_bound_check(mapping, K, r0, float(radii[-1]), self.q)
         for key in ("area_inner", "area_outer", "integral", "rhs"):
             assert getattr(area, key) == pytest.approx(getattr(ref, key), rel=rel, abs=0.0)
         assert abs(area.slack - ref.slack) <= rel * ref.rhs
@@ -278,7 +278,7 @@ FOLD_Q = CircleQuadrature(256)
 GUARDED = {
     "disk_checks": (
         0.0,
-        lambda f: disk_checks(f, PowerCoefficient(1.0), 0j, 0.5, [0.5, 1.0], FOLD_Q),
+        lambda f: disk_checks(f, PowerCoefficient(1.0), 0.5, [0.5, 1.0], FOLD_Q),
     ),
     "angular_dilatation": (
         JACOBIAN_FLOOR,
@@ -287,7 +287,7 @@ GUARDED = {
     "circle_average_D": (JACOBIAN_FLOOR, lambda f: circle_average_D(f, 0j, 0.15, FOLD_Q)),
     "pde_residual": (
         JACOBIAN_FLOOR,
-        lambda f: pde_residual(f, PowerCoefficient(1.0), 0j, AnnulusGrid(0.05, 1.0, 32, 64)),
+        lambda f: pde_residual(f, PowerCoefficient(1.0), AnnulusGrid(0.05, 1.0, 32, 64)),
     ),
 }
 GUARD_MESSAGE = re.compile(

@@ -22,13 +22,23 @@ from beltrami_growth.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    _check_radii,
     _extremal,
     fmt,
     main,
     parse_mapping,
+    parse_pair,
     write_csv,
 )
-from beltrami_growth import growth
+from beltrami_growth import (
+    AnnulusGrid,
+    CircleQuadrature,
+    RadiusLadder,
+    disk_checks,
+    growth,
+    pde_residual,
+    theorem1_check,
+)
 from beltrami_growth.dilatation import E_2
 
 
@@ -520,10 +530,10 @@ class TestRadialTableConfig:
         write_csv(path, ["r", "rho"], zip(knots.tolist(), np.sqrt(knots).tolist()))
         return path
 
-    def translated_verify(self, tmp_path, center):
+    def translated_config(self, tmp_path, center):
         tmp_path.mkdir()
         path = self.sqrt_table(tmp_path, 0.05, 3.0)
-        cfg = {
+        return {
             "pair": {
                 "mapping": {
                     "kind": "radial_table",
@@ -537,10 +547,39 @@ class TestRadialTableConfig:
             "ladder": {"r0": 0.1, "factor": 2.0, "count": 4},
             "n": 256,
         }
-        code, out = run(tmp_path, "verify", cfg, "--quiet")
+
+    def translated_verify(self, tmp_path, center):
+        code, out = run(tmp_path, "verify", self.translated_config(tmp_path, center), "--quiet")
         assert code == EXIT_OK
         _, rows = read_csv(out / "verify_growth.csv")
         return rows
+
+    def test_library_matches_cli_off_center(self, tmp_path, capsys):
+        # the pair-level functions take the center from the coefficient, as
+        # verify does, so the same calls without z0 give the CLI's reports
+        cfg = self.translated_config(tmp_path / "a", [5.0, 0.0])
+        code, out = run(tmp_path, "verify", cfg)
+        stdout = capsys.readouterr().out
+        assert code == EXIT_OK
+        mapping, K = parse_pair(cfg["pair"])
+        assert K.center == mapping.center == 5.0
+        q, ladder = CircleQuadrature(256), RadiusLadder(0.1, 2.0, 4)
+        residual = pde_residual(mapping, K, AnnulusGrid(0.1, 0.8))
+        _, rows = read_csv(out / "verify_residual.csv")
+        library = zip(residual.r.tolist(), residual.theta.tolist(), residual.abs_residual.tolist())
+        assert [[fmt(x) for x in row] for row in library] == rows
+        assert f"max={fmt(residual.max_abs)} rms={fmt(residual.rms)}" in stdout
+        radii = _check_radii(mapping, 0.1, 1.6)
+        diff, iso, area = disk_checks(mapping, K, 0.1, radii, q)
+        assert f"min_ratio={fmt(min(row.ratio for row in diff))}" in stdout
+        assert all(rep.ok for rep in iso) and area.ok
+        assert f"area_bound slack={fmt(area.slack)}" in stdout
+        growth_report = theorem1_check(mapping, K, K.center, 0.1, ladder, q)
+        _, rows = read_csv(out / "verify_growth.csv")
+        assert [
+            [fmt(x) for x in (r.R, r.M, r.m, r.integral, r.envelope, r.v, r.bound_ok)]
+            for r in growth_report.rows
+        ] == rows
 
     def test_translated_table_matches_centered(self, tmp_path):
         # seams, the origin and the domain are measured about the table's center

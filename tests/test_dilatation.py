@@ -12,6 +12,7 @@ from beltrami_growth import (
     CircleQuadrature,
     CoefficientField,
     ConstantProfile,
+    DegenerateRadius,
     GridCoefficient,
     K_from_sigma,
     KappaProfile,
@@ -321,6 +322,24 @@ class TestSigmaForm:
         K = PowerCoefficient(4.0)
         z = 2.0 + 1.0j
         assert sigma_from_K(K, z) == pytest.approx(2j * z, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda K, z: K(z),
+            lambda K, z: K.abs2(z),
+            lambda K, z: sigma_from_K(K, z),
+            lambda K, z: K_from_sigma(1j, z, K.center),
+        ],
+        ids=["K", "abs2", "sigma_from_K", "K_from_sigma"],
+    )
+    def test_center_rejected(self, call):
+        # one guard: it names the smallest |z - center| and the floor
+        K = LinearCoefficient(0.3 + 0.1j, 1.2 - 0.4j, center=2.0 - 1.0j)
+        message = r"\|z - center\| = \S+ below the floor 1e-14"
+        for z in (K.center, K.center + np.array([1.0, 5e-15j])):
+            with pytest.raises(DegenerateRadius, match=message):
+                call(K, z)
 
 
 def smooth_points_for_field(K, n):

@@ -1,5 +1,6 @@
 """Envelope integrals, circle functionals, and the growth inequality checks."""
 
+import inspect
 import math
 
 import numpy as np
@@ -43,6 +44,7 @@ from beltrami_growth import (
     theorem1_check,
     tower,
 )
+import beltrami_growth
 from beltrami_growth import dilatation, growth
 from beltrami_growth.errors import QuadratureFailure
 from beltrami_growth.dilatation import E_2, E_3, KappaProfile
@@ -559,7 +561,7 @@ class TestInequalities:
         lo = 1.0
         if mapping.seam_radii:
             lo = 1.05 * max(mapping.seam_radii)
-        rep = area_bound_check(mapping, K, 0j, lo, 8.0 * lo)
+        rep = area_bound_check(mapping, K, lo, 8.0 * lo)
         assert rep.ok
 
 
@@ -599,6 +601,32 @@ class TestTheorem1:
         mapping, K = catalog_pair("identity")
         with pytest.raises(DomainError):
             theorem1_check(mapping, K, 0j, 2.0, RadiusLadder(1.0, 2.0, 5))
+
+    def test_z0_off_the_coefficient_center_rejected(self):
+        # M about 0.5 and kappa about 0 would pass every rung
+        ladder = RadiusLadder(1.0, 2.0, 10)
+        with pytest.raises(DomainError, match=r"z0 = \(0\.5\+0j\) is not .* center 0j"):
+            theorem1_check(Power(2.0), PowerCoefficient(2.0), 0.5 + 0j, 1.0, ladder)
+        with pytest.raises(DomainError, match=r"z0 = 0j is not .* center \(3-1j\)"):
+            theorem1_check(Power(2.0), PowerCoefficient(2.0, 3 - 1j), 0j, 1.0, ladder)
+
+
+#: pair-level functions measure about K.center; mapping-level ones about any z0
+PAIR_LEVEL = ("disk_checks", "area_bound_check", "pde_residual", "real_system_residual")
+MAPPING_LEVEL = (
+    "modulus_extremes",
+    "circle_length",
+    "image_area",
+    "circle_average_D",
+    "isoperimetric_check",
+    "differential_inequality_check",
+)
+
+
+@pytest.mark.parametrize("name", PAIR_LEVEL + MAPPING_LEVEL)
+def test_only_mapping_level_functions_take_z0(name):
+    params = inspect.signature(getattr(beltrami_growth, name)).parameters
+    assert ("z0" in params) is (name in MAPPING_LEVEL)
 
 
 class TestNonexistence:

@@ -235,6 +235,15 @@ class TestRadialTable:
         # the stencil step, and so the margin, scales with |z - center|
         assert table.smooth_mask(z, 1e-5).tolist() == [False, True, True, False]
 
+    def test_seam_messages_name_the_center(self):
+        # the seam is the circle |z - 5| = 3, not |z| = 3
+        knots = np.geomspace(3.0, 9.0, 60)
+        table = RadialTable(knots, np.sqrt(knots), 5.0, linear_inner=True)
+        with pytest.raises(NotDifferentiableHere, match=r"on \|z - \(5\+0j\)\| = 3\.0$"):
+            table.wirtinger_analytic(8.0 + 0j)
+        with pytest.raises(StencilCrossesSeam, match=r"seam \|z - \(5\+0j\)\| = 3\.0$"):
+            table.wirtinger_fd(5.0 + 3.0001j, 1e-3)
+
     def test_stencil_measured_about_the_center(self):
         # the FD step and the smooth-mask margin scale with |z - center|, so
         # moving the center moves nothing else

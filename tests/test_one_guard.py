@@ -1,9 +1,10 @@
 """Each guarded error is built by its one guard function alone.
 
-``require_radii_within`` owns the radius-in-domain rule and
-``require_jacobian_above`` the J_f > floor rule; a second check elsewhere
-would bring back a second slop or a second message.  The rule is read from
-the package source with ``ast``.
+``require_radii_within`` owns the radius-in-domain rule,
+``require_jacobian_above`` the J_f > floor rule and
+``require_radius_above_floor`` the |z - center| >= RADIUS_FLOOR rule; a
+second check elsewhere would bring back a second slop or a second message.
+The rule is read from the package source with ``ast``.
 """
 
 import ast
@@ -19,6 +20,7 @@ PACKAGE = Path(beltrami_growth.__file__).parent
 GUARDS = {
     "OutOfDomain": "require_radii_within",
     "NonPositiveJacobian": "require_jacobian_above",
+    "DegenerateRadius": "require_radius_above_floor",
 }
 
 

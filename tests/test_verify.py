@@ -36,7 +36,7 @@ class TestCatalogResiduals:
     def test_analytic_residual_vanishes(self, pair):
         mapping, K = pair
         grid = _grid_for(mapping)
-        rep = pde_residual(mapping, K, 0j, grid)
+        rep = pde_residual(mapping, K, grid)
         assert rep.max_abs <= 1e-12
         assert rep.count > 0.8 * grid.n_r * grid.n_theta
 
@@ -44,8 +44,8 @@ class TestCatalogResiduals:
         mapping, K = pair
         grid = _grid_for(mapping)
         h = 2e-3
-        r1 = fd_residual_max(mapping, K, 0j, grid, h)
-        r2 = fd_residual_max(mapping, K, 0j, grid, h / 2.0)
+        r1 = fd_residual_max(mapping, K, grid, h)
+        r2 = fd_residual_max(mapping, K, grid, h / 2.0)
         assert r1 <= 1e-4
         if r1 > 1e-9:  # maps with curvature in the derivatives
             assert 3.0 <= r1 / r2 <= 5.0
@@ -55,8 +55,8 @@ class TestCatalogResiduals:
         # complex equation, so the combined magnitude is r * |residual|
         mapping, K = pair
         grid = _grid_for(mapping)
-        rep_c = pde_residual(mapping, K, 0j, grid)
-        rep_r = real_system_residual(mapping, K, 0j, grid)
+        rep_c = pde_residual(mapping, K, grid)
+        rep_r = real_system_residual(mapping, K, grid)
         combined = np.hypot(rep_r.residual_u, rep_r.residual_v)
         np.testing.assert_allclose(
             combined, rep_r.r * rep_c.abs_residual, atol=1e-10
@@ -65,7 +65,7 @@ class TestCatalogResiduals:
     def test_wrong_coefficient_flagged(self):
         mapping, _ = catalog_pair("power", alpha=2.0)
         wrong = PowerCoefficient(3.0)
-        rep = pde_residual(mapping, wrong, 0j, GRID)
+        rep = pde_residual(mapping, wrong, GRID)
         assert rep.max_abs > 1e-2
 
     def test_nonpositive_jacobian_detected(self):
@@ -73,7 +73,7 @@ class TestCatalogResiduals:
         mapping = Linear(1.2 - 0.4j, 0.3 + 0.1j, 0j)
         K = LinearCoefficient(0.3 + 0.1j, 1.2 - 0.4j)
         with pytest.raises(NonPositiveJacobian):
-            pde_residual(mapping, K, 0j, GRID)
+            pde_residual(mapping, K, GRID)
 
 
 def _grid_for(mapping):
@@ -111,9 +111,7 @@ class TestExtremalConstruction:
 
     def test_analytic_residual_of_extremal(self):
         sol = build_extremal(ConstantProfile(2.0), 1.0, 1.0, 64.0)
-        rep = pde_residual(
-            sol.mapping(), sol.coefficient(), 0j, AnnulusGrid(1.5, 50.0, 16, 64)
-        )
+        rep = pde_residual(sol.mapping(), sol.coefficient(), AnnulusGrid(1.5, 50.0, 16, 64))
         assert rep.max_abs <= 1e-10
 
     def test_fd_residual_of_extremal(self):
@@ -123,7 +121,7 @@ class TestExtremalConstruction:
         sol = build_extremal(profile, LOGLOG_SEAM, 1.0, 40.0 * LOGLOG_SEAM)
         mapping, K = sol.mapping(), sol.coefficient()
         grid = AnnulusGrid(1.1 * LOGLOG_SEAM, 30.0 * LOGLOG_SEAM, 16, 64)
-        assert fd_residual_max(mapping, K, 0j, grid, 1e-5) <= 1e-4
+        assert fd_residual_max(mapping, K, grid, 1e-5) <= 1e-4
 
     def test_dilatation_identity_on_extremal(self):
         sol = build_extremal(ConstantProfile(0.5), 1.0, 2.0, 64.0)
@@ -134,7 +132,7 @@ class TestExtremalConstruction:
 
     def test_attains_area_bound_equality(self):
         sol = build_extremal(ConstantProfile(2.0), 1.0, 1.0, 64.0)
-        rep = area_bound_check(sol.mapping(), sol.coefficient(), 0j, 2.0, 32.0)
+        rep = area_bound_check(sol.mapping(), sol.coefficient(), 2.0, 32.0)
         assert rep.ok and rep.equality
 
     def test_attains_growth_equality(self):
