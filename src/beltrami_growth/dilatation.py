@@ -303,7 +303,9 @@ def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     circle's theta = 0 node center + r alone.
     """
     radii = np.asarray(r, dtype=float)
-    if radii.ndim > 1 or not np.all(radii > 0.0):
+    if radii.ndim > 1:
+        raise ValueError(f"radius must be a scalar or a 1-d array, got shape {radii.shape}")
+    if not np.all(radii > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
     if K.radial_abs2:
         return q.mean(np.asarray(K.abs2(K.center + radii[..., None]), dtype=float))

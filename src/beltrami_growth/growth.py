@@ -216,8 +216,12 @@ def modulus_extremes(
     once.
     """
     radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1 or radii.size == 0:
+        raise ValueError(
+            f"radius must be a scalar or a non-empty 1-d array, got shape {radii.shape}"
+        )
     rr = np.atleast_1d(radii)
-    if rr.ndim != 1 or rr.size == 0 or not np.all(rr > 0.0):
+    if not np.all(rr > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
     z0c = complex(z0)
     f0 = mapping.center_value(z0c)
@@ -278,10 +282,17 @@ def circle_length(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Circle
 
 
 def _mean_jacobians(mapping: Mapping, z0: complex, radii: np.ndarray, q: CircleQuadrature):
-    """Angular mean of J_f on each circle |z - z0| = r, r in the 1-d ``radii``, in blocks."""
+    """Angular mean of J_f on each circle |z - z0| = r, r in the 1-d ``radii``, in blocks.
+
+    When mapping.radial_jacobian is set and z0 is the mapping's center, J_f
+    is constant on each circle, and the mean is that of the circle's
+    theta = 0 node z0 + r alone; that node still goes through the J > 0
+    guard and the non-finite check of q.mean.
+    """
+    one_node = mapping.radial_jacobian and complex(z0) == complex(mapping.center)
 
     def means(rows):
-        z = q.points(z0, rows[:, None])
+        z = complex(z0) + rows[:, None] if one_node else q.points(z0, rows[:, None])
         jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
         # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
         # a < 1); only a genuinely non-positive sample is an error here
@@ -312,7 +323,9 @@ def _disk_areas(
     a local power-law extrapolation of the angular mean of J.  Panel density
     is RADIAL_STEPS panels over the smallest radius's log span, at least two
     per segment; a segment's circles are evaluated in blocks
-    (CircleQuadrature.blockwise) and summed as one.
+    (CircleQuadrature.blockwise) and summed as one.  Each circle's mean J
+    comes from :func:`_mean_jacobians`: one node per circle when the
+    mapping sets radial_jacobian and z0 is its center, all n otherwise.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
@@ -361,8 +374,10 @@ def image_area(
     Composite 8-point Gauss panels in u = ln(rho) down to rho = INNER_CUTOFF*r,
     split at the mapping's seam radii; the disk below the cutoff is accounted
     for by a local power-law extrapolation of the angular mean of J.  Every
-    node checks J > 0, so a map that folds anywhere inside the disk raises
-    NonPositiveJacobian.  The checks below take several areas from one sweep
+    sampled node checks J > 0, so a map that folds anywhere inside the disk
+    raises NonPositiveJacobian; on a disk about the center of a map with
+    radial_jacobian set, J is the same all round each circle, and one node
+    per circle is sampled.  The checks below take several areas from one sweep
     of :func:`_disk_areas`; this is its one-radius case.
     """
     return float(_disk_areas(mapping, z0, [r], q)[0])

@@ -132,10 +132,18 @@ def require_radii_within(r, domain: tuple, owner: str):
 
 
 class Mapping:
-    """Base class: shared finite differences and seam logic."""
+    """Base class: shared finite differences and seam logic.
+
+    A class whose Jacobian J_f depends on |z - center| alone sets
+    ``radial_jacobian``, and the disk sweep of growth then reads one node
+    per circle about the center.  A subclass that breaks radial J (one that
+    modulates a radial map in theta, say) must set it back to False.
+    """
 
     #: point about which the seams, the origin and the domain are measured
     center: complex = 0j
+    #: J_f depends on |z - center| alone
+    radial_jacobian: bool = False
     #: radii |z - center| where the map is continuous but not differentiable
     seam_radii: tuple = ()
     #: derivatives undefined at the center
@@ -240,7 +248,10 @@ class Mapping:
 class RadialMapping(Mapping):
     """Radial map f(z) = rho(r) w/|w| with w = z - center and r = |w|,
     f(center) = 0.  A subclass supplies only rho and its derivative; the
-    polar derivatives are f_r = rho'(r) w/|w| and f_theta = i rho(r) w/|w|."""
+    polar derivatives are f_r = rho'(r) w/|w| and f_theta = i rho(r) w/|w|,
+    so J_f = rho rho' / r depends on r alone."""
+
+    radial_jacobian = True
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -271,6 +282,8 @@ class RadialMapping(Mapping):
 
 @dataclass(frozen=True)
 class Identity(Mapping):
+    radial_jacobian = True
+
     def _eval_array(self, z):
         return z
 
@@ -281,11 +294,12 @@ class Identity(Mapping):
 
 @dataclass(frozen=True)
 class Linear(Mapping):
-    """f(z) = A*conj(z) + B*z + C with |A| != |B|."""
+    """f(z) = A*conj(z) + B*z + C with |A| != |B|; J = |B|^2 - |A|^2."""
 
     a: complex
     b: complex
     c: complex = 0j
+    radial_jacobian = True
 
     def __post_init__(self):
         if not all(np.isfinite([self.a, self.b, self.c]).tolist()):
@@ -307,9 +321,10 @@ class Linear(Mapping):
 
 @dataclass(frozen=True)
 class Spiral(Mapping):
-    """Area-preserving spiral f(z) = z * e^{2i ln|z|}, f(0) = 0."""
+    """Area-preserving spiral f(z) = z * e^{2i ln|z|}, f(0) = 0; J = 1."""
 
     origin_singular = True
+    radial_jacobian = True
 
     def _eval_array(self, z):
         r = np.abs(z)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami_growth import (
     AnnulusGrid,
@@ -25,6 +27,7 @@ from beltrami_growth import (
     PolarDerivPair,
     Power,
     PowerCoefficient,
+    RadialTable,
     angular_dilatation,
     area_bound_check,
     build_extremal,
@@ -42,7 +45,8 @@ from beltrami_growth import (
 from beltrami_growth.cli import _check_radii
 from beltrami_growth.complex_polar import require_jacobian_above
 from beltrami_growth.dilatation import JACOBIAN_FLOOR
-from beltrami_growth.growth import _disk_areas
+from beltrami_growth.growth import _disk_areas, _mean_jacobians
+from beltrami_growth.mappings import RadialMapping
 
 from conftest import CATALOG_IDS, CATALOG_SPECS
 
@@ -336,3 +340,201 @@ def test_sweep_names_a_scalar_radius_by_its_shape():
         differential_inequality_check(Power(2.0), 0j, 2.0)
     with pytest.raises(ValueError, match="must be positive"):
         _disk_areas(Power(2.0), 0j, [1.0, -1.0], FOLD_Q)
+
+
+# ---------------------------------------------------------------------------
+# radial Jacobians: one node per circle in the sweep
+
+
+class Unflagged:
+    """A mapping seen with radial_jacobian unset, so the sweep samples every
+    node of each circle: the full-circle oracle of the one-node path."""
+
+    radial_jacobian = False
+
+    def __init__(self, mapping):
+        self._mapping = mapping
+
+    def __getattr__(self, name):
+        return getattr(self._mapping, name)
+
+
+def seam_sides(mapping):
+    """Radii on both sides of each seam (of 2.0 if there is none); shrunk
+    by up to 20%, each stays on its side."""
+    return sorted(f * s for s in mapping.seam_radii or (2.0,) for f in (0.15, 0.9, 1.3, 60.0))
+
+
+#: every flagged catalog mapping (loglog on both sides of e^e, the extremal
+#: table inside and outside its first knot) and a radial table about 5 + 0j
+FLAGGED = {name: (mapping, seam_sides(mapping)) for name, mapping in zip(IDS, MAPS)}
+TABLE_AT_5 = RadialTable(EXTREMAL.knots, EXTREMAL.rho, center=5 + 0j, linear_inner=True)
+FLAGGED["table-at-5"] = (TABLE_AT_5, seam_sides(TABLE_AT_5))
+
+
+def full_circle_jacobians(mapping, radii, q):
+    """The mean of J_f over all n nodes of each circle about the center."""
+    z = q.points(mapping.center, np.asarray(radii)[:, None])
+    return q.mean(jacobian_wirtinger(mapping.wirtinger_analytic(z)))
+
+
+class TestRadialJacobian:
+    """A mapping with radial_jacobian set gives the sweep one node per circle."""
+
+    def test_flagged_classes(self):
+        # a new mapping class must opt in here, not silently
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        flagged = {
+            cls.__name__
+            for cls in subclasses(Mapping)
+            if cls.__module__.startswith("beltrami_growth") and cls.radial_jacobian
+        }
+        assert flagged == {
+            "RadialMapping",
+            "Power",
+            "LogLog",
+            "RadialTable",
+            "Identity",
+            "Linear",
+            "Spiral",
+        }
+        assert not ModulatedPower.radial_jacobian and not InteriorFold.radial_jacobian
+
+    @given(
+        st.sampled_from([(name, r) for name, (_, radii) in FLAGGED.items() for r in radii]),
+        st.floats(0.8, 1.0),
+        st.sampled_from([64, 256]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jacobian_constant_on_circles(self, case, shrink, n):
+        # the flag is honest.  J = |f_z|^2 - |f_zbar|^2 is a difference, so
+        # its rounding is measured on the scale of |f_z|^2: on loglog far out
+        # the two terms agree to within a few percent
+        name, r = case
+        mapping = FLAGGED[name][0]
+        z = CircleQuadrature(n).points(mapping.center, shrink * r)
+        wp = mapping.wirtinger_analytic(z)
+        assert np.ptp(jacobian_wirtinger(wp)) <= 1e-14 * np.max(np.abs(wp.d_z) ** 2)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("name", FLAGGED)
+    def test_mean_jacobians_equal_full_circle_mean(self, name, n):
+        mapping, radii = FLAGGED[name]
+        q, radii = CircleQuadrature(n), np.array(radii)
+        np.testing.assert_allclose(
+            _mean_jacobians(mapping, mapping.center, radii, q),
+            full_circle_jacobians(mapping, radii, q),
+            rtol=1e-14,
+        )
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("name", FLAGGED)
+    def test_sweep_equals_full_circle_sweep(self, name, n):
+        mapping, radii = FLAGGED[name]
+        q = CircleQuadrature(n)
+        np.testing.assert_allclose(
+            _disk_areas(mapping, mapping.center, radii, q),
+            _disk_areas(Unflagged(mapping), mapping.center, radii, q),
+            rtol=1e-14,
+        )
+
+    @pytest.mark.parametrize(
+        "mapping, z0",
+        [(Power(2.0), 0.5 + 0j), (MAPS[1], 1j), (TABLE_AT_5, 0j)],
+        ids=["power", "linear", "table"],
+    )
+    def test_off_center_disk_samples_every_node(self, mapping, z0):
+        # about any point but the center, J is not constant on the circles
+        q = CircleQuadrature(256)
+        for r in (0.5, 2.0):
+            assert image_area(mapping, z0, r, q) == float(
+                _disk_areas(Unflagged(mapping), z0, [r], q)[0]
+            )
+
+
+class FoldedRadial(RadialMapping):
+    """rho = r + 0.1 sin(20 r): rho' < 0 and so J_f = rho rho'/r < 0 where
+    cos(20 r) < -1/2, on the bands of FOLD_BANDS inside the unit disk."""
+
+    origin_singular = True
+
+    def _rho_of_r(self, r):
+        return r + 0.1 * np.sin(20.0 * r)
+
+    def _drho_of_r(self, r, rho_r):
+        return 1.0 + 2.0 * np.cos(20.0 * r)
+
+
+FOLD_BANDS = [((6 * k + 2) * math.pi / 60.0, (6 * k + 4) * math.pi / 60.0) for k in range(3)]
+
+
+class NanBandRadial(RadialMapping):
+    """The identity, with rho NaN on 0.3 < r < 0.4."""
+
+    def _rho_of_r(self, r):
+        return np.where((r > 0.3) & (r < 0.4), math.nan, r)
+
+    def _drho_of_r(self, r, rho_r):
+        return np.ones(r.shape)
+
+
+class TestOneNodeGuards:
+    """The one node per circle still goes through the J > 0 guard and the
+    non-finite check of the circle mean."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: image_area(f, 0j, 1.0, FOLD_Q),
+            lambda f: disk_checks(f, PowerCoefficient(1.0), 0.5, [0.5, 1.0], FOLD_Q),
+        ],
+        ids=["image_area", "disk_checks"],
+    )
+    def test_fold_names_a_radius_in_a_band(self, call):
+        with pytest.raises(NonPositiveJacobian) as info:
+            call(FoldedRadial())
+        found = GUARD_MESSAGE.fullmatch(str(info.value))
+        assert found is not None, str(info.value)
+        r = float(found["r"])
+        assert float(found["jac"]) <= 0.0 and float(found["theta"]) == 0.0
+        assert any(lo < r < hi for lo, hi in FOLD_BANDS), r
+
+    @pytest.mark.parametrize("wrap", [lambda f: f, Unflagged], ids=["one-node", "full-circle"])
+    def test_nan_band_is_refused(self, wrap):
+        # a NaN rho makes f_theta NaN, and the derivative pair refuses it
+        # before any J is formed, on either path
+        with pytest.raises(ValueError, match="d_theta must be finite"):
+            image_area(wrap(NanBandRadial()), 0j, 1.0, FOLD_Q)
+
+
+#: the certify pair kinds, each with the radii verify checks
+CERTIFY_KINDS = ("power", "loglog", "spiral", "linear", "extremal")
+
+
+class TestSweepPointCount:
+    """One disk_checks call on a flagged pair evaluates at most a tenth of
+    the derivative points of its full-circle sweep: a lost shortcut shows
+    here as a count, without timing noise."""
+
+    @pytest.mark.parametrize("name", CERTIFY_KINDS)
+    def test_at_most_a_tenth_of_the_full_circle_points(self, name, monkeypatch):
+        mapping, K, r0 = DISK_PAIRS[name]
+        radii = _check_radii(mapping, r0, 100.0 * r0)
+        points = []
+        inner = type(mapping).wirtinger_analytic
+
+        def counting(self, z):
+            points.append(np.size(z))
+            return inner(self, z)
+
+        monkeypatch.setattr(type(mapping), "wirtinger_analytic", counting)
+        q = CircleQuadrature(256)
+        disk_checks(mapping, K, r0, radii, q)
+        flagged = sum(points)
+        points.clear()
+        disk_checks(Unflagged(mapping), K, r0, radii, q)
+        assert 0 < flagged <= sum(points) / 10

@@ -259,7 +259,7 @@ class TestRadialShortcutGuards:
         for r in (0.0, -1.0, np.array([1.0, -2.0]), np.array([1.0, 0.0])):
             with pytest.raises(ValueError, match="radius must be positive"):
                 kappa(K, r)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"scalar or a 1-d array, got shape \(2, 2\)"):
             kappa(K, np.ones((2, 2)))
 
     @pytest.mark.parametrize(

@@ -476,8 +476,16 @@ class TestCircleFunctionals:
         assert m_max.shape == m_min.shape == radii.shape
         for r, hi, lo in zip(radii.tolist(), m_max.tolist(), m_min.tolist()):
             assert modulus_extremes(mapping, 0j, r, q) == (hi, lo)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius must be positive"):
             modulus_extremes(mapping, 0j, np.array([1.0, -1.0]), q)
+
+    def test_modulus_extremes_names_a_bad_shape(self):
+        # a 2-d or empty array is refused for its shape, not its values
+        mapping, q = Power(2.0), CircleQuadrature(64)
+        with pytest.raises(ValueError, match=r"non-empty 1-d array, got shape \(2, 2\)"):
+            modulus_extremes(mapping, 0j, np.ones((2, 2)), q)
+        with pytest.raises(ValueError, match=r"non-empty 1-d array, got shape \(0,\)"):
+            modulus_extremes(mapping, 0j, np.array([]), q)
 
     def test_circle_length(self):
         assert circle_length(Identity(), 0j, 3.0) == pytest.approx(

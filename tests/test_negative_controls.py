@@ -40,7 +40,7 @@ from beltrami_growth import (
     theorem1_check,
 )
 from beltrami_growth.cli import EXIT_CHECK_FAILED, main
-from beltrami_growth.complex_polar import WirtingerPair
+from beltrami_growth.complex_polar import WirtingerPair, jacobian_wirtinger
 
 Q = CircleQuadrature(256)
 R0 = 1.0
@@ -49,11 +49,21 @@ CHECKS = ("pde_residual", "differential_inequality", "isoperimetric", "area_boun
 
 
 class DoubledFz(Power):
-    """Power(alpha) whose analytic f_z is twice the true one."""
+    """Power(alpha) whose analytic f_z is twice the true one.  Its J =
+    4|f_z|^2 - |f_zbar|^2 still depends on r alone, so it keeps the
+    radial_jacobian flag of Power and the disk sweep's one node per circle."""
 
     def _wirtinger_array(self, z):
         wp = super()._wirtinger_array(z)
         return WirtingerPair(2.0 * wp.d_z, wp.d_zbar)
+
+
+def test_doubled_f_z_keeps_a_radial_jacobian():
+    mapping = DoubledFz(2.0)
+    assert mapping.radial_jacobian
+    for r in (0.5, 3.0, 40.0):
+        jac = jacobian_wirtinger(mapping.wirtinger_analytic(Q.points(0j, r)))
+        assert np.ptp(jac) <= 1e-14 * np.max(jac)
 
 
 #: mutant -> (mapping, coefficient, mapping config, verdict of each check)
