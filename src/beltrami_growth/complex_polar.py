@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRadius, NonPositiveJacobian
+from .errors import DegenerateRadius, NonPositiveJacobian, QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,8 +23,10 @@ RADIUS_FLOOR = 1e-14
 
 
 def _require_finite(value, name: str):
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        bad = np.ravel(value)[~np.ravel(finite)]
+        raise QuadratureFailure(f"{name} has {bad.size} non-finite samples, the first {bad[0]}")
     return value
 
 

@@ -59,7 +59,7 @@ class CircleQuadrature:
         return float(out) if np.ndim(out) == 0 else out
 
     def blockwise(self, fn, radii: np.ndarray) -> np.ndarray:
-        """fn over consecutive slices of the 1-d array ``radii``, at most
+        """fn over consecutive slices of ``radii`` along its first axis, at most
         BLOCK_POINTS // n circles (and at least one) per slice, concatenated
         along the first axis.  fn must treat each circle on its own, as a
         row-wise mean does, so the result does not depend on the slicing."""
@@ -68,6 +68,26 @@ class CircleQuadrature:
         return np.concatenate(
             [fn(radii[i : i + rows]) for i in range(0, max(1, radii.size), rows)]
         )
+
+    def circle_means(self, sample, center: complex, r, one_node: bool = False):
+        """Angular mean of ``sample``, which maps an array of points to the
+        integrand there, on each circle |z - center| = r: a float for a
+        positive scalar r, one mean per radius for a 1-d array of them.
+        Full circles go to ``sample`` in blocks (:meth:`blockwise`); with
+        ``one_node``, for an integrand constant on each circle, every circle
+        is read at its theta = 0 node center + r alone, in one call.  Each
+        mean goes through :meth:`mean` and its non-finite check."""
+        radii = np.asarray(r, dtype=float)
+        if radii.ndim > 1:
+            raise ValueError(f"radius must be a scalar or a 1-d array, got shape {radii.shape}")
+        if not np.all(radii > 0.0):
+            raise ValueError(f"radius must be positive, got {r}")
+        rows = np.atleast_1d(radii)[:, None]
+        if one_node:
+            out = self.mean(sample(complex(center) + rows))
+        else:
+            out = self.blockwise(lambda block: self.mean(sample(self.points(center, block))), rows)
+        return float(out[0]) if radii.ndim == 0 else out
 
 
 class CoefficientField:
@@ -276,7 +296,7 @@ def dilatation_on_circle(
     mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()
 ) -> np.ndarray:
     """Angular dilatation sampled on the n uniform angles of the circle; a
-    1-d array of radii gives one row of samples per radius."""
+    1-d array of radii gives one row per radius.  Only bench/tracing.py uses it."""
     radii = np.asarray(r, dtype=float)
     z = q.points(z0, radii if radii.ndim == 0 else radii[:, None])
     return angular_dilatation(mapping, z0, z)
@@ -289,34 +309,19 @@ def circle_average_D(
 
     The 1/(2*pi*r) normalization and the arc element |dz| = r d(theta)
     cancel, leaving a plain mean over theta.  A 1-d array of radii gives
-    one mean per radius from one (radii x n) block of samples.
+    one mean per radius (CircleQuadrature.circle_means).
     """
-    return q.mean(dilatation_on_circle(mapping, z0, r, q))
+    return q.circle_means(lambda z: angular_dilatation(mapping, z0, z), z0, r)
 
 
 def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     """Angular mean of |K|^2 on the circle of radius r about the field center.
 
-    A 1-d array of radii gives one mean per radius, from one K.abs2 call per
-    block of circles (CircleQuadrature.blockwise).  When K.radial_abs2 is
-    set, |K|^2 is constant on each circle, and the mean is that of the
-    circle's theta = 0 node center + r alone.
+    A 1-d array of radii gives one mean per radius.  When K.radial_abs2 is
+    set, |K|^2 is constant on each circle, and one node per circle is read
+    (CircleQuadrature.circle_means).
     """
-    radii = np.asarray(r, dtype=float)
-    if radii.ndim > 1:
-        raise ValueError(f"radius must be a scalar or a 1-d array, got shape {radii.shape}")
-    if not np.all(radii > 0.0):
-        raise ValueError(f"radius must be positive, got {r}")
-    if K.radial_abs2:
-        return q.mean(np.asarray(K.abs2(K.center + radii[..., None]), dtype=float))
-
-    def means(rows):
-        # rows: one radius, or a column of radii
-        return q.mean(np.asarray(K.abs2(q.points(K.center, rows)), dtype=float))
-
-    if radii.ndim == 0:
-        return means(radii)
-    return q.blockwise(lambda block: means(block[:, None]), radii)
+    return q.circle_means(K.abs2, K.center, r, K.radial_abs2)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def modulus_extremes(
     if not np.all(rr > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
     z0c = complex(z0)
-    f0 = mapping.center_value(z0c)
+    f0 = mapping.evaluate(z0c)
     theta = q.angles()
 
     def distance(z):
@@ -272,33 +272,32 @@ def modulus_extremes(
 def circle_length(mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()):
     """Length of the image curve: int |f_theta| d(theta) by periodic trapezoid.
 
-    A 1-d array of radii gives one length per radius from one (radii x n)
-    block of circle points.
+    A 1-d array of radii gives one length per radius (CircleQuadrature.circle_means).
     """
-    radii = np.asarray(r, dtype=float)
-    z = q.points(z0, radii if radii.ndim == 0 else radii[:, None])
-    pd = wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z))
-    return TWO_PI * q.mean(np.abs(pd.d_theta))
+
+    def speed(z):
+        return np.abs(wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z)).d_theta)
+
+    return TWO_PI * q.circle_means(speed, z0, r)
 
 
-def _mean_jacobians(mapping: Mapping, z0: complex, radii: np.ndarray, q: CircleQuadrature):
-    """Angular mean of J_f on each circle |z - z0| = r, r in the 1-d ``radii``, in blocks.
+def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
+    """Angular mean of J_f on each circle |z - z0| = r.
 
     When mapping.radial_jacobian is set and z0 is the mapping's center, J_f
-    is constant on each circle, and the mean is that of the circle's
-    theta = 0 node z0 + r alone; that node still goes through the J > 0
-    guard and the non-finite check of q.mean.
+    is constant on each circle, and one node per circle is read
+    (CircleQuadrature.circle_means); that node still goes through the J > 0
+    guard and the non-finite check of the mean.
     """
-    one_node = mapping.radial_jacobian and complex(z0) == complex(mapping.center)
 
-    def means(rows):
-        z = complex(z0) + rows[:, None] if one_node else q.points(z0, rows[:, None])
-        jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
+    def jacobian(z):
         # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
         # a < 1); only a genuinely non-positive sample is an error here
-        return q.mean(require_jacobian_above(jac, 0.0, z, z0))
+        jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
+        return require_jacobian_above(jac, 0.0, z, z0)
 
-    return q.blockwise(means, radii)
+    one_node = mapping.radial_jacobian and complex(z0) == complex(mapping.center)
+    return q.circle_means(jacobian, z0, r, one_node)
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -322,10 +321,9 @@ def _disk_areas(
     give the area at each radius.  The disk below rho_min is accounted for by
     a local power-law extrapolation of the angular mean of J.  Panel density
     is RADIAL_STEPS panels over the smallest radius's log span, at least two
-    per segment; a segment's circles are evaluated in blocks
-    (CircleQuadrature.blockwise) and summed as one.  Each circle's mean J
-    comes from :func:`_mean_jacobians`: one node per circle when the
-    mapping sets radial_jacobian and z0 is its center, all n otherwise.
+    per segment; a segment's circles are averaged in one
+    :func:`_mean_jacobians` call and summed as one: one node per circle when
+    the mapping sets radial_jacobian and z0 is its center, all n otherwise.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:

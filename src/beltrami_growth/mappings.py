@@ -164,10 +164,6 @@ class Mapping:
     def __call__(self, z):
         return self.evaluate(z)
 
-    def center_value(self, z0) -> complex:
-        """Image of a circle center, used for modulus extremes."""
-        return self.evaluate(z0)
-
     # -- closed-form derivatives -------------------------------------------
 
     def _wirtinger_array(self, z: np.ndarray) -> WirtingerPair:
@@ -438,11 +434,6 @@ class RadialTable(RadialMapping):
         """Load from strict CSV with header ``r,rho``."""
         data = read_table_csv(path, ("r", "rho"))
         return cls(data[:, 0], data[:, 1], center, linear_inner)
-
-    def center_value(self, z0) -> complex:
-        if abs(complex(z0) - complex(self.center)) < RADIUS_FLOOR:
-            return 0j
-        return self.evaluate(z0)
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
         r = require_radii_within(r, self.radial_domain, "the table's")

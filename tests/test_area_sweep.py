@@ -27,6 +27,7 @@ from beltrami_growth import (
     PolarDerivPair,
     Power,
     PowerCoefficient,
+    QuadratureFailure,
     RadialTable,
     angular_dilatation,
     area_bound_check,
@@ -62,7 +63,7 @@ def green_area(mapping, z0, r, n=4096):
     w = r * np.exp(1j * theta)
     wp = mapping.wirtinger_analytic(z0 + w)
     f_theta = 1j * (w * wp.d_z - np.conj(w) * wp.d_zbar)
-    f = mapping.evaluate(z0 + w) - mapping.center_value(z0)
+    f = mapping.evaluate(z0 + w) - mapping.evaluate(z0)
     return math.pi * float(np.mean(np.imag(np.conj(f) * f_theta)))
 
 
@@ -506,9 +507,13 @@ class TestOneNodeGuards:
     @pytest.mark.parametrize("wrap", [lambda f: f, Unflagged], ids=["one-node", "full-circle"])
     def test_nan_band_is_refused(self, wrap):
         # a NaN rho makes f_theta NaN, and the derivative pair refuses it
-        # before any J is formed, on either path
-        with pytest.raises(ValueError, match="d_theta must be finite"):
+        # before any J is formed, on either path, with a short message that
+        # names the field, the count and the first bad sample
+        with pytest.raises(QuadratureFailure) as info:
             image_area(wrap(NanBandRadial()), 0j, 1.0, FOLD_Q)
+        message = str(info.value)
+        assert re.fullmatch(r"d_theta has [1-9]\d* non-finite samples, the first \S+", message)
+        assert len(message) < 200
 
 
 #: the certify pair kinds, each with the radii verify checks

@@ -29,6 +29,7 @@ from beltrami_growth import (
     TableProfile,
     area_bound_check,
     catalog_pair,
+    circle_average_D,
     circle_length,
     corollary_exponent,
     differential_inequality_check,
@@ -412,8 +413,8 @@ class TestBlockSize:
     )
     def test_mapping_kernels(self, monkeypatch, name, params):
         # radii about the loglog seam e^e = 15.15; the sweep's first segment
-        # holds 384 circles, and the check circles' mean J 300, each more
-        # than one default block at n = 64
+        # holds 384 circles, and the check circles' mean J, length and mean
+        # dilatation 300, each more than one default block at n = 64
         mapping, _ = catalog_pair(name, **params)
         radii = np.geomspace(4.0, 60.0, 300)
         first, *others = self._each_size(
@@ -421,6 +422,8 @@ class TestBlockSize:
             lambda: (
                 _disk_areas(mapping, 0j, radii[::30], self.Q),
                 _mean_jacobians(mapping, 0j, radii, self.Q),
+                circle_length(mapping, 0j, radii, self.Q),
+                circle_average_D(mapping, 0j, radii, self.Q),
                 *modulus_extremes(mapping, 0j, radii, self.Q),
             ),
         )

@@ -108,7 +108,7 @@ def test_one_bad_panel_node_rejected(bad):
 def minimize_scalar_extremes(mapping, r, q):
     """Grid scan, then a bounded scalar search on the best cell of each
     extreme to 1e-10 in theta."""
-    f0 = mapping.center_value(0j)
+    f0 = mapping.evaluate(0j)
     theta = q.angles()
     values = np.abs(mapping.evaluate(q.points(0j, r)) - f0)
     step = TWO_PI / q.n
