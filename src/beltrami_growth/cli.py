@@ -542,6 +542,8 @@ COMMANDS = {
     "sharpness": (cmd_sharpness, ("example", "ladder"), ("n",)),
     "nonexist": (cmd_nonexist, ("profile", "r0"), ("observed", "mapping", "ladder", "n")),
 }
+#: the subcommands that write an SVG with --plot
+PLOTTED = ("envelope", "sharpness")
 
 
 def main(argv=None) -> int:
@@ -555,9 +557,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory for CSV/SVG")
-        p.add_argument("--plot", action="store_true", help="also emit SVG plots")
+        p.add_argument(
+            "--plot", action="store_true", help=f"also emit SVG plots ({' and '.join(PLOTTED)})"
+        )
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
     args = parser.parse_args(argv)
+    if args.plot and args.command not in PLOTTED:
+        print(f"note: --plot writes no SVG for {args.command}", file=sys.stderr)
 
     quiet = args.quiet
 

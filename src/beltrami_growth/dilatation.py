@@ -69,14 +69,20 @@ class CircleQuadrature:
             [fn(radii[i : i + rows]) for i in range(0, max(1, radii.size), rows)]
         )
 
-    def circle_means(self, sample, center: complex, r, one_node: bool = False):
+    def circle_means(
+        self, sample, center: complex, r, one_node: bool = False, angle_only: bool = False
+    ):
         """Angular mean of ``sample``, which maps an array of points to the
         integrand there, on each circle |z - center| = r: a float for a
         positive scalar r, one mean per radius for a 1-d array of them.
         Full circles go to ``sample`` in blocks (:meth:`blockwise`); with
         ``one_node``, for an integrand constant on each circle, every circle
-        is read at its theta = 0 node center + r alone, in one call.  Each
-        mean goes through :meth:`mean` and its non-finite check."""
+        is read at its theta = 0 node center + r alone, in one call; with
+        ``angle_only``, for an integrand that depends on arg(z - center)
+        alone, the mean over the unit circle about center is every circle's
+        mean.  A fixed unit circle, not the first radius, keeps a radius's
+        mean the same whatever radii come with it.  Each mean goes through
+        :meth:`mean` and its non-finite check."""
         radii = np.asarray(r, dtype=float)
         if radii.ndim > 1:
             raise ValueError(f"radius must be a scalar or a 1-d array, got shape {radii.shape}")
@@ -85,6 +91,10 @@ class CircleQuadrature:
         rows = np.atleast_1d(radii)[:, None]
         if one_node:
             out = self.mean(sample(complex(center) + rows))
+        elif angle_only:
+            # no circle at all for no radii, as on the full path
+            unit = np.ones((min(1, rows.shape[0]), 1))
+            out = np.repeat(self.mean(sample(self.points(center, unit))), rows.shape[0])
         else:
             out = self.blockwise(lambda block: self.mean(sample(self.points(center, block))), rows)
         return float(out[0]) if radii.ndim == 0 else out
@@ -98,12 +108,17 @@ class CoefficientField:
     radial solutions; any other phase has the same |K|^2.  A field with its
     own phase defines ``_value_array`` instead.  A class whose |K|^2 depends
     on |z - center| alone sets ``radial_abs2``, and kappa then reads one
-    sample per circle.
+    sample per circle.  A class whose |K|^2 depends on arg(z - center) alone
+    sets ``angular_abs2``, and kappa then takes one circle's mean for every
+    radius; such a field is defined for every radius and has no radial
+    breakpoints.
     """
 
     center: complex = 0j
     #: |K|^2 depends on |z - center| alone
     radial_abs2: bool = False
+    #: |K|^2 depends on arg(z - center) alone
+    angular_abs2: bool = False
     #: radii |z - center| where the field jumps or kinks (piecewise variants)
     radial_breakpoints: tuple = ()
     #: (lower, upper) radii |z - center| on which the field is defined
@@ -130,11 +145,13 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class LinearCoefficient(CoefficientField):
-    """Coefficient solved by the linear map A*conj(z) + B*z + C."""
+    """Coefficient solved by the linear map A*conj(z) + B*z + C:
+    |K|^2 = |A - B e^{2i theta}|^2 / ||B|^2 - |A|^2| depends on the angle alone."""
 
     a: complex
     b: complex
     center: complex = 0j
+    angular_abs2 = True
 
     def __post_init__(self):
         if abs(abs(self.a) - abs(self.b)) == 0.0:
@@ -309,19 +326,23 @@ def circle_average_D(
 
     The 1/(2*pi*r) normalization and the arc element |dz| = r d(theta)
     cancel, leaving a plain mean over theta.  A 1-d array of radii gives
-    one mean per radius (CircleQuadrature.circle_means).
+    one mean per radius (CircleQuadrature.circle_means).  About the center
+    of a rotation-equivariant map the dilatation is the same all round each
+    circle, and one node per circle is read.
     """
-    return q.circle_means(lambda z: angular_dilatation(mapping, z0, z), z0, r)
+    one_node = mapping.equivariant_about(z0)
+    return q.circle_means(lambda z: angular_dilatation(mapping, z0, z), z0, r, one_node)
 
 
 def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     """Angular mean of |K|^2 on the circle of radius r about the field center.
 
     A 1-d array of radii gives one mean per radius.  When K.radial_abs2 is
-    set, |K|^2 is constant on each circle, and one node per circle is read
-    (CircleQuadrature.circle_means).
+    set, |K|^2 is constant on each circle, and one node per circle is read;
+    when K.angular_abs2 is set, every circle has the mean of the unit circle,
+    which is read once (CircleQuadrature.circle_means).
     """
-    return q.circle_means(K.abs2, K.center, r, K.radial_abs2)
+    return q.circle_means(K.abs2, K.center, r, K.radial_abs2, K.angular_abs2)
 
 
 # ---------------------------------------------------------------------------

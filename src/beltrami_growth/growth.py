@@ -213,7 +213,9 @@ def modulus_extremes(
     within 2*pi/n of the best grid angle, down to a bracket below
     MODULUS_ANGLE_TOL in theta.  A scalar r gives two floats; a 1-d array of
     radii gives two arrays, with every radius and both extremes refined at
-    once.
+    once.  About the center of a rotation-equivariant map (see
+    Mapping.equivariant_about) |f(z) - f(z0)| is the same all round each
+    circle, and max = min is read at the theta = 0 node z0 + r alone.
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1 or radii.size == 0:
@@ -230,6 +232,13 @@ def modulus_extremes(
     def distance(z):
         return np.abs(mapping.evaluate(z) - f0)
 
+    if mapping.equivariant_about(z0c):
+        values = distance(z0c + rr)
+        if not np.all(np.isfinite(values)):
+            raise QuadratureFailure("non-finite modulus sample on the circle")
+        if radii.ndim == 0:
+            return float(values[0]), float(values[0])
+        return values, values.copy()
     values = q.blockwise(lambda block: distance(q.points(z0c, block[:, None])), rr)
     if not np.all(np.isfinite(values)):
         raise QuadratureFailure("non-finite modulus sample on the circle")
@@ -273,12 +282,14 @@ def circle_length(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Circle
     """Length of the image curve: int |f_theta| d(theta) by periodic trapezoid.
 
     A 1-d array of radii gives one length per radius (CircleQuadrature.circle_means).
+    About the center of a rotation-equivariant map |f_theta| is the same all
+    round each circle, and one node per circle is read.
     """
 
     def speed(z):
         return np.abs(wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z)).d_theta)
 
-    return TWO_PI * q.circle_means(speed, z0, r)
+    return TWO_PI * q.circle_means(speed, z0, r, mapping.equivariant_about(z0))
 
 
 def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
@@ -532,7 +543,9 @@ def disk_checks(
 
     One radial sweep over radii and r0 gives every area, so S(r0) is swept
     even when r0 is not a check radius.  S', the mean dilatation and the
-    image length each come from one (radii x n) block of circle points.
+    image length are one CircleQuadrature.circle_means call each over the
+    radii: one node per circle where the map's symmetry makes the integrand
+    constant on circles about K.center, all n nodes otherwise.
     """
     radii = np.asarray(radii, dtype=float)
     R = float(radii[-1])

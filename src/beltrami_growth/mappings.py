@@ -136,14 +136,21 @@ class Mapping:
 
     A class whose Jacobian J_f depends on |z - center| alone sets
     ``radial_jacobian``, and the disk sweep of growth then reads one node
-    per circle about the center.  A subclass that breaks radial J (one that
-    modulates a radial map in theta, say) must set it back to False.
+    per circle about the center.  A class that commutes with rotations about
+    its center sets ``rotation_equivariant`` as well; then |f - f(center)|,
+    |f_theta| and the dilatation are the same all round each circle about
+    the center, and the circle functionals of growth read one node per
+    circle (:meth:`equivariant_about`).  A subclass that breaks either
+    symmetry (one that modulates a radial map in theta, say) must set the
+    flag back to False.
     """
 
     #: point about which the seams, the origin and the domain are measured
     center: complex = 0j
     #: J_f depends on |z - center| alone
     radial_jacobian: bool = False
+    #: f(center + e^{i phi} w) - f(center) = e^{i phi} (f(center + w) - f(center))
+    rotation_equivariant: bool = False
     #: radii |z - center| where the map is continuous but not differentiable
     seam_radii: tuple = ()
     #: derivatives undefined at the center
@@ -163,6 +170,11 @@ class Mapping:
 
     def __call__(self, z):
         return self.evaluate(z)
+
+    def equivariant_about(self, z0) -> bool:
+        """Whether rotations about z0 commute with the map: the class sets
+        ``rotation_equivariant`` and z0 is its center."""
+        return self.rotation_equivariant and complex(z0) == complex(self.center)
 
     # -- closed-form derivatives -------------------------------------------
 
@@ -245,9 +257,11 @@ class RadialMapping(Mapping):
     """Radial map f(z) = rho(r) w/|w| with w = z - center and r = |w|,
     f(center) = 0.  A subclass supplies only rho and its derivative; the
     polar derivatives are f_r = rho'(r) w/|w| and f_theta = i rho(r) w/|w|,
-    so J_f = rho rho' / r depends on r alone."""
+    so J_f = rho rho' / r depends on r alone, and the map commutes with
+    rotations about the center."""
 
     radial_jacobian = True
+    rotation_equivariant = True
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -279,6 +293,7 @@ class RadialMapping(Mapping):
 @dataclass(frozen=True)
 class Identity(Mapping):
     radial_jacobian = True
+    rotation_equivariant = True
 
     def _eval_array(self, z):
         return z
@@ -295,6 +310,7 @@ class Linear(Mapping):
     a: complex
     b: complex
     c: complex = 0j
+    # J is constant, but A conj(z) rotates the other way: not rotation_equivariant
     radial_jacobian = True
 
     def __post_init__(self):
@@ -321,6 +337,7 @@ class Spiral(Mapping):
 
     origin_singular = True
     radial_jacobian = True
+    rotation_equivariant = True
 
     def _eval_array(self, z):
         r = np.abs(z)

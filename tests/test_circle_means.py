@@ -177,14 +177,19 @@ KERNEL_CALLS = {
     "mean": {"CircleQuadrature"},
     "blockwise": {"CircleQuadrature", "modulus_extremes"},
 }
-#: flag -> the one function that reads it, to choose one_node
-FLAG_READS = {"radial_abs2": "kappa", "radial_jacobian": "_mean_jacobians"}
+#: flag -> the one function that reads it, to choose the kernel's path
+FLAG_READS = {
+    "radial_abs2": "kappa",
+    "angular_abs2": "kappa",
+    "radial_jacobian": "_mean_jacobians",
+    "rotation_equivariant": "equivariant_about",
+}
 
 
 def uses(tree, where, scopes=()):
     """(name, enclosing class and function names, location) of every call
     to ``<x>.mean``/``<x>.blockwise`` with ``x`` other than numpy, and every
-    read of a one-node flag, in the syntax tree."""
+    read of a flag that picks the kernel's path, in the syntax tree."""
     for node in ast.iter_child_nodes(tree):
         inner = scopes
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -232,9 +237,16 @@ def test_walker_sees_calls_and_reads():
         "def length(q, z):\n"
         "    return np.mean(z) + q.mean(z)\n"
         "def kappa(K):\n"
-        "    return K.radial_abs2 or K.radial_jacobian\n"
+        "    return K.radial_abs2 or K.radial_jacobian or K.angular_abs2\n"
         "class Field:\n"
         "    radial_abs2 = True\n"
+        "    angular_abs2 = True\n"
+        "class Map:\n"
+        "    rotation_equivariant = True\n"
+        "    def equivariant_about(self, z0):\n"
+        "        return self.rotation_equivariant\n"
+        "def length(f):\n"
+        "    return f.rotation_equivariant and f.angular_abs2\n"
     )
     found = [(n, s, w) for n, s, w in uses(ast.parse(source), "example.py")]
     assert found == [
@@ -242,6 +254,12 @@ def test_walker_sees_calls_and_reads():
         ("mean", ("length",), "example.py:5"),
         ("radial_abs2", ("kappa",), "example.py:7"),
         ("radial_jacobian", ("kappa",), "example.py:7"),
+        ("angular_abs2", ("kappa",), "example.py:7"),
+        ("rotation_equivariant", ("Map", "equivariant_about"), "example.py:14"),
+        ("rotation_equivariant", ("length",), "example.py:16"),
+        ("angular_abs2", ("length",), "example.py:16"),
     ]
-    assert [allowed(n, s) for n, s, _ in found] == [True, False, True, False]
+    assert [allowed(n, s) for n, s, _ in found] == [
+        True, False, True, False, True, True, False, False
+    ]
 

@@ -21,6 +21,7 @@ from beltrami_growth.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    PLOTTED,
     ConfigError,
     _check_radii,
     _extremal,
@@ -40,6 +41,7 @@ from beltrami_growth import (
     theorem1_check,
 )
 from beltrami_growth.dilatation import E_2
+from test_readme import EXAMPLES
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -801,3 +803,28 @@ def test_command_signature_matches_its_row(name):
         params = list(inspect.signature(_extremal).parameters.values())
     assert {p.name for p in params if p.default is p.empty} == set(required)
     assert {p.name for p in params if p.default is not p.empty} == set(optional)
+
+
+@pytest.mark.parametrize(
+    "command, text", EXAMPLES, ids=[f"{c}-{i}" for i, (c, _) in enumerate(EXAMPLES)]
+)
+def test_plot_on_a_command_that_does_not_plot_is_noted(tmp_path, capsys, command, text):
+    # --plot only adds the SVG of envelope and sharpness; every other command
+    # says on stderr that it writes none, and its exit code and files stay
+    runs = []
+    for extra in ([], ["--plot"]):
+        out = tmp_path / f"out{len(runs)}"
+        (tmp_path / "config.json").write_text(text)
+        code = main([command, "--config", str(tmp_path / "config.json"), "--out", str(out),
+                     "--quiet", *extra])
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        runs.append((code, files, capsys.readouterr()))
+    (code, files, plain), (plot_code, plot_files, plotted) = runs
+    assert code == plot_code == EXIT_OK
+    assert plain.out == plotted.out == "" and plain.err == ""
+    svgs = {name for name in plot_files if name.endswith(".svg")}
+    assert {name: plot_files[name] for name in plot_files if name not in svgs} == files
+    if command in PLOTTED:
+        assert svgs and plotted.err == ""
+    else:
+        assert not svgs and plotted.err == f"note: --plot writes no SVG for {command}\n"
