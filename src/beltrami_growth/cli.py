@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -81,19 +82,54 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _spelled_floats(table: np.ndarray) -> str:
+    """The rows of a 2-d float64 array as CSV lines, every cell "%.17g".
+
+    Each distinct bit pattern of the table is spelled once and gathered back
+    into its cells, so a table of few distinct values costs few spellings.
+    Bits, not values: -0.0 and 0.0 stay apart, and NaNs that differ in sign
+    or payload are each spelled."""
+    n_rows, n_cols = table.shape
+    distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
+    words = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return (",".join(["%s"] * n_cols) + "\n") * n_rows % tuple(words[where.ravel()].tolist())
+
+
 def write_csv(path: Path, header, rows) -> Path:
-    rows = [tuple(row) for row in rows]
-    cells = [v for row in rows for v in row]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    """Write header and rows to path as CSV, one line per row, and return path.
+
+    Every cell is spelled as fmt spells it: a float by "%.17g", a bool as
+    true or false, an int in decimal, and a string as given, quoted by the
+    csv module where it needs quotes. rows is an iterable of rows, or a 2-d
+    float64 array with one column per header name, which is written without
+    a round trip through Python floats; an array of any other shape or dtype
+    raises ValueError before anything is written. When every row is all
+    floats and as long as the header, the table's cells with equal bits are
+    spelled once between them, which gives the same bytes."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != len(header):
+            raise ValueError(
+                f"need a 2-d float64 array of {len(header)} columns, "
+                f"got {rows.dtype} of shape {rows.shape}"
+            )
+        table = rows
+    else:
+        rows = [tuple(row) for row in rows]
+        cells = [v for row in rows for v in row]
         # a float never needs quoting, and "%.17g" spells it as fmt does
         if {len(row) for row in rows} <= {len(header)} and all(
             issubclass(t, float) for t in set(map(type, cells))
         ):
-            fh.write((",".join(["%.17g"] * len(header)) + "\n") * len(rows) % tuple(cells))
+            table = np.array(cells, dtype=np.float64).reshape(len(rows), len(header))
         else:
+            table = None
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if table is None:
             writer.writerows([fmt(v) for v in row] for row in rows)
+        else:
+            fh.write(_spelled_floats(table))
     return path
 
 
@@ -442,7 +478,7 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
     write_csv(
         outdir / "verify_residual.csv",
         ["r", "theta", "abs_residual"],
-        zip(residual.r.tolist(), residual.theta.tolist(), residual.abs_residual.tolist()),
+        np.column_stack((residual.r, residual.theta, residual.abs_residual)),
     )
 
     radii = _check_radii(mapping, r0, top)
@@ -475,12 +511,12 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
 def cmd_extremal(outdir: Path, plot: bool, say, **params) -> int:
     sol = _extremal(**params)
     rho_path = write_csv(
-        outdir / "extremal_rho.csv", ["r", "rho"], zip(sol.knots, sol.rho)
+        outdir / "extremal_rho.csv", ["r", "rho"], np.column_stack((sol.knots, sol.rho))
     )
     coef_path = write_csv(
         outdir / "extremal_coefficient.csv",
         ["r", "kappa"],
-        zip(sol.knots, sol.kappa_of_r()(sol.knots)),
+        np.column_stack((sol.knots, sol.kappa_of_r()(sol.knots))),
     )
     say(f"wrote {rho_path} and {coef_path} ({sol.knots.size} knots)")
     return EXIT_OK
@@ -546,7 +582,10 @@ COMMANDS = {
 PLOTTED = ("envelope", "sharpness")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args does not
+    change it, so every call of main parses alike."""
     parser = argparse.ArgumentParser(
         prog="beltrami-growth",
         description="Growth and residual checks for the nonlinear Beltrami "
@@ -561,7 +600,11 @@ def main(argv=None) -> int:
             "--plot", action="store_true", help=f"also emit SVG plots ({' and '.join(PLOTTED)})"
         )
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.plot and args.command not in PLOTTED:
         print(f"note: --plot writes no SVG for {args.command}", file=sys.stderr)
 

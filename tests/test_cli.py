@@ -25,6 +25,7 @@ from beltrami_growth.cli import (
     ConfigError,
     _check_radii,
     _extremal,
+    _parser,
     fmt,
     main,
     parse_mapping,
@@ -143,8 +144,18 @@ class TestWriteCsvReference:
             FLOATS + [(1.0, 2.0)],
             FLOATS[:2] + [(1.0, 2.0, 3.0, 4.0)],
             [],
+            np.array(FLOATS, dtype=np.float64),
+            # a residual-like table: repeated radii and angles, round-off values
+            np.column_stack((
+                np.repeat(np.geomspace(0.5, 4.0, 8), 4),
+                np.tile(np.linspace(0.0, 6.0, 4), 8),
+                np.random.default_rng(5).standard_normal(32) * 1e-17,
+            )),
+            np.empty((0, 3)),
+            np.asfortranarray(np.array(FLOATS, dtype=np.float64)),
         ],
-        ids=["floats", "one-row", "mixed-first", "mixed-last", "short", "long", "no-rows"],
+        ids=["floats", "one-row", "mixed-first", "mixed-last", "short", "long", "no-rows",
+             "array", "grid-array", "empty-array", "column-major-array"],
     )
     def test_bytes_equal_reference(self, tmp_path, rows):
         header = ["a", "b", "c"]
@@ -160,6 +171,83 @@ class TestWriteCsvReference:
         assert path.read_bytes() == reference_csv(["r", "rho"], zip(radii, np.sqrt(radii)))
         path = write_csv(tmp_path / "e.csv", header, iter(()))
         assert path.read_bytes() == reference_csv(header, []) == b"a,b,c\n"
+
+
+def nan_with(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+class TestSpelledOnce:
+    """Cells that compare equal but differ in bits keep their own spelling."""
+
+    #: one column of floats that are easy to spell wrong, each repeated: both
+    #: zeros and NaNs of both signs and two payloads, which compare equal or
+    #: unordered while their bits differ, subnormals and both infinities
+    HARD = [
+        0.0,
+        -0.0,
+        math.nan,
+        -math.nan,
+        nan_with(0x7FF8000000000001),
+        nan_with(0xFFF8000000000002),
+        5e-324,
+        -5e-324,
+        2.5e-310,
+        math.inf,
+        -math.inf,
+        1.0 / 3.0,
+    ] * 7
+
+    @pytest.mark.parametrize("as_array", [True, False], ids=["array", "rows"])
+    def test_values_that_compare_equal_keep_their_spelling(self, tmp_path, as_array):
+        rng = np.random.default_rng(11)
+        column = [self.HARD[i] for i in rng.permutation(len(self.HARD))]
+        # the second column holds the same cells in reverse order
+        rows = list(zip(column, column[::-1]))
+        table = np.array(rows, dtype=np.float64)
+        path = write_csv(tmp_path / "t.csv", ["x", "y"], table if as_array else rows)
+        assert path.read_bytes() == reference_csv(["x", "y"], rows)
+        lines = path.read_text().splitlines()[1:]
+        spelled = {line.split(",")[0] for line in lines}
+        assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"} <= spelled
+        assert [line.split(",")[0] == "-0" for line in lines] == [
+            v == 0.0 and math.copysign(1.0, v) < 0 for v in column
+        ]
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((4, 2)),
+            np.zeros((4, 4)),
+            np.zeros(3),
+            np.zeros((2, 3, 3)),
+            np.zeros((4, 3), dtype=np.float32),
+            np.zeros((4, 3), dtype=np.int64),
+            np.zeros((4, 3), dtype=object),
+            np.zeros((4, 3), dtype=bool),
+        ],
+        ids=["narrow", "wide", "1-d", "3-d", "float32", "int64", "object", "bool"],
+    )
+    def test_wrong_array_rejected_before_writing(self, tmp_path, table):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="2-d float64 array of 3 columns"):
+            write_csv(path, ["a", "b", "c"], table)
+        assert not path.exists()
+
+    def test_verify_residual_spelled_as_fmt(self, tmp_path):
+        # the README's verify example on the power pair; its ladder top is
+        # 2^40, so the residual grid is the default one from r0 to 8 r0
+        command, text = EXAMPLES[0]
+        cfg = json.loads(text)
+        assert command == "verify" and cfg["pair"]["name"] == "power"
+        code, out = run(tmp_path, "verify", cfg, "--quiet")
+        assert code == EXIT_OK
+        mapping, coefficient = parse_pair(cfg["pair"])
+        residual = pde_residual(mapping, coefficient, AnnulusGrid(1.0, 8.0))
+        rows = zip(residual.r.tolist(), residual.theta.tolist(), residual.abs_residual.tolist())
+        expected = reference_csv(["r", "theta", "abs_residual"], rows)
+        assert (out / "verify_residual.csv").read_bytes() == expected
+        assert expected.count(b"\n") == 1 + 32 * 64
 
 
 class TestKappa:
@@ -828,3 +916,61 @@ def test_plot_on_a_command_that_does_not_plot_is_noted(tmp_path, capsys, command
         assert svgs and plotted.err == ""
     else:
         assert not svgs and plotted.err == f"note: --plot writes no SVG for {command}\n"
+
+
+class TestParserBuiltOnce:
+    def test_same_parser_every_call(self):
+        assert _parser() is _parser()
+
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # main's parser outlives each call, so a call must leave nothing in it
+        # that the next call sees: one interpreter runs a verify, an argv
+        # without --config, a kappa with --plot and the same verify again, and
+        # each call's exit code, output and files equal a fresh process's
+        configs = dict(EXAMPLES)
+        calls = [
+            ["verify", "--config", "verify.json", "--out", "out0"],
+            ["verify", "--out", "out1"],
+            ["kappa", "--config", "kappa.json", "--out", "out2", "--plot"],
+            ["verify", "--config", "verify.json", "--out", "out3"],
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def outputs(where, argv, code, out, err):
+            written = where / argv[argv.index("--out") + 1]
+            files = {p.name: p.read_bytes() for p in written.iterdir()} if written.exists() else {}
+            return code, out, err, files
+
+        results = {}
+        for side in ("fresh", "in_process"):
+            where = tmp_path / side
+            where.mkdir()
+            for command in ("verify", "kappa"):
+                (where / f"{command}.json").write_text(configs[command])
+            results[side] = []
+            for argv in calls:
+                if side == "fresh":
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "beltrami_growth.cli", *argv],
+                        cwd=where, env=env, capture_output=True, text=True, timeout=120,
+                    )
+                    results[side].append(
+                        outputs(where, argv, proc.returncode, proc.stdout, proc.stderr)
+                    )
+                    continue
+                monkeypatch.chdir(where)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results[side].append(outputs(where, argv, code, captured.out, captured.err))
+        fresh, in_process = results["fresh"], results["in_process"]
+        # argparse exits 2 on a usage error
+        assert [r[0] for r in fresh] == [EXIT_OK, 2, EXIT_OK, EXIT_OK]
+        assert "the following arguments are required: --config" in fresh[1][2]
+        assert fresh[2][2] == "note: --plot writes no SVG for kappa\n"
+        assert fresh[0][3] and fresh[0][3] == fresh[3][3]
+        assert in_process == fresh
