@@ -63,12 +63,18 @@ class PolarDerivPair:
         _require_finite(self.d_theta, "d_theta")
 
 
-def require_radius_above_floor(r):
+def require_radius_above_floor(r, center):
     """Return the radii ``r`` = |z - center| if none is below RADIUS_FLOOR;
-    otherwise raise DegenerateRadius naming the smallest radius and the floor."""
+    otherwise raise DegenerateRadius naming the smallest radius, the floor
+    and, if the float spacing of ``center`` (None if unknown) exceeds the
+    floor, the center and its spacing, below which a radius rounds to 0."""
     if np.any(np.asarray(r) < RADIUS_FLOOR):
+        c = complex(center or 0)
+        lost = float(np.spacing(max(abs(c.real), abs(c.imag))))
+        why = f": radii below {lost} are lost to rounding against the center {c}"
         raise DegenerateRadius(
             f"|z - center| = {float(np.nanmin(r))} below the floor {RADIUS_FLOOR}"
+            + (why if lost > RADIUS_FLOOR else "")
         )
     return r
 
@@ -76,7 +82,7 @@ def require_radius_above_floor(r):
 def center_offset(z, center):
     """w = z - center and r = |w|, through :func:`require_radius_above_floor`."""
     w = np.asarray(z, dtype=complex) - np.asarray(center, dtype=complex)
-    return w, require_radius_above_floor(np.abs(w))
+    return w, require_radius_above_floor(np.abs(w), center)
 
 
 def wirtinger_to_polar(z, z0, wp: WirtingerPair) -> PolarDerivPair:
@@ -101,7 +107,7 @@ def polar_to_wirtinger(z, z0, pd: PolarDerivPair) -> WirtingerPair:
 
 def jacobian_polar(r, pd: PolarDerivPair):
     """Jacobian from polar derivatives: (1/r) * Im(conj(f_r) * f_theta)."""
-    r = require_radius_above_floor(np.asarray(r, dtype=float))
+    r = require_radius_above_floor(np.asarray(r, dtype=float), None)
     out = np.imag(np.conj(pd.d_r) * pd.d_theta) / r
     return float(out) if out.ndim == 0 else out
 

@@ -23,12 +23,16 @@ from .complex_polar import (
 )
 from .errors import DomainError, NonPositiveKappa, QuadratureFailure
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
+from .mappings import require_known_symmetry
 
 JACOBIAN_FLOOR = 1e-14
 #: most circle points one call of a many-circle kernel evaluates.  Larger
 #: blocks were slower on verify: their temporaries (256 KiB and up per complex
 #: array) come back from the allocator as fresh pages on every call
 BLOCK_POINTS = 1 << 14
+#: what a circle integrand depends on: anything, the radius |z - center|
+#: alone, or the angle arg(z - center) alone
+CIRCLE_SYMMETRIES = (None, "radius", "angle")
 
 
 @dataclass(frozen=True)
@@ -69,29 +73,29 @@ class CircleQuadrature:
             [fn(radii[i : i + rows]) for i in range(0, max(1, radii.size), rows)]
         )
 
-    def circle_means(
-        self, sample, center: complex, r, one_node: bool = False, angle_only: bool = False
-    ):
+    def circle_means(self, sample, center: complex, r, symmetry=None):
         """Angular mean of ``sample``, which maps an array of points to the
         integrand there, on each circle |z - center| = r: a float for a
         positive scalar r, one mean per radius for a 1-d array of them.
-        Full circles go to ``sample`` in blocks (:meth:`blockwise`); with
-        ``one_node``, for an integrand constant on each circle, every circle
-        is read at its theta = 0 node center + r alone, in one call; with
-        ``angle_only``, for an integrand that depends on arg(z - center)
-        alone, the mean over the unit circle about center is every circle's
-        mean.  A fixed unit circle, not the first radius, keeps a radius's
-        mean the same whatever radii come with it.  Each mean goes through
-        :meth:`mean` and its non-finite check."""
+        ``symmetry``, one of CIRCLE_SYMMETRIES, says what the integrand
+        depends on.  With None, full circles go to ``sample`` in blocks
+        (:meth:`blockwise`); with "radius", every circle is read at its
+        theta = 0 node center + r alone, in one call; with "angle", the mean
+        over the unit circle about center is every circle's mean.  A fixed
+        unit circle, not the first radius, keeps a radius's mean the same
+        whatever radii come with it.  Each mean goes through :meth:`mean` and
+        its non-finite check."""
+        if symmetry not in CIRCLE_SYMMETRIES:
+            raise ValueError(f"unknown circle symmetry {symmetry!r}, not in {CIRCLE_SYMMETRIES}")
         radii = np.asarray(r, dtype=float)
         if radii.ndim > 1:
             raise ValueError(f"radius must be a scalar or a 1-d array, got shape {radii.shape}")
         if not np.all(radii > 0.0):
             raise ValueError(f"radius must be positive, got {r}")
         rows = np.atleast_1d(radii)[:, None]
-        if one_node:
+        if symmetry == "radius":
             out = self.mean(sample(complex(center) + rows))
-        elif angle_only:
+        elif symmetry == "angle":
             # no circle at all for no radii, as on the full path
             unit = np.ones((min(1, rows.shape[0]), 1))
             out = np.repeat(self.mean(sample(self.points(center, unit))), rows.shape[0])
@@ -106,23 +110,23 @@ class CoefficientField:
     A radial-phase field defines only |K|^2 (``_abs2_array``) and takes the
     phase K = -sqrt(|K|^2) w/conj(w), the sign convention of the catalog's
     radial solutions; any other phase has the same |K|^2.  A field with its
-    own phase defines ``_value_array`` instead.  A class whose |K|^2 depends
-    on |z - center| alone sets ``radial_abs2``, and kappa then reads one
-    sample per circle.  A class whose |K|^2 depends on arg(z - center) alone
-    sets ``angular_abs2``, and kappa then takes one circle's mean for every
-    radius; such a field is defined for every radius and has no radial
-    breakpoints.
+    own phase defines ``_value_array`` instead.  ``abs2_symmetry``, one of
+    CIRCLE_SYMMETRIES, says what |K|^2 depends on, and kappa hands it to
+    CircleQuadrature.circle_means: "radius" for |z - center| alone, "angle"
+    for arg(z - center) alone; a field with "angle" is defined for every
+    radius and has no radial breakpoints.
     """
 
     center: complex = 0j
-    #: |K|^2 depends on |z - center| alone
-    radial_abs2: bool = False
-    #: |K|^2 depends on arg(z - center) alone
-    angular_abs2: bool = False
+    #: one of CIRCLE_SYMMETRIES: what |K|^2 depends on
+    abs2_symmetry: str | None = None
     #: radii |z - center| where the field jumps or kinks (piecewise variants)
     radial_breakpoints: tuple = ()
     #: (lower, upper) radii |z - center| on which the field is defined
     radial_domain: tuple = (0.0, math.inf)
+
+    def __init_subclass__(cls):
+        require_known_symmetry(cls, "abs2_symmetry", CIRCLE_SYMMETRIES)
 
     def _abs2_array(self, w, r):
         return np.abs(self._value_array(w, r)) ** 2
@@ -151,7 +155,7 @@ class LinearCoefficient(CoefficientField):
     a: complex
     b: complex
     center: complex = 0j
-    angular_abs2 = True
+    abs2_symmetry = "angle"
 
     def __post_init__(self):
         if abs(abs(self.a) - abs(self.b)) == 0.0:
@@ -170,7 +174,7 @@ class SpiralCoefficient(CoefficientField):
     """Coefficient solved by the spiral map: -(w/conj(w)) e^{2i ln|w|}."""
 
     center: complex = 0j
-    radial_abs2 = True
+    abs2_symmetry = "radius"
 
     def _value_array(self, w, r):
         return -(w / np.conj(w)) * np.exp(2j * np.log(r))
@@ -184,7 +188,7 @@ class RadialCoefficient(CoefficientField):
     profile: KappaProfile
     center: complex = 0j
     radial_domain: tuple | None = None
-    radial_abs2 = True
+    abs2_symmetry = "radius"
 
     def __post_init__(self):
         object.__setattr__(self, "radial_breakpoints", tuple(self.profile.breakpoints))
@@ -327,22 +331,21 @@ def circle_average_D(
     The 1/(2*pi*r) normalization and the arc element |dz| = r d(theta)
     cancel, leaving a plain mean over theta.  A 1-d array of radii gives
     one mean per radius (CircleQuadrature.circle_means).  About the center
-    of a rotation-equivariant map the dilatation is the same all round each
-    circle, and one node per circle is read.
+    of a map whose symmetry is "equivariant" the dilatation is the same all
+    round each circle, and one node per circle is read.
     """
-    one_node = mapping.equivariant_about(z0)
-    return q.circle_means(lambda z: angular_dilatation(mapping, z0, z), z0, r, one_node)
+    symmetry = "radius" if mapping.symmetry_about(z0) == "equivariant" else None
+    return q.circle_means(lambda z: angular_dilatation(mapping, z0, z), z0, r, symmetry)
 
 
 def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     """Angular mean of |K|^2 on the circle of radius r about the field center.
 
-    A 1-d array of radii gives one mean per radius.  When K.radial_abs2 is
-    set, |K|^2 is constant on each circle, and one node per circle is read;
-    when K.angular_abs2 is set, every circle has the mean of the unit circle,
-    which is read once (CircleQuadrature.circle_means).
+    A 1-d array of radii gives one mean per radius.  K.abs2_symmetry goes
+    to CircleQuadrature.circle_means as it is: with "radius" one node per
+    circle is read, with "angle" the unit circle's mean is every circle's.
     """
-    return q.circle_means(K.abs2, K.center, r, K.radial_abs2, K.angular_abs2)
+    return q.circle_means(K.abs2, K.center, r, K.abs2_symmetry)
 
 
 # ---------------------------------------------------------------------------

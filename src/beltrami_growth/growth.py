@@ -80,15 +80,11 @@ class CoefficientBound:
 
 
 def corollary_exponent(bound) -> float:
-    if isinstance(bound, KappaBound):
-        if not bound.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        return 1.0 / bound.alpha
-    if isinstance(bound, CoefficientBound):
-        if not bound.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        return 1.0 / (bound.alpha * bound.alpha)
-    raise TypeError(f"unknown bound type {type(bound)!r}")
+    if not isinstance(bound, (KappaBound, CoefficientBound)):
+        raise TypeError(f"unknown bound type {type(bound)!r}")
+    if not bound.alpha > 0.0:
+        raise ValueError("alpha must be positive")
+    return 1.0 / (bound.alpha if isinstance(bound, KappaBound) else bound.alpha * bound.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +112,10 @@ def _panel_rules(profile: KappaProfile, a: np.ndarray, b: np.ndarray):
     if np.any(bad):
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise NonPositiveKappa(f"kappa sample {kappa[i]} at r = {r[i]}")
-    g = 1.0 / kappa
-    fine = half * np.sum(g[:, :12] * _W12, axis=1)
-    coarse = half * np.sum(g[:, 12:] * _W6, axis=1)
+    with np.errstate(over="ignore"):  # ladder_integrals refuses an overflow
+        g = 1.0 / kappa
+        fine = half * np.sum(g[:, :12] * _W12, axis=1)
+        coarse = half * np.sum(g[:, 12:] * _W6, axis=1)
     return fine, coarse
 
 
@@ -149,7 +146,8 @@ def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
     MAX_BISECTIONS bisections raises QuadratureFailure.  Each gap is the
     math.fsum of its accepted panels, which is exactly rounded, so it does
     not depend on the order in which panels are accepted.  Every sample of
-    kappa must be positive and finite.
+    kappa must be positive and finite, and every panel's 12- and 6-point
+    values finite, which a subnormal kappa breaks: 1/kappa overflows.
     """
     rungs = [float(R) for R in radii]
     if (rungs and rungs[0] < r0) or any(b <= a for a, b in zip(rungs, rungs[1:])):
@@ -158,38 +156,43 @@ def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
         return np.zeros(0)
     edges = require_radii_within(np.array([r0] + rungs), profile.domain, "the profile's")
     edges = edges.tolist()
-    # every gap's panels, each tagged with the index of its gap
-    a, b, gap = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]
-    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        if hi == lo:
-            continue
-        cuts = [math.log(c) for c in profile.breakpoints if lo < c < hi]
-        stops = [math.log(lo)] + cuts + [math.log(hi)]
-        for s, e in zip(stops, stops[1:]):
-            bounds = np.linspace(s, e, max(1, math.ceil(e - s)) + 1)
-            a.append(bounds[:-1])
-            b.append(bounds[1:])
-            gap.append(np.full(bounds.size - 1, k))
-    a, b, gap = np.concatenate(a), np.concatenate(b), np.concatenate(gap)
+    # every gap's panels, each tagged with the index of its gap: np.linspace's
+    # split, at most 1 wide in t = ln r, of each segment between two stops
+    stops = sorted(set(edges) | {c for c in profile.breakpoints if edges[0] < c < edges[-1]})
+    t = np.array([math.log(c) for c in stops])
+    count = np.maximum(1, np.ceil(np.diff(t))).astype(int)
+    start, step = np.repeat(t[:-1], count), np.repeat(np.diff(t) / count, count)
+    i = np.arange(start.size) - np.repeat(np.cumsum(count) - count, count)
+    a, b = start + i * step, start + (i + 1) * step
+    b[np.cumsum(count) - 1] = t[1:]
+    gap = np.repeat(np.searchsorted(edges, stops[:-1], side="right") - 1, count)
+
+    def failure(k, why):
+        span = f"gap {k}, [{edges[k]}, {edges[k + 1]}]"
+        return QuadratureFailure(f"attenuation integral over {span}, {why}")
+
     done_gap, done_value = [np.zeros(0, dtype=int)], [np.zeros(0)]
     bisections = np.zeros(len(rungs), dtype=int)
     while gap.size:
         fine, coarse = _panel_rules(profile, a, b)
+        finite = np.isfinite(fine) & np.isfinite(coarse)
+        if not np.all(finite):
+            raise failure(int(gap[np.argmin(finite)]), "is not finite: 1/kappa overflows")
         retry = np.abs(fine - coarse) > ENVELOPE_ABS_TOL
         done_gap.append(gap[~retry])
         done_value.append(fine[~retry])
         bisections += np.bincount(gap[retry], minlength=bisections.size)
         if np.any(bisections > MAX_BISECTIONS):
             k = int(np.argmax(bisections > MAX_BISECTIONS))
-            raise QuadratureFailure(
-                f"attenuation integral over gap {k}, [{edges[k]}, {edges[k + 1]}], "
-                f"missed {ENVELOPE_ABS_TOL} after {MAX_BISECTIONS} panel bisections"
-            )
+            raise failure(k, f"missed {ENVELOPE_ABS_TOL} after {MAX_BISECTIONS} panel bisections")
         a, b, gap = a[retry], b[retry], gap[retry]
         mid = 0.5 * (a + b)
         a, b, gap = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([gap, gap])
+    # each gap's accepted panels, gathered by one sort and summed exactly
     done_gap, done_value = np.concatenate(done_gap), np.concatenate(done_value)
-    return np.array([math.fsum(done_value[done_gap == k]) for k in range(len(rungs))])
+    values = done_value[np.argsort(done_gap)].tolist()
+    ends = np.cumsum(np.bincount(done_gap, minlength=len(rungs))).tolist()
+    return np.array([math.fsum(values[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)])
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +204,15 @@ MODULUS_ANGLE_TOL = 1e-11
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def modulus_extremes(
-    mapping: Mapping,
-    z0: complex,
-    r,
-    q: CircleQuadrature = CircleQuadrature(),
-):
+def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()):
     """(max, min) of |f(z) - f(z0)| over the circle |z - z0| = r.
 
     Grid scan on the quadrature angles, then golden-section refinement
     within 2*pi/n of the best grid angle, down to a bracket below
     MODULUS_ANGLE_TOL in theta.  A scalar r gives two floats; a 1-d array of
     radii gives two arrays, with every radius and both extremes refined at
-    once.  About the center of a rotation-equivariant map (see
-    Mapping.equivariant_about) |f(z) - f(z0)| is the same all round each
+    once.  About the center of a map whose symmetry is "equivariant" (see
+    Mapping.symmetry_about) |f(z) - f(z0)| is the same all round each
     circle, and max = min is read at the theta = 0 node z0 + r alone.
     """
     radii = np.asarray(r, dtype=float)
@@ -232,13 +230,9 @@ def modulus_extremes(
     def distance(z):
         return np.abs(mapping.evaluate(z) - f0)
 
-    if mapping.equivariant_about(z0c):
-        values = distance(z0c + rr)
-        if not np.all(np.isfinite(values)):
-            raise QuadratureFailure("non-finite modulus sample on the circle")
-        if radii.ndim == 0:
-            return float(values[0]), float(values[0])
-        return values, values.copy()
+    if mapping.symmetry_about(z0c) == "equivariant":
+        values = q.circle_means(distance, z0c, r, "radius")
+        return (values, values) if radii.ndim == 0 else (values, values.copy())
     values = q.blockwise(lambda block: distance(q.points(z0c, block[:, None])), rr)
     if not np.all(np.isfinite(values)):
         raise QuadratureFailure("non-finite modulus sample on the circle")
@@ -282,20 +276,21 @@ def circle_length(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Circle
     """Length of the image curve: int |f_theta| d(theta) by periodic trapezoid.
 
     A 1-d array of radii gives one length per radius (CircleQuadrature.circle_means).
-    About the center of a rotation-equivariant map |f_theta| is the same all
-    round each circle, and one node per circle is read.
+    About the center of a map whose symmetry is "equivariant" |f_theta| is
+    the same all round each circle, and one node per circle is read.
     """
 
     def speed(z):
         return np.abs(wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z)).d_theta)
 
-    return TWO_PI * q.circle_means(speed, z0, r, mapping.equivariant_about(z0))
+    symmetry = "radius" if mapping.symmetry_about(z0) == "equivariant" else None
+    return TWO_PI * q.circle_means(speed, z0, r, symmetry)
 
 
 def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
     """Angular mean of J_f on each circle |z - z0| = r.
 
-    When mapping.radial_jacobian is set and z0 is the mapping's center, J_f
+    When the mapping has any symmetry about z0 (Mapping.symmetry_about), J_f
     is constant on each circle, and one node per circle is read
     (CircleQuadrature.circle_means); that node still goes through the J > 0
     guard and the non-finite check of the mean.
@@ -307,8 +302,8 @@ def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
         jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
         return require_jacobian_above(jac, 0.0, z, z0)
 
-    one_node = mapping.radial_jacobian and complex(z0) == complex(mapping.center)
-    return q.circle_means(jacobian, z0, r, one_node)
+    symmetry = "radius" if mapping.symmetry_about(z0) else None
+    return q.circle_means(jacobian, z0, r, symmetry)
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -318,12 +313,7 @@ RADIAL_STEPS = 48
 INNER_CUTOFF = 1e-8
 
 
-def _disk_areas(
-    mapping: Mapping,
-    z0: complex,
-    radii,
-    q: CircleQuadrature,
-) -> np.ndarray:
+def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np.ndarray:
     """Areas of f(B(z0, r)) for every r in ``radii`` from one radial sweep.
 
     Composite 8-point Gauss panels in u = ln(rho) run from
@@ -334,7 +324,7 @@ def _disk_areas(
     is RADIAL_STEPS panels over the smallest radius's log span, at least two
     per segment; a segment's circles are averaged in one
     :func:`_mean_jacobians` call and summed as one: one node per circle when
-    the mapping sets radial_jacobian and z0 is its center, all n otherwise.
+    the mapping has a symmetry about z0, all n otherwise.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
@@ -384,9 +374,9 @@ def image_area(
     split at the mapping's seam radii; the disk below the cutoff is accounted
     for by a local power-law extrapolation of the angular mean of J.  Every
     sampled node checks J > 0, so a map that folds anywhere inside the disk
-    raises NonPositiveJacobian; on a disk about the center of a map with
-    radial_jacobian set, J is the same all round each circle, and one node
-    per circle is sampled.  The checks below take several areas from one sweep
+    raises NonPositiveJacobian; on a disk about the center of a map with a
+    symmetry, J is the same all round each circle, and one node per circle
+    is sampled.  The checks below take several areas from one sweep
     of :func:`_disk_areas`; this is its one-radius case.
     """
     return float(_disk_areas(mapping, z0, [r], q)[0])
@@ -501,17 +491,9 @@ class AreaBoundReport:
 def _area_bound_report(K, r0, R, area_inner, area_outer, q) -> AreaBoundReport:
     integral, _ = envelope_integral(FieldProfile(K, q), r0, R)
     rhs = area_outer * math.exp(-2.0 * integral)
-    slack = rhs - area_inner
+    slack, tol = rhs - area_inner, AREA_BOUND_REL_TOL * rhs
     return AreaBoundReport(
-        r0,
-        R,
-        area_inner,
-        area_outer,
-        integral,
-        rhs,
-        slack,
-        slack >= -AREA_BOUND_REL_TOL * rhs,
-        abs(slack) <= AREA_BOUND_REL_TOL * rhs,
+        r0, R, area_inner, area_outer, integral, rhs, slack, slack >= -tol, abs(slack) <= tol
     )
 
 

@@ -131,32 +131,43 @@ def require_radii_within(r, domain: tuple, owner: str):
     return np.clip(r, lo, hi)
 
 
+#: the values of Mapping.symmetry, each claiming more than the one before
+MAPPING_SYMMETRIES = (None, "radial_jacobian", "equivariant")
+
+
+def require_known_symmetry(cls, name: str, values: tuple):
+    """Refuse with TypeError a class whose body sets ``name`` to a value outside
+    ``values``: a symmetry picks a circle-mean rule, so a typo must not pass."""
+    if vars(cls).get(name) not in values:
+        raise TypeError(f"{cls.__name__}.{name} must be one of {values}, got {vars(cls)[name]!r}")
+
+
 class Mapping:
     """Base class: shared finite differences and seam logic.
 
-    A class whose Jacobian J_f depends on |z - center| alone sets
-    ``radial_jacobian``, and the disk sweep of growth then reads one node
-    per circle about the center.  A class that commutes with rotations about
-    its center sets ``rotation_equivariant`` as well; then |f - f(center)|,
-    |f_theta| and the dilatation are the same all round each circle about
-    the center, and the circle functionals of growth read one node per
-    circle (:meth:`equivariant_about`).  A subclass that breaks either
-    symmetry (one that modulates a radial map in theta, say) must set the
-    flag back to False.
+    ``symmetry`` says what rotations about the center keep:
+    ``"radial_jacobian"`` when J_f depends on |z - center| alone, and
+    ``"equivariant"`` when the map commutes with them, which makes J_f
+    radial too and |f - f(center)|, |f_theta| and the dilatation the same
+    all round each circle about the center.  Only :meth:`symmetry_about`
+    reads it.  A subclass that breaks the symmetry (one that modulates a
+    radial map in theta, say) must set it back.
     """
 
     #: point about which the seams, the origin and the domain are measured
     center: complex = 0j
-    #: J_f depends on |z - center| alone
-    radial_jacobian: bool = False
+    #: one of MAPPING_SYMMETRIES; "equivariant" means
     #: f(center + e^{i phi} w) - f(center) = e^{i phi} (f(center + w) - f(center))
-    rotation_equivariant: bool = False
+    symmetry: str | None = None
     #: radii |z - center| where the map is continuous but not differentiable
     seam_radii: tuple = ()
     #: derivatives undefined at the center
     origin_singular: bool = False
     #: |z - center| interval on which evaluate is defined
     radial_domain: tuple = (0.0, math.inf)
+
+    def __init_subclass__(cls):
+        require_known_symmetry(cls, "symmetry", MAPPING_SYMMETRIES)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -171,10 +182,10 @@ class Mapping:
     def __call__(self, z):
         return self.evaluate(z)
 
-    def equivariant_about(self, z0) -> bool:
-        """Whether rotations about z0 commute with the map: the class sets
-        ``rotation_equivariant`` and z0 is its center."""
-        return self.rotation_equivariant and complex(z0) == complex(self.center)
+    def symmetry_about(self, z0):
+        """The class's ``symmetry`` about z0: itself when z0 is the center,
+        None about any other point."""
+        return self.symmetry if complex(z0) == complex(self.center) else None
 
     # -- closed-form derivatives -------------------------------------------
 
@@ -260,8 +271,7 @@ class RadialMapping(Mapping):
     so J_f = rho rho' / r depends on r alone, and the map commutes with
     rotations about the center."""
 
-    radial_jacobian = True
-    rotation_equivariant = True
+    symmetry = "equivariant"
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -292,8 +302,7 @@ class RadialMapping(Mapping):
 
 @dataclass(frozen=True)
 class Identity(Mapping):
-    radial_jacobian = True
-    rotation_equivariant = True
+    symmetry = "equivariant"
 
     def _eval_array(self, z):
         return z
@@ -310,8 +319,8 @@ class Linear(Mapping):
     a: complex
     b: complex
     c: complex = 0j
-    # J is constant, but A conj(z) rotates the other way: not rotation_equivariant
-    radial_jacobian = True
+    # J is constant, but A conj(z) rotates the other way: not equivariant
+    symmetry = "radial_jacobian"
 
     def __post_init__(self):
         if not all(np.isfinite([self.a, self.b, self.c]).tolist()):
@@ -336,8 +345,7 @@ class Spiral(Mapping):
     """Area-preserving spiral f(z) = z * e^{2i ln|z|}, f(0) = 0; J = 1."""
 
     origin_singular = True
-    radial_jacobian = True
-    rotation_equivariant = True
+    symmetry = "equivariant"
 
     def _eval_array(self, z):
         r = np.abs(z)

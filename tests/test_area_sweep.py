@@ -348,10 +348,11 @@ def test_sweep_names_a_scalar_radius_by_its_shape():
 
 
 class Unflagged:
-    """A mapping seen with radial_jacobian unset, so the sweep samples every
-    node of each circle: the full-circle oracle of the one-node path."""
+    """A mapping seen with no symmetry, so the sweep samples every node of
+    each circle: the full-circle oracle of the one-node path."""
 
-    radial_jacobian = False
+    symmetry = None
+    symmetry_about = Mapping.symmetry_about
 
     def __init__(self, mapping):
         self._mapping = mapping
@@ -380,7 +381,7 @@ def full_circle_jacobians(mapping, radii, q):
 
 
 class TestRadialJacobian:
-    """A mapping with radial_jacobian set gives the sweep one node per circle."""
+    """A mapping with a symmetry gives the sweep one node per circle."""
 
     def test_flagged_classes(self):
         # a new mapping class must opt in here, not silently
@@ -390,20 +391,20 @@ class TestRadialJacobian:
                 yield from subclasses(sub)
 
         flagged = {
-            cls.__name__
+            cls.__name__: cls.symmetry
             for cls in subclasses(Mapping)
-            if cls.__module__.startswith("beltrami_growth") and cls.radial_jacobian
+            if cls.__module__.startswith("beltrami_growth") and cls.symmetry
         }
         assert flagged == {
-            "RadialMapping",
-            "Power",
-            "LogLog",
-            "RadialTable",
-            "Identity",
-            "Linear",
-            "Spiral",
+            "RadialMapping": "equivariant",
+            "Power": "equivariant",
+            "LogLog": "equivariant",
+            "RadialTable": "equivariant",
+            "Identity": "equivariant",
+            "Linear": "radial_jacobian",
+            "Spiral": "equivariant",
         }
-        assert not ModulatedPower.radial_jacobian and not InteriorFold.radial_jacobian
+        assert ModulatedPower.symmetry is None and InteriorFold.symmetry is None
 
     @given(
         st.sampled_from([(name, r) for name, (_, radii) in FLAGGED.items() for r in radii]),
@@ -412,7 +413,7 @@ class TestRadialJacobian:
     )
     @settings(max_examples=60, deadline=None)
     def test_jacobian_constant_on_circles(self, case, shrink, n):
-        # the flag is honest.  J = |f_z|^2 - |f_zbar|^2 is a difference, so
+        # the symmetry is honest.  J = |f_z|^2 - |f_zbar|^2 is a difference, so
         # its rounding is measured on the scale of |f_z|^2: on loglog far out
         # the two terms agree to within a few percent
         name, r = case

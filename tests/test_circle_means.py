@@ -4,7 +4,8 @@ kappa, the mean Jacobian of the disk sweep, the image length and the mean
 dilatation are each one call of it, so each keeps its contract: the radius
 checks, a float for a scalar radius, shape (0,) for no radii, and the
 non-finite check, on the one-node path as on the full path.  An ``ast``
-rule keeps every other circle mean out of the package.
+rule keeps every other circle mean out of the package, and each symmetry
+attribute to its one reader.
 """
 
 import ast
@@ -38,9 +39,9 @@ RADII = np.array([0.5, 1.0, 3.0])
 
 @dataclass(frozen=True, eq=False)
 class NanCoefficient(CoefficientField):
-    """|K|^2 = NaN everywhere; ``radial_abs2`` picks the path of kappa."""
+    """|K|^2 = NaN everywhere; ``abs2_symmetry`` picks the path of kappa."""
 
-    radial_abs2: bool = False
+    abs2_symmetry: str | None = None
 
     def _abs2_array(self, w, r):
         return np.full(r.shape, math.nan)
@@ -51,7 +52,7 @@ class Overflowing(Mapping):
     """f = 1e200 z: the derivatives are finite, but J_f = 1e400 overflows to
     inf, and so does |f_theta|^2 in the dilatation."""
 
-    radial_jacobian = True
+    symmetry = "radial_jacobian"
 
     def _eval_array(self, z):
         return 1e200 * z
@@ -67,11 +68,11 @@ LINEAR = Linear(0.3 + 0.1j, 1.2 - 0.4j, 0.5j)
 MEANS = {
     "kappa-one-node": (
         lambda r: kappa(PowerCoefficient(2.0), r, Q),
-        lambda r: kappa(NanCoefficient(True), r, Q),
+        lambda r: kappa(NanCoefficient("radius"), r, Q),
     ),
     "kappa-full": (
         lambda r: kappa(LinearCoefficient(0.3 + 0.1j, 1.2 - 0.4j), r, Q),
-        lambda r: kappa(NanCoefficient(False), r, Q),
+        lambda r: kappa(NanCoefficient(None), r, Q),
     ),
     "mean_jacobians-one-node": (
         lambda r: _mean_jacobians(Power(2.0), 0j, r, Q),
@@ -137,14 +138,20 @@ class TestContract:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("one_node", [True, False], ids=["one-node", "full"])
-    def test_non_finite_sample(self, one_node):
+    @pytest.mark.parametrize("symmetry", ["radius", None], ids=["one-node", "full"])
+    def test_non_finite_sample(self, symmetry):
         def sample(z):
             return np.where(np.abs(z) > 2.0, math.nan, 1.0)
 
-        assert Q.circle_means(sample, 0j, 1.5, one_node) == 1.0
+        assert Q.circle_means(sample, 0j, 1.5, symmetry) == 1.0
         with pytest.raises(QuadratureFailure, match="non-finite quadrature sample"):
-            Q.circle_means(sample, 0j, RADII, one_node)
+            Q.circle_means(sample, 0j, RADII, symmetry)
+
+    @pytest.mark.parametrize("symmetry", [True, "radial", "equivariant", 0])
+    def test_unknown_symmetry(self, symmetry):
+        # a typo must not fall through to the full path or to a shortcut
+        with pytest.raises(ValueError, match=f"unknown circle symmetry {symmetry!r}"):
+            Q.circle_means(np.real, 0j, RADII, symmetry)
 
     def test_one_node_reads_theta_zero(self):
         seen = []
@@ -153,7 +160,7 @@ class TestKernel:
             seen.append(np.array(z))
             return np.real(z)
 
-        means = Q.circle_means(sample, 2.0 - 1j, RADII, one_node=True)
+        means = Q.circle_means(sample, 2.0 - 1j, RADII, "radius")
         assert len(seen) == 1 and seen[0].shape == (RADII.size, 1)
         assert np.array_equal(seen[0][:, 0], (2.0 - 1j) + RADII)
         assert np.array_equal(means, 2.0 + RADII)
@@ -177,19 +184,15 @@ KERNEL_CALLS = {
     "mean": {"CircleQuadrature"},
     "blockwise": {"CircleQuadrature", "modulus_extremes"},
 }
-#: flag -> the one function that reads it, to choose the kernel's path
-FLAG_READS = {
-    "radial_abs2": "kappa",
-    "angular_abs2": "kappa",
-    "radial_jacobian": "_mean_jacobians",
-    "rotation_equivariant": "equivariant_about",
-}
+#: symmetry attribute -> the one function that reads it, to choose the
+#: kernel's path
+FLAG_READS = {"symmetry": "symmetry_about", "abs2_symmetry": "kappa"}
 
 
 def uses(tree, where, scopes=()):
     """(name, enclosing class and function names, location) of every call
     to ``<x>.mean``/``<x>.blockwise`` with ``x`` other than numpy, and every
-    read of a flag that picks the kernel's path, in the syntax tree."""
+    read of an attribute that picks the kernel's path, in the syntax tree."""
     for node in ast.iter_child_nodes(tree):
         inner = scopes
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -237,29 +240,24 @@ def test_walker_sees_calls_and_reads():
         "def length(q, z):\n"
         "    return np.mean(z) + q.mean(z)\n"
         "def kappa(K):\n"
-        "    return K.radial_abs2 or K.radial_jacobian or K.angular_abs2\n"
+        "    return K.abs2_symmetry or K.symmetry\n"
         "class Field:\n"
-        "    radial_abs2 = True\n"
-        "    angular_abs2 = True\n"
+        "    abs2_symmetry = 'angle'\n"
         "class Map:\n"
-        "    rotation_equivariant = True\n"
-        "    def equivariant_about(self, z0):\n"
-        "        return self.rotation_equivariant\n"
+        "    symmetry = 'equivariant'\n"
+        "    def symmetry_about(self, z0):\n"
+        "        return self.symmetry\n"
         "def length(f):\n"
-        "    return f.rotation_equivariant and f.angular_abs2\n"
+        "    return f.symmetry_about(0) and f.symmetry and f.abs2_symmetry\n"
     )
     found = [(n, s, w) for n, s, w in uses(ast.parse(source), "example.py")]
     assert found == [
         ("mean", ("CircleQuadrature", "circle_means"), "example.py:3"),
         ("mean", ("length",), "example.py:5"),
-        ("radial_abs2", ("kappa",), "example.py:7"),
-        ("radial_jacobian", ("kappa",), "example.py:7"),
-        ("angular_abs2", ("kappa",), "example.py:7"),
-        ("rotation_equivariant", ("Map", "equivariant_about"), "example.py:14"),
-        ("rotation_equivariant", ("length",), "example.py:16"),
-        ("angular_abs2", ("length",), "example.py:16"),
+        ("abs2_symmetry", ("kappa",), "example.py:7"),
+        ("symmetry", ("kappa",), "example.py:7"),
+        ("symmetry", ("Map", "symmetry_about"), "example.py:13"),
+        ("symmetry", ("length",), "example.py:15"),
+        ("abs2_symmetry", ("length",), "example.py:15"),
     ]
-    assert [allowed(n, s) for n, s, _ in found] == [
-        True, False, True, False, True, True, False, False
-    ]
-
+    assert [allowed(n, s) for n, s, _ in found] == [True, False, True, False, True, False, False]

@@ -273,6 +273,24 @@ class TestKappa:
         code, _ = run(tmp_path, "kappa", cfg)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "center, spacing, named",
+        [(1e308, "1.99584030953472e+292", "(1e+308+1e+308j)"), (1e16, "2.0", "(1e+16+1e+16j)")],
+        ids=["1e308", "1e16"],
+    )
+    def test_radius_lost_against_a_huge_center(self, tmp_path, capsys, center, spacing, named):
+        # center + 1 rounds to the center: the message blames the rounding
+        cfg = {
+            "coefficient": {"kind": "power", "alpha": 2.0, "center": [center, center]},
+            "radii": [1.0],
+        }
+        code, _ = run(tmp_path, "kappa", cfg)
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric failure: |z - center| = 0.0 below the floor 1e-14: "
+            f"radii below {spacing} are lost to rounding against the center {named}\n"
+        )
+
 
 class TestEnvelope:
     def test_constant_profile_closed_form(self, tmp_path):
@@ -307,6 +325,22 @@ class TestEnvelope:
         code, _ = run(tmp_path, "envelope", cfg)
         assert code == EXIT_NUMERIC
         assert "outside the profile's radial domain [1.0, 4.0]" in capsys.readouterr().err
+
+    def test_subnormal_kappa_is_numeric_failure(self, tmp_path, capsys):
+        # 1/kappa overflows on every panel above r0; a numpy warning on the
+        # way would be an error under this suite's filterwarnings
+        cfg = {
+            "profile": {"kind": "constant", "alpha": 1e-310},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "factor": 2.0, "count": 3},
+        }
+        code, out = run(tmp_path, "envelope", cfg)
+        assert code == EXIT_NUMERIC
+        assert list(out.glob("*.csv")) == []
+        assert capsys.readouterr().err == (
+            "numeric failure: attenuation integral over gap 1, [1.0, 2.0], "
+            "is not finite: 1/kappa overflows\n"
+        )
 
 
 class TestVerify:

@@ -100,6 +100,19 @@ class TestJacobian:
         out = jacobian_wirtinger(WirtingerPair(dz, dzb))
         np.testing.assert_allclose(out, [1.0, 3.0])
 
+    def test_radius_lost_against_a_huge_center(self):
+        # 1e16 + 1 rounds to 1e16, so the offset vanishes; the message says so
+        # about a center whose spacing exceeds the floor, and only there
+        with pytest.raises(DegenerateRadius) as info:
+            wirtinger_to_polar(1e16 + 1.0, 1e16, WirtingerPair(1 + 0j, 0j))
+        assert str(info.value) == (
+            "|z - center| = 0.0 below the floor 1e-14: radii below 2.0 are lost to "
+            "rounding against the center (1e+16+0j)"
+        )
+        with pytest.raises(DegenerateRadius) as info:
+            wirtinger_to_polar(2.0 - 1j, 2.0 - 1j, WirtingerPair(1 + 0j, 0j))
+        assert str(info.value) == "|z - center| = 0.0 below the floor 1e-14"
+
     def test_degenerate_radius_rejected(self):
         with pytest.raises(DegenerateRadius):
             wirtinger_to_polar(1 + 0j, 1 + 0j, WirtingerPair(1 + 0j, 0j))

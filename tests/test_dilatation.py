@@ -145,7 +145,7 @@ class TestKappaOverRadii:
 EXTREMAL = build_extremal(LogProductProfile(1.5, 1), 3.0, 1.0, 1e3)
 TABLE = TableProfile(np.geomspace(0.1, 1e3, 30), 1.0 + np.sqrt(np.geomspace(0.1, 1e3, 30)))
 
-#: every class that sets radial_abs2, with a builder taking the center and
+#: every class whose abs2_symmetry is "radius", with a builder taking the center and
 #: radii on both sides of each jump, clear of the jumps themselves
 RADIAL_FIELDS = {
     "power": (lambda c: PowerCoefficient(2.3, c), [0.2, 1.0, 7.5, 1e3]),
@@ -165,7 +165,7 @@ def full_circle_kappa(K, radii, q):
 
 
 class TestRadialShortcut:
-    """A field with radial_abs2 set takes kappa from one node per circle."""
+    """A field whose |K|^2 is radial takes kappa from one node per circle."""
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("center", [0j, 5 + 0j], ids=["origin", "off-center"])
@@ -173,13 +173,13 @@ class TestRadialShortcut:
     def test_equals_full_circle_mean(self, name, center, n):
         build, radii = RADIAL_FIELDS[name]
         K, radii, q = build(center), np.array(radii), CircleQuadrature(n)
-        assert K.radial_abs2
+        assert K.abs2_symmetry == "radius"
         np.testing.assert_allclose(kappa(K, radii, q), full_circle_kappa(K, radii, q), rtol=1e-14)
 
     def test_extremal_coefficient_is_flagged(self):
         K = EXTREMAL.coefficient()
         radii = np.array([0.5, 5.0, 900.0])
-        assert K.radial_abs2
+        assert K.abs2_symmetry == "radius"
         np.testing.assert_allclose(
             kappa(K, radii), full_circle_kappa(K, radii, CircleQuadrature()), rtol=1e-14
         )
@@ -193,7 +193,7 @@ class TestRadialShortcut:
     )
     @settings(max_examples=60, deadline=None)
     def test_abs2_constant_on_circles(self, case, shrink, x, y, n):
-        # the flag is honest: |K|^2 is the same at every node of a circle;
+        # the symmetry is honest: |K|^2 is the same at every node of a circle;
         # shrinking a sample radius by up to 20% stays clear of every jump
         name, r = case
         K = RADIAL_FIELDS[name][0](complex(x, y))
@@ -208,17 +208,18 @@ class TestRadialShortcut:
                 yield from subclasses(sub)
 
         flagged = {
-            cls.__name__
+            cls.__name__: cls.abs2_symmetry
             for cls in subclasses(CoefficientField)
-            if cls.__module__.startswith("beltrami_growth") and cls.radial_abs2
+            if cls.__module__.startswith("beltrami_growth") and cls.abs2_symmetry
         }
         assert flagged == {
-            "RadialCoefficient",
-            "PowerCoefficient",
-            "LogLogCoefficient",
-            "SpiralCoefficient",
+            "RadialCoefficient": "radius",
+            "PowerCoefficient": "radius",
+            "LogLogCoefficient": "radius",
+            "SpiralCoefficient": "radius",
+            "LinearCoefficient": "angle",
         }
-        assert not LinearCoefficient.radial_abs2 and not GridCoefficient.radial_abs2
+        assert GridCoefficient.abs2_symmetry is None
 
     def test_theta_dependent_grid_keeps_circle_mean(self):
         thetas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)

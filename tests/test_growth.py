@@ -306,6 +306,33 @@ class TestLadderIntegrals:
         assert gaps[0] == 0.0
         assert gaps[1] > 0.0
 
+    def test_panels_split_as_linspace(self, monkeypatch):
+        # the first panels split each segment between consecutive stops (r0,
+        # the rungs and the breakpoint e^e inside a gap) as np.linspace does;
+        # on [ln 2, ln 7] the last edge is ln 7 itself, not ln 2 + 2 * step
+        seen, rules = [], growth._panel_rules
+
+        def recording(profile, a, b):
+            seen.append((a.copy(), b.copy()))
+            return rules(profile, a, b)
+
+        monkeypatch.setattr(growth, "_panel_rules", recording)
+        ladder_integrals(loglog_example_profile(2.0), 2.0, [2.0, 7.0, 40.0, 1e6])
+        stops = [math.log(c) for c in (2.0, 7.0, E_2, 40.0, 1e6)]
+        bounds = [
+            np.linspace(s, e, max(1, math.ceil(e - s)) + 1) for s, e in zip(stops, stops[1:])
+        ]
+        a, b = seen[0]
+        assert np.array_equal(a, np.concatenate([x[:-1] for x in bounds]))
+        assert np.array_equal(b, np.concatenate([x[1:] for x in bounds]))
+
+    @pytest.mark.parametrize("alpha", [1e-310, 1e-308], ids=["inf-samples", "sum-overflows"])
+    def test_overflowing_panel_names_its_gap(self, alpha):
+        # 1/kappa, or its panel sum, leaves the double range; no numpy
+        # warning escapes first, which this suite would turn into an error
+        with pytest.raises(QuadratureFailure, match=r"gap 1, \[1\.0, 2\.0\], is not finite"):
+            ladder_integrals(ConstantProfile(alpha), 1.0, [1.0, 2.0, 4.0])
+
     @pytest.mark.parametrize(
         "radii",
         [[0.5, 2.0], [2.0, 2.0, 4.0], [2.0, 4.0, 3.0]],

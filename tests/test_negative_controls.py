@@ -50,8 +50,9 @@ CHECKS = ("pde_residual", "differential_inequality", "isoperimetric", "area_boun
 
 class DoubledFz(Power):
     """Power(alpha) whose analytic f_z is twice the true one.  Its J =
-    4|f_z|^2 - |f_zbar|^2 still depends on r alone, so it keeps the
-    radial_jacobian flag of Power and the disk sweep's one node per circle."""
+    4|f_z|^2 - |f_zbar|^2 still depends on r alone, so it keeps the radial
+    Jacobian that Power's symmetry claims and the disk sweep's one node per
+    circle."""
 
     def _wirtinger_array(self, z):
         wp = super()._wirtinger_array(z)
@@ -60,7 +61,7 @@ class DoubledFz(Power):
 
 def test_doubled_f_z_keeps_a_radial_jacobian():
     mapping = DoubledFz(2.0)
-    assert mapping.radial_jacobian
+    assert mapping.symmetry_about(0j)
     for r in (0.5, 3.0, 40.0):
         jac = jacobian_wirtinger(mapping.wirtinger_analytic(Q.points(0j, r)))
         assert np.ptp(jac) <= 1e-14 * np.max(jac)

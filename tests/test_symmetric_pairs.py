@@ -1,13 +1,13 @@
 """Circle functionals of symmetric pairs from one sample.
 
-A map that commutes with rotations about its center sets
-``rotation_equivariant``; about that center |f - f(center)|, |f_theta| and
-the dilatation are the same at every node of a circle, so modulus_extremes,
+A map that commutes with rotations about its center has the symmetry
+"equivariant"; about that center |f - f(center)|, |f_theta| and the
+dilatation are the same at every node of a circle, so modulus_extremes,
 circle_length and circle_average_D read the theta = 0 node alone.  A
-coefficient whose |K|^2 depends on the angle alone sets ``angular_abs2``,
-and kappa takes one unit-circle mean for every radius.  The flags are held
-honest by property tests, and the shortcuts by full-path oracles (test-local
-views with the flag unset) and by point counts.
+coefficient whose |K|^2 depends on the angle alone has the abs2_symmetry
+"angle", and kappa takes one unit-circle mean for every radius.  The values
+are held honest by property tests, and the shortcuts by full-path oracles
+(test-local views with a lesser value) and by point counts.
 """
 
 import math
@@ -51,21 +51,23 @@ def subclasses(cls):
         yield from subclasses(sub)
 
 
-def flagged(base, flag):
+def carrying(base, attribute, value):
+    """The package's subclasses of ``base`` whose ``attribute`` is ``value``."""
     return {
         cls.__name__
         for cls in subclasses(base)
-        if cls.__module__.startswith("beltrami_growth") and getattr(cls, flag)
+        if cls.__module__.startswith("beltrami_growth") and getattr(cls, attribute) == value
     }
 
 
 class NotEquivariant:
-    """A mapping seen with rotation_equivariant unset, so every circle
-    functional reads all n nodes: the full-path oracle of the one-node path.
-    Every other attribute, radial_jacobian included, is the mapping's."""
+    """A mapping with a radial Jacobian seen with the symmetry
+    "radial_jacobian" alone, so every circle functional reads all n nodes:
+    the full-path oracle of the one-node path.  The disk sweep keeps its one
+    node per circle, and every other attribute is the mapping's."""
 
-    rotation_equivariant = False
-    equivariant_about = Mapping.equivariant_about
+    symmetry = "radial_jacobian"
+    symmetry_about = Mapping.symmetry_about
 
     def __init__(self, mapping):
         self._mapping = mapping
@@ -74,11 +76,11 @@ class NotEquivariant:
         return getattr(self._mapping, name)
 
 
-class NotAngular:
-    """A coefficient seen with angular_abs2 unset, so kappa averages every
+class NoAbs2Symmetry:
+    """A coefficient seen with no abs2_symmetry, so kappa averages every
     circle on its own."""
 
-    angular_abs2 = False
+    abs2_symmetry = None
 
     def __init__(self, coefficient):
         self._coefficient = coefficient
@@ -87,10 +89,12 @@ class NotAngular:
         return getattr(self._coefficient, name)
 
 
-#: every flagged mapping of the disk-sweep tests that also commutes with
-#: rotations: the catalog's radial maps, the extremal table and a table about
-#: 5 + 0j, each with radii on both sides of its seams
-EQUIVARIANT = {name: case for name, case in FLAGGED.items() if case[0].rotation_equivariant}
+#: every mapping of the disk-sweep tests that also commutes with rotations:
+#: the catalog's radial maps, the extremal table and a table about 5 + 0j,
+#: each with radii on both sides of its seams
+EQUIVARIANT = {
+    name: case for name, case in FLAGGED.items() if case[0].symmetry == "equivariant"
+}
 #: linear coefficients, about the origin and off it
 LINEAR_FIELDS = {
     "origin": LinearCoefficient(0.3 + 0.1j, 1.2 - 0.4j),
@@ -98,10 +102,10 @@ LINEAR_FIELDS = {
 }
 
 
-class TestFlags:
+class TestSymmetryValues:
     def test_equivariant_classes(self):
         # a new mapping class must opt in here, not silently
-        assert flagged(Mapping, "rotation_equivariant") == {
+        assert carrying(Mapping, "symmetry", "equivariant") == {
             "RadialMapping",
             "Power",
             "LogLog",
@@ -110,34 +114,45 @@ class TestFlags:
             "Spiral",
         }
         for cls in (Linear, ModulatedPower, InteriorFold):
-            assert not cls.rotation_equivariant
-
-    def test_equivariant_classes_have_radial_jacobian(self):
-        # rotating about the center leaves |f_z| and |f_zbar|, so J, unchanged
-        for cls in subclasses(Mapping):
-            if cls.rotation_equivariant:
-                assert cls.radial_jacobian, cls.__name__
+            assert cls.symmetry != "equivariant"
 
     def test_angular_classes(self):
-        assert flagged(CoefficientField, "angular_abs2") == {"LinearCoefficient"}
+        assert carrying(CoefficientField, "abs2_symmetry", "angle") == {"LinearCoefficient"}
         for K in LINEAR_FIELDS.values():
             # kappa reads the unit circle for every radius, so the field
             # must be defined, and smooth, at every radius
-            assert K.angular_abs2 and not K.radial_abs2
+            assert K.abs2_symmetry == "angle"
             assert K.radial_domain == (0.0, math.inf) and K.radial_breakpoints == ()
             profile = FieldProfile(K)
             assert profile.domain == (0.0, math.inf) and profile.breakpoints == ()
 
-    def test_equivariant_only_about_the_center(self):
-        assert Power(2.0).equivariant_about(0j) and Power(2.0).equivariant_about(0.0)
-        assert not Power(2.0).equivariant_about(1e-300j)
-        assert TABLE_AT_5.equivariant_about(5.0) and not TABLE_AT_5.equivariant_about(0j)
-        assert not Linear(0.3, 1.2).equivariant_about(0j)
-        assert not ModulatedPower().equivariant_about(0j)
+    def test_symmetry_only_about_the_center(self):
+        assert Power(2.0).symmetry_about(0j) == Power(2.0).symmetry_about(0.0) == "equivariant"
+        assert Power(2.0).symmetry_about(1e-300j) is None
+        assert TABLE_AT_5.symmetry_about(5.0) == "equivariant"
+        assert TABLE_AT_5.symmetry_about(0j) is None
+        assert Linear(0.3, 1.2).symmetry_about(0j) == "radial_jacobian"
+        assert Linear(0.3, 1.2).symmetry_about(1j) is None
+        assert ModulatedPower().symmetry_about(0j) is None
 
+    @pytest.mark.parametrize(
+        "base, attribute, value",
+        [
+            (base, attribute, value)
+            for base, attribute, other in [
+                (Mapping, "symmetry", "radius"),
+                (CoefficientField, "abs2_symmetry", "equivariant"),
+            ]
+            # the old booleans, a value of the other base and a misspelling
+            for value in (True, False, other, "Equivariant")
+        ],
+    )
+    def test_unknown_value_refused_at_class_creation(self, base, attribute, value):
+        with pytest.raises(TypeError, match=f"Typo.{attribute} must be one of .*, got {value!r}"):
+            type("Typo", (base,), {attribute: value})
 
 class TestHonesty:
-    """Every flagged class has the symmetry its flag claims."""
+    """Every class has the symmetry its value claims."""
 
     @given(
         st.sampled_from([(name, r) for name, (_, radii) in EQUIVARIANT.items() for r in radii]),
@@ -209,7 +224,7 @@ class TestOneNodeOracles:
         K, q = LINEAR_FIELDS[name], CircleQuadrature(n)
         radii = np.array([0.5, 1.0, 7.5, 1e4])
         means = kappa(K, radii, q)
-        np.testing.assert_allclose(means, kappa(NotAngular(K), radii, q), rtol=1e-14)
+        np.testing.assert_allclose(means, kappa(NoAbs2Symmetry(K), radii, q), rtol=1e-14)
         # every radius gets the unit circle's mean, whatever radii come with it
         assert np.all(means == kappa(K, 1.0, q))
 
@@ -267,12 +282,10 @@ def test_point_count(name):
     # a lost shortcut shows here as a count, without timing noise
     mapping, K, r0 = DISK_PAIRS[name]
     points, field_points = counted_points(mapping, K, r0)
-    full, full_field = counted_points(NotEquivariant(mapping), NotAngular(K), r0)
-    if mapping.rotation_equivariant:
+    full, full_field = counted_points(NotEquivariant(mapping), NoAbs2Symmetry(K), r0)
+    if mapping.symmetry == "equivariant":
         assert 0 < points <= full / 10
     else:
         assert points == full
-    if K.angular_abs2:
-        assert 0 < field_points <= full_field / 10
-    else:
-        assert field_points == full_field
+    # every certify coefficient has a symmetry, radial or angular
+    assert K.abs2_symmetry and 0 < field_points <= full_field / 10
