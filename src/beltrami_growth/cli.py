@@ -40,6 +40,7 @@ from .dilatation import (
 from .errors import BeltramiGrowthError
 from .growth import (
     RadiusLadder,
+    _envelope,
     disk_checks,
     ladder_integrals,
     modulus_extremes,
@@ -434,7 +435,7 @@ def cmd_kappa(outdir: Path, plot: bool, say, coefficient, radii, n=CircleQuadrat
 def cmd_envelope(outdir: Path, plot: bool, say, profile, r0, ladder) -> int:
     radii = ladder.radii().tolist()
     integrals = np.cumsum(ladder_integrals(profile, r0, radii)).tolist()
-    rows = [(R, I, math.exp(I)) for R, I in zip(radii, integrals)]
+    rows = [(R, I, _envelope(R, I)) for R, I in zip(radii, integrals)]
     path = write_csv(outdir / "envelope.csv", ["R", "I", "envelope"], rows)
     say(f"wrote {path} ({len(rows)} rows)")
     if plot:

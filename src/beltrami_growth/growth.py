@@ -119,16 +119,38 @@ def _panel_rules(profile: KappaProfile, a: np.ndarray, b: np.ndarray):
     return fine, coarse
 
 
+def _panel_edges(t: np.ndarray, count: np.ndarray):
+    """Edges (a, b) of the count_k equal panels of each segment [t_k, t_{k+1}],
+    bit for bit np.linspace's: start + i * step, each last edge its stop."""
+    start, step = np.repeat(t[:-1], count), np.repeat(np.diff(t) / count, count)
+    i = np.arange(start.size) - np.repeat(np.cumsum(count) - count, count)
+    a, b = start + i * step, start + (i + 1) * step
+    b[np.cumsum(count) - 1] = t[1:]
+    return a, b
+
+
+def _envelope(R: float, I: float) -> float:
+    """exp(I) at the rung R; an exp(I) past double precision raises
+    DomainError naming R and I."""
+    try:
+        return math.exp(I)
+    except OverflowError:
+        raise DomainError(
+            f"envelope exp(I) overflows double precision at R = {R!r}, I = {I!r}"
+        ) from None
+
+
 def envelope_integral(profile: KappaProfile, r0: float, R: float):
     """I = int_{r0}^{R} dr/(r kappa(r)) and its envelope exp(I).
 
     The one-gap case of :func:`ladder_integrals`, which holds the
-    quadrature; R = r0 gives (0.0, 1.0).
+    quadrature; R = r0 gives (0.0, 1.0).  An exp(I) past double precision
+    raises DomainError.
     """
     if R < r0:
         raise DomainError(f"need R >= r0, got r0 = {r0}, R = {R}")
     total = float(ladder_integrals(profile, r0, [R])[0])
-    return total, math.exp(total)
+    return total, _envelope(R, total)
 
 
 def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
@@ -156,15 +178,11 @@ def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
         return np.zeros(0)
     edges = require_radii_within(np.array([r0] + rungs), profile.domain, "the profile's")
     edges = edges.tolist()
-    # every gap's panels, each tagged with the index of its gap: np.linspace's
-    # split, at most 1 wide in t = ln r, of each segment between two stops
+    # every gap's panels, at most 1 wide in t = ln r, tagged with their gap
     stops = sorted(set(edges) | {c for c in profile.breakpoints if edges[0] < c < edges[-1]})
     t = np.array([math.log(c) for c in stops])
     count = np.maximum(1, np.ceil(np.diff(t))).astype(int)
-    start, step = np.repeat(t[:-1], count), np.repeat(np.diff(t) / count, count)
-    i = np.arange(start.size) - np.repeat(np.cumsum(count) - count, count)
-    a, b = start + i * step, start + (i + 1) * step
-    b[np.cumsum(count) - 1] = t[1:]
+    a, b = _panel_edges(t, count)
     gap = np.repeat(np.searchsorted(edges, stops[:-1], side="right") - 1, count)
 
     def failure(k, why):
@@ -318,13 +336,14 @@ def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np
 
     Composite 8-point Gauss panels in u = ln(rho) run from
     rho_min = INNER_CUTOFF * min(radii) to max(radii), with panel edges at the
-    mapping's seam radii and at every requested radius; cumulative panel sums
-    give the area at each radius.  The disk below rho_min is accounted for by
-    a local power-law extrapolation of the angular mean of J.  Panel density
-    is RADIAL_STEPS panels over the smallest radius's log span, at least two
-    per segment; a segment's circles are averaged in one
-    :func:`_mean_jacobians` call and summed as one: one node per circle when
-    the mapping has a symmetry about z0, all n otherwise.
+    mapping's seam radii and at every requested radius; the cumulative sum of
+    the segments' panel sums gives the area at each radius.  The disk below
+    rho_min is accounted for by a local power-law extrapolation of the
+    angular mean of J.  Panel density is RADIAL_STEPS panels over the
+    smallest radius's log span, at least two per segment, split as the
+    attenuation integral's are (:func:`_panel_edges`).  There is one
+    :func:`_mean_jacobians` call over every circle, the tail's last: one node
+    per circle when the mapping has a symmetry about z0, all n otherwise.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
@@ -337,29 +356,28 @@ def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np
     stops = sorted(set(cuts) | set(radii.tolist()))
     edges = np.log(np.array([rho_min] + stops))
     span = edges[stops.index(r_min) + 1] - edges[0]
-    cumulative = {}
-    total = 0.0
-    for stop, a, b in zip(stops, edges, edges[1:]):
-        panels = max(2, int(round(RADIAL_STEPS * (b - a) / span)))
-        bounds = np.linspace(a, b, panels + 1)
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        mid = 0.5 * (bounds[1:] + bounds[:-1])
-        u = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
-        w = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
-        rho = np.exp(u)
-        g = TWO_PI * rho**2 * _mean_jacobians(mapping, z0, rho, q)
-        total += float(np.sum(w * g))
-        cumulative[stop] = total
+    count = np.maximum(2, np.round(RADIAL_STEPS * np.diff(edges) / span)).astype(int)
+    a, b = _panel_edges(edges, count)
+    half, mid = 0.5 * (b - a), 0.5 * (b + a)
+    u = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
+    w = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
+    rho = np.exp(u)
+    # every segment's circles, then the two circles of the tail
+    mean_jac = _mean_jacobians(mapping, z0, np.append(rho, [rho_min, 2.0 * rho_min]), q)
+    g = TWO_PI * rho**2 * mean_jac[:-2]
+    # np.sum over each segment's own nodes: a pairwise sum, which the
+    # sequential np.add.reduceat is not
+    sums = [np.sum(part) for part in np.split(w * g, np.cumsum(count)[:-1] * _GAUSS_NODES.size)]
 
     # power-law tail below the cutoff: mean J ~ c * rho^p
-    j1, j2 = _mean_jacobians(mapping, z0, np.array([rho_min, 2.0 * rho_min]), q).tolist()
+    j1, j2 = mean_jac[-2:].tolist()
     p = math.log(j2 / j1) / math.log(2.0)
     if p + 2.0 <= 0.05:
         raise QuadratureFailure(
             f"Jacobian not integrable at the center (local exponent {p:.3f})"
         )
     tail = TWO_PI * j1 * rho_min**2 / (p + 2.0)
-    return np.array([cumulative[r] + tail for r in radii.tolist()])
+    return np.cumsum(sums)[np.searchsorted(stops, radii)] + tail
 
 
 def image_area(
@@ -368,17 +386,9 @@ def image_area(
     r: float,
     q: CircleQuadrature = CircleQuadrature(),
 ) -> float:
-    """Area of f(B(z0, r)) as the polar integral of the Jacobian.
-
-    Composite 8-point Gauss panels in u = ln(rho) down to rho = INNER_CUTOFF*r,
-    split at the mapping's seam radii; the disk below the cutoff is accounted
-    for by a local power-law extrapolation of the angular mean of J.  Every
-    sampled node checks J > 0, so a map that folds anywhere inside the disk
-    raises NonPositiveJacobian; on a disk about the center of a map with a
-    symmetry, J is the same all round each circle, and one node per circle
-    is sampled.  The checks below take several areas from one sweep
-    of :func:`_disk_areas`; this is its one-radius case.
-    """
+    """Area of f(B(z0, r)) as the polar integral of the Jacobian: the
+    one-radius case of :func:`_disk_areas`.  A map that folds anywhere
+    inside the disk raises NonPositiveJacobian."""
     return float(_disk_areas(mapping, z0, [r], q)[0])
 
 
@@ -489,7 +499,7 @@ class AreaBoundReport:
 
 
 def _area_bound_report(K, r0, R, area_inner, area_outer, q) -> AreaBoundReport:
-    integral, _ = envelope_integral(FieldProfile(K, q), r0, R)
+    integral = float(ladder_integrals(FieldProfile(K, q), r0, [R])[0])
     rhs = area_outer * math.exp(-2.0 * integral)
     slack, tol = rhs - area_inner, AREA_BOUND_REL_TOL * rhs
     return AreaBoundReport(
@@ -574,7 +584,8 @@ def theorem1_check(
     M, m and kappa are measured about K.center; a z0 elsewhere raises DomainError.
     The ladder must start at or above r0.  The running minimum of v(R)
     stands in for the liminf; with a finite ladder this is a proxy, not the
-    limit itself.
+    limit itself.  An envelope exp(I) past double precision raises
+    DomainError naming its rung.
     """
     if complex(z0) != complex(K.center):
         raise DomainError(f"z0 = {z0} is not the coefficient's center {K.center}")
@@ -585,7 +596,7 @@ def theorem1_check(
     v = [M * math.exp(-I) for M, I in zip(m_max[1:].tolist(), integrals)]
     floor = m_inner * (1.0 - GROWTH_REL_TOL)
     rows = tuple(
-        GrowthLadderRow(R, M, m, I, math.exp(I), vk, vk >= floor)
+        GrowthLadderRow(R, M, m, I, _envelope(R, I), vk, vk >= floor)
         for R, M, m, I, vk in zip(radii, m_max[1:].tolist(), m_min[1:].tolist(), integrals, v)
     )
     return GrowthLadderReport(rows, m_inner, min(v), all(row.bound_ok for row in rows))

@@ -526,10 +526,10 @@ class TestSweepPointCount:
     the derivative points of its full-circle sweep: a lost shortcut shows
     here as a count, without timing noise."""
 
-    @pytest.mark.parametrize("name", CERTIFY_KINDS)
-    def test_at_most_a_tenth_of_the_full_circle_points(self, name, monkeypatch):
-        mapping, K, r0 = DISK_PAIRS[name]
-        radii = _check_radii(mapping, r0, 100.0 * r0)
+    @staticmethod
+    def counted(mapping, monkeypatch):
+        """The number of points of every wirtinger_analytic call on the
+        mapping's class from now on, one entry per call."""
         points = []
         inner = type(mapping).wirtinger_analytic
 
@@ -538,9 +538,26 @@ class TestSweepPointCount:
             return inner(self, z)
 
         monkeypatch.setattr(type(mapping), "wirtinger_analytic", counting)
+        return points
+
+    @pytest.mark.parametrize("name", CERTIFY_KINDS)
+    def test_at_most_a_tenth_of_the_full_circle_points(self, name, monkeypatch):
+        mapping, K, r0 = DISK_PAIRS[name]
+        radii = _check_radii(mapping, r0, 100.0 * r0)
+        points = self.counted(mapping, monkeypatch)
         q = CircleQuadrature(256)
         disk_checks(mapping, K, r0, radii, q)
         flagged = sum(points)
         points.clear()
         disk_checks(Unflagged(mapping), K, r0, radii, q)
         assert 0 < flagged <= sum(points) / 10
+
+    @pytest.mark.parametrize("name", CERTIFY_KINDS)
+    def test_one_derivative_call_per_functional(self, name, monkeypatch):
+        # the sweep (every segment and the tail), S', the mean dilatation and
+        # the length read the derivatives in one call each
+        mapping, K, r0 = DISK_PAIRS[name]
+        radii = _check_radii(mapping, r0, 100.0 * r0)
+        points = self.counted(mapping, monkeypatch)
+        disk_checks(mapping, K, r0, radii, CircleQuadrature(256))
+        assert len(points) == 4

@@ -342,6 +342,22 @@ class TestEnvelope:
             "is not finite: 1/kappa overflows\n"
         )
 
+    def test_overflowing_envelope_names_its_rung(self, tmp_path, capsys):
+        # every I is finite (about 6.9e299 at R = 2), but not exp(I)
+        cfg = {
+            "profile": {"kind": "constant", "alpha": 1e-300},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "factor": 2.0, "count": 3},
+        }
+        code, out = run(tmp_path, "envelope", cfg)
+        assert code == EXIT_NUMERIC
+        assert list(out.glob("*.csv")) == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "numeric failure: envelope exp(I) overflows double precision at R = 2.0, I = 6.9"
+        )
+
 
 class TestVerify:
     CFG = {
@@ -369,6 +385,23 @@ class TestVerify:
         assert all(row[6] == "true" for row in rows)
         header, _ = read_csv(out / "verify_residual.csv")
         assert header == ["r", "theta", "abs_residual"]
+
+    def test_overflowing_envelope_names_its_rung(self, tmp_path, capsys):
+        # kappa = 1/1000 gives I = 1000 ln R, whose exp overflows from R = 4;
+        # the area bound is still judged, its right-hand side underflowed to 0
+        pair = {
+            "mapping": {"kind": "power", "alpha": 1},
+            "coefficient": {"kind": "power", "alpha": 0.001},
+        }
+        code, out = run(tmp_path, "verify", dict(self.CFG, pair=pair))
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "FAIL area_bound" in captured.out
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "numeric failure: envelope exp(I) overflows double precision at R = 4.0, I = 1386."
+        )
+        assert not (out / "verify_growth.csv").exists()
 
     def test_mismatched_pair_fails(self, tmp_path, capsys):
         cfg = {

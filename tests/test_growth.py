@@ -208,6 +208,11 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             envelope_integral(LogProductProfile(1.0, 2), 1.0, 100.0)
 
+    def test_overflowing_envelope_names_its_radius(self):
+        # I = ln 2 / 1e-300 is finite; exp(I) is not
+        with pytest.raises(DomainError, match=r"overflows double precision at R = 2\.0, I = 6\.9"):
+            envelope_integral(ConstantProfile(1e-300), 1.0, 2.0)
+
 
 def _grid_coefficient():
     """|K|^2 tabulated on [1, 100] with a different mean on every circle."""
@@ -325,6 +330,25 @@ class TestLadderIntegrals:
         a, b = seen[0]
         assert np.array_equal(a, np.concatenate([x[:-1] for x in bounds]))
         assert np.array_equal(b, np.concatenate([x[1:] for x in bounds]))
+
+    @pytest.mark.parametrize("rule", ["one", "ladder", "sweep"])
+    def test_panel_edges_are_linspace(self, rule):
+        # segments 1e-3 to 18.4 wide in t = ln r, cut into one panel each, by
+        # ladder_integrals' rule and by _disk_areas' rule: every edge is
+        # np.linspace's, bit for bit, and each segment's last edge its stop
+        widths = [1e-3, 0.7, 1.0, 3.2, 18.4]
+        t = math.log(0.37) + np.cumsum([0.0] + widths)
+        span = -math.log(growth.INNER_CUTOFF)
+        count = {
+            "one": np.ones(len(widths), dtype=int),
+            "ladder": np.maximum(1, np.ceil(np.diff(t))).astype(int),
+            "sweep": np.maximum(2, np.round(growth.RADIAL_STEPS * np.diff(t) / span)).astype(int),
+        }[rule]
+        a, b = growth._panel_edges(t, count)
+        bounds = [np.linspace(s, e, k + 1) for s, e, k in zip(t, t[1:], count.tolist())]
+        assert a.tobytes() == np.concatenate([x[:-1] for x in bounds]).tobytes()
+        assert b.tobytes() == np.concatenate([x[1:] for x in bounds]).tobytes()
+        assert b[np.cumsum(count) - 1].tobytes() == t[1:].tobytes()
 
     @pytest.mark.parametrize("alpha", [1e-310, 1e-308], ids=["inf-samples", "sum-overflows"])
     def test_overflowing_panel_names_its_gap(self, alpha):
