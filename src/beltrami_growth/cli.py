@@ -83,17 +83,27 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _spelled_floats(table: np.ndarray) -> str:
-    """The rows of a 2-d float64 array as CSV lines, every cell "%.17g".
+def _spelled_floats(table: np.ndarray, truths=None) -> str:
+    """The rows of a 2-d float64 array as CSV lines, every cell "%.17g", or
+    "true" / "false" by its value where the boolean mask truths is set.
 
-    Each distinct bit pattern of the table is spelled once and gathered back
-    into its cells, so a table of few distinct values costs few spellings.
-    Bits, not values: -0.0 and 0.0 stay apart, and NaNs that differ in sign
-    or payload are each spelled."""
+    Each distinct bit pattern of the table is spelled once, ending in ","
+    and in a newline, and the words are gathered back into their cells by
+    one join, so a table of few distinct values costs few spellings.  Bits,
+    not values: -0.0 and 0.0 stay apart, and NaNs that differ in sign or
+    payload are each spelled."""
     n_rows, n_cols = table.shape
+    if n_cols == 0:
+        return "\n" * n_rows
     distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
-    words = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
-    return (",".join(["%s"] * n_cols) + "\n") * n_rows % tuple(words[where.ravel()].tolist())
+    spelled = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
+    where = where.reshape(table.shape)
+    if truths is not None:
+        where = np.where(truths, len(spelled) + (table != 0.0), where)
+        spelled += ["false", "true"]
+    words = np.array([w + "," for w in spelled] + [w + "\n" for w in spelled], dtype=object)
+    where[:, -1] += len(spelled)
+    return "".join(words[where.ravel()].tolist())
 
 
 def write_csv(path: Path, header, rows) -> Path:
@@ -104,9 +114,10 @@ def write_csv(path: Path, header, rows) -> Path:
     csv module where it needs quotes. rows is an iterable of rows, or a 2-d
     float64 array with one column per header name, which is written without
     a round trip through Python floats; an array of any other shape or dtype
-    raises ValueError before anything is written. When every row is all
-    floats and as long as the header, the table's cells with equal bits are
-    spelled once between them, which gives the same bytes."""
+    raises ValueError before anything is written. When every row is as long
+    as the header and holds only floats and bools, the table's cells with
+    equal bits are spelled once between them, which gives the same bytes."""
+    truths = None
     if isinstance(rows, np.ndarray):
         if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != len(header):
             raise ValueError(
@@ -117,11 +128,14 @@ def write_csv(path: Path, header, rows) -> Path:
     else:
         rows = [tuple(row) for row in rows]
         cells = [v for row in rows for v in row]
-        # a float never needs quoting, and "%.17g" spells it as fmt does
+        kinds = set(map(type, cells))
+        # a float or a bool never needs quoting, and "%.17g" spells a float as fmt does
         if {len(row) for row in rows} <= {len(header)} and all(
-            issubclass(t, float) for t in set(map(type, cells))
+            issubclass(t, (float, bool, np.bool_)) for t in kinds
         ):
             table = np.array(cells, dtype=np.float64).reshape(len(rows), len(header))
+            if kinds & {bool, np.bool_}:
+                truths = np.array([type(v) in (bool, np.bool_) for v in cells]).reshape(table.shape)
         else:
             table = None
     with open(path, "w", newline="") as fh:
@@ -130,7 +144,7 @@ def write_csv(path: Path, header, rows) -> Path:
         if table is None:
             writer.writerows([fmt(v) for v in row] for row in rows)
         else:
-            fh.write(_spelled_floats(table))
+            fh.write(_spelled_floats(table, truths))
     return path
 
 
@@ -476,11 +490,6 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
     residual = pde_residual(mapping, coefficient, grid, h=h)
     judge("pde_residual", residual.max_abs <= residual_tol,
           f" max={fmt(residual.max_abs)} rms={fmt(residual.rms)} tol={fmt(residual_tol)}")
-    write_csv(
-        outdir / "verify_residual.csv",
-        ["r", "theta", "abs_residual"],
-        np.column_stack((residual.r, residual.theta, residual.abs_residual)),
-    )
 
     radii = _check_radii(mapping, r0, top)
     rows, iso, area = disk_checks(mapping, coefficient, r0, radii, n)
@@ -493,6 +502,12 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
     growth = theorem1_check(mapping, coefficient, coefficient.center, r0, ladder, n)
     judge("growth_ladder", growth.all_ok,
           f" m={fmt(growth.m_inner)} liminf_proxy={fmt(growth.liminf_proxy)}")
+    # written once every check has run, so a numeric failure leaves no file
+    write_csv(
+        outdir / "verify_residual.csv",
+        ["r", "theta", "abs_residual"],
+        np.column_stack((residual.r, residual.theta, residual.abs_residual)),
+    )
     write_csv(
         outdir / "verify_growth.csv",
         ["R", "M", "m", "I", "envelope", "v", "bound_ok"],

@@ -28,7 +28,7 @@ from .dilatation import (
     circle_average_D,
 )
 from .errors import DomainError, NonPositiveKappa, QuadratureFailure
-from .mappings import Mapping, require_radii_within
+from .mappings import Linear, Mapping, require_radii_within
 
 # ---------------------------------------------------------------------------
 # ladders and exponents
@@ -225,13 +225,17 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()):
     """(max, min) of |f(z) - f(z0)| over the circle |z - z0| = r.
 
-    Grid scan on the quadrature angles, then golden-section refinement
-    within 2*pi/n of the best grid angle, down to a bracket below
-    MODULUS_ANGLE_TOL in theta.  A scalar r gives two floats; a 1-d array of
-    radii gives two arrays, with every radius and both extremes refined at
-    once.  About the center of a map whose symmetry is "equivariant" (see
+    A scalar r gives two floats; a 1-d array of radii gives two arrays.  A
+    Linear map, exactly that class, takes the closed form: about every z0,
+    |f(z) - f(z0)| = |A conj(w) + B w| with |w| = r spans
+    [||B| - |A|| r, (|A| + |B|) r], and no point is evaluated.  About the
+    center of a map whose symmetry is "equivariant" (see
     Mapping.symmetry_about) |f(z) - f(z0)| is the same all round each
-    circle, and max = min is read at the theta = 0 node z0 + r alone.
+    circle, and max = min is read at the theta = 0 node z0 + r alone.  Any
+    other map is scanned on the quadrature angles, then refined by
+    golden-section search within 2*pi/n of the best grid angle, down to a
+    bracket below MODULUS_ANGLE_TOL in theta, every radius and both
+    extremes at once.  A non-finite extreme raises QuadratureFailure.
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1 or radii.size == 0:
@@ -241,6 +245,13 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
     rr = np.atleast_1d(radii)
     if not np.all(rr > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
+    if type(mapping) is Linear:  # a subclass may change _eval_array
+        a, b = abs(mapping.a), abs(mapping.b)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            m_max, m_min = (a + b) * rr, abs(b - a) * rr
+        if not np.all(np.isfinite(m_max)):
+            raise QuadratureFailure("non-finite modulus sample on the circle")
+        return (float(m_max[0]), float(m_min[0])) if radii.ndim == 0 else (m_max, m_min)
     z0c = complex(z0)
     f0 = mapping.evaluate(z0c)
     theta = q.angles()

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beltrami_growth import cli
 from beltrami_growth.cli import (
     COMMANDS,
     EXIT_CHECK_FAILED,
@@ -26,6 +27,7 @@ from beltrami_growth.cli import (
     _check_radii,
     _extremal,
     _parser,
+    _spelled_floats,
     fmt,
     main,
     parse_mapping,
@@ -133,12 +135,26 @@ class TestWriteCsvReference:
         (0.1, np.float64(1.0 / 3.0), -2.5e-310),
         (1.0, 2.0, np.float64(-0.0)),
     ]
+    #: floats and bools, which write_csv spells as one table
+    FLOATS_AND_BOOLS = [
+        (-0.0, True, np.bool_(False)),
+        (math.nan, np.float64(2.5), False),
+        (math.inf, -math.inf, np.bool_(True)),
+        (5e-324, np.float64(-0.0), True),
+        (np.bool_(False), False, 0.0),
+        (1.0, np.float64(1.0), np.bool_(True)),
+    ]
 
     @pytest.mark.parametrize(
         "rows",
         [
             FLOATS,
             FLOATS[:1],
+            FLOATS_AND_BOOLS,
+            FLOATS_AND_BOOLS[:1],
+            [(True, False, np.bool_(True))] * 3,
+            FLOATS_AND_BOOLS + [(1.0, True, "x")],
+            FLOATS_AND_BOOLS + [(1.0, True)],
             [(1.0, True, "x"), (2.0, np.bool_(False), 7)] + FLOATS,
             FLOATS + [(np.int64(3), -1, "a,b")],
             FLOATS + [(1.0, 2.0)],
@@ -154,13 +170,36 @@ class TestWriteCsvReference:
             np.empty((0, 3)),
             np.asfortranarray(np.array(FLOATS, dtype=np.float64)),
         ],
-        ids=["floats", "one-row", "mixed-first", "mixed-last", "short", "long", "no-rows",
-             "array", "grid-array", "empty-array", "column-major-array"],
+        ids=["floats", "one-row", "floats-and-bools", "one-row-with-bools", "bools",
+             "bools-and-a-string", "bools-and-short", "mixed-first", "mixed-last", "short",
+             "long", "no-rows", "array", "grid-array", "empty-array", "column-major-array"],
     )
     def test_bytes_equal_reference(self, tmp_path, rows):
         header = ["a", "b", "c"]
         path = write_csv(tmp_path / "t.csv", header, rows)
         assert path.read_bytes() == reference_csv(header, rows)
+
+    def test_no_columns(self, tmp_path):
+        # every row of an empty header is an empty line
+        for rows in ([(), ()], np.empty((2, 0))):
+            path = write_csv(tmp_path / "n.csv", [], rows)
+            assert path.read_bytes() == reference_csv([], [(), ()]) == b"\n\n\n"
+
+    def test_growth_table_spelled_once(self, tmp_path, monkeypatch):
+        # verify_growth.csv's rows: six floats and a bool, spelled as one table
+        spelled = []
+        monkeypatch.setattr(
+            cli, "_spelled_floats", lambda *args: spelled.append(args) or _spelled_floats(*args)
+        )
+        header = ["R", "M", "m", "I", "envelope", "v", "bound_ok"]
+        radii = np.geomspace(0.5, 0.5 * 2.0**40, 41).tolist()
+        rows = [
+            (R, 1.5 * R, 0.5 * R, math.log(R), R, 0.75, k % 3 != 0 if k % 2 else np.bool_(k > 9))
+            for k, R in enumerate(radii)
+        ]
+        path = write_csv(tmp_path / "g.csv", header, rows)
+        assert path.read_bytes() == reference_csv(header, rows)
+        assert len(spelled) == 1
 
     def test_generator_rows(self, tmp_path):
         header = ["a", "b", "c"]
@@ -401,7 +440,8 @@ class TestVerify:
         assert captured.err.startswith(
             "numeric failure: envelope exp(I) overflows double precision at R = 4.0, I = 1386."
         )
-        assert not (out / "verify_growth.csv").exists()
+        # the residual table was judged before the failure, yet nothing is written
+        assert list(out.iterdir()) == []
 
     def test_mismatched_pair_fails(self, tmp_path, capsys):
         cfg = {

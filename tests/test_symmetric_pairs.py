@@ -285,6 +285,11 @@ def test_point_count(name):
     full, full_field = counted_points(NotEquivariant(mapping), NoAbs2Symmetry(K), r0)
     if mapping.symmetry == "equivariant":
         assert 0 < points <= full / 10
+    elif type(mapping) is Linear:
+        # the closed-form M and m evaluate no point; the full path scans the
+        # 12 circles of the ladder: f(z0), 12 x 256 nodes, and 24 brackets of
+        # 2 + 47 golden-section points
+        assert points == full - (1 + 12 * 256 + 24 * 49) == 5660
     else:
         assert points == full
     # every certify coefficient has a symmetry, radial or angular
