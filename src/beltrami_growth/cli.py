@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -71,36 +70,27 @@ class ConfigError(Exception):
 
 
 def fmt(value) -> str:
-    # np.float64 is a float subclass, and formats the same
-    if isinstance(value, float):
-        return format(value, ".17g")
+    """A float by "%.17g" (np.float64 is a float subclass), a bool as true or false."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+    return format(value, ".17g")
 
 
-def _spelled_floats(table: np.ndarray, truths=None) -> str:
+def _spelled_floats(table: np.ndarray, codes, labels) -> str:
     """The rows of a 2-d float64 array as CSV lines, every cell "%.17g", or
-    "true" / "false" by its value where the boolean mask truths is set.
+    labels[c] where codes, an int array or None, holds a code c of 0 or more.
 
-    Each distinct bit pattern of the table is spelled once, ending in ","
-    and in a newline, and the words are gathered back into their cells by
-    one join, so a table of few distinct values costs few spellings.  Bits,
-    not values: -0.0 and 0.0 stay apart, and NaNs that differ in sign or
-    payload are each spelled."""
-    n_rows, n_cols = table.shape
-    if n_cols == 0:
-        return "\n" * n_rows
+    Each distinct bit pattern of the table, and each label, is spelled once,
+    ending in "," and in a newline, and the words are gathered back into
+    their cells by one join, so a table of few distinct values costs few
+    spellings.  Bits, not values: -0.0 and 0.0 stay apart, and NaNs that
+    differ in sign or payload are each spelled."""
     distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
     spelled = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
     where = where.reshape(table.shape)
-    if truths is not None:
-        where = np.where(truths, len(spelled) + (table != 0.0), where)
-        spelled += ["false", "true"]
+    if codes is not None:
+        where = np.where(codes < 0, where, len(spelled) + codes)
+        spelled += labels
     words = np.array([w + "," for w in spelled] + [w + "\n" for w in spelled], dtype=object)
     where[:, -1] += len(spelled)
     return "".join(words[where.ravel()].tolist())
@@ -109,19 +99,18 @@ def _spelled_floats(table: np.ndarray, truths=None) -> str:
 def write_csv(path: Path, header, rows) -> Path:
     """Write header and rows to path as CSV, one line per row, and return path.
 
-    Every cell is spelled as fmt spells it: a float by "%.17g", a bool as
-    true or false, an int in decimal, and a string as given, quoted by the
-    csv module where it needs quotes. rows is an iterable of rows, or a 2-d
-    float64 array with one column per header name, which is written without
-    a round trip through Python floats; an array of any other shape or dtype
-    raises ValueError before anything is written. When every row is as long
-    as the header and holds only floats and bools, the table's cells with
-    equal bits are spelled once between them, which gives the same bytes."""
-    truths = None
+    rows is an iterable of rows as long as the header, or a 2-d float64 array
+    with one column per header name, written without a round trip through
+    Python floats. A float is spelled "%.17g", a bool true or false, and a
+    string is a label, as given. Nothing is quoted: an empty header, a name or
+    label that is empty or holds ",", '"' or a line end, and any other input
+    raise ValueError before the file is opened."""
+    width = len(header)
+    codes, labels = None, []
     if isinstance(rows, np.ndarray):
-        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != len(header):
+        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != width:
             raise ValueError(
-                f"need a 2-d float64 array of {len(header)} columns, "
+                f"need a 2-d float64 array of {width} columns, "
                 f"got {rows.dtype} of shape {rows.shape}"
             )
         table = rows
@@ -129,22 +118,23 @@ def write_csv(path: Path, header, rows) -> Path:
         rows = [tuple(row) for row in rows]
         cells = [v for row in rows for v in row]
         kinds = set(map(type, cells))
-        # a float or a bool never needs quoting, and "%.17g" spells a float as fmt does
-        if {len(row) for row in rows} <= {len(header)} and all(
-            issubclass(t, (float, bool, np.bool_)) for t in kinds
+        if any(len(row) != width for row in rows) or not all(
+            issubclass(t, (float, bool, np.bool_, str)) for t in kinds
         ):
-            table = np.array(cells, dtype=np.float64).reshape(len(rows), len(header))
-            if kinds & {bool, np.bool_}:
-                truths = np.array([type(v) in (bool, np.bool_) for v in cells]).reshape(table.shape)
-        else:
-            table = None
+            raise ValueError(f"need rows of {width} floats, bools or strings")
+        if not kinds <= {float, np.float64}:
+            seen = {}  # label -> code, in order of first sight; True and np.True_ are one
+            codes = [-1 if isinstance(v, float) else seen.setdefault(v, len(seen)) for v in cells]
+            labels = [v if isinstance(v, str) else fmt(v) for v in seen]
+            cells = [0.0 if c >= 0 else v for v, c in zip(cells, codes)]
+            codes = np.reshape(codes, (len(rows), width))
+        table = np.array(cells, dtype=np.float64).reshape(len(rows), width)
+    if not header or not all(
+        isinstance(w, str) and w and not set(w) & set(',"\r\n') for w in [*header, *labels]
+    ):
+        raise ValueError(f"need non-empty names and labels free of CSV quoting: {header} {labels}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if table is None:
-            writer.writerows([fmt(v) for v in row] for row in rows)
-        else:
-            fh.write(_spelled_floats(table, truths))
+        fh.write(",".join(header) + "\n" + _spelled_floats(table, codes, labels))
     return path
 
 

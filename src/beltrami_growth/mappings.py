@@ -285,7 +285,10 @@ class RadialMapping(Mapping):
         r = np.abs(w)
         out = np.zeros(z.shape, dtype=complex)
         mask = r > 0.0
-        out[mask] = self._rho_of_r(r[mask]) * w[mask] / r[mask]
+        # rho of a radius far out or far in may leave the double range; the
+        # circle mean's check refuses the inf or nan, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out[mask] = self._rho_of_r(r[mask]) * w[mask] / r[mask]
         return out
 
     def _wirtinger_array(self, z):
@@ -293,10 +296,12 @@ class RadialMapping(Mapping):
         # calls this on ~10^5 points at a time
         d_theta = z - self.center
         r = np.abs(d_theta)
-        d_theta /= r
-        rho_r = self._rho_of_r(r)
-        d_r = self._drho_of_r(r, rho_r) * d_theta
-        d_theta *= 1j * rho_r
+        # as in _eval_array; PolarDerivPair's finite guard refuses the result
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d_theta /= r
+            rho_r = self._rho_of_r(r)
+            d_r = self._drho_of_r(r, rho_r) * d_theta
+            d_theta *= 1j * rho_r
         return polar_to_wirtinger(z, self.center, PolarDerivPair(d_r, d_theta))
 
 

@@ -255,16 +255,26 @@ def sharpness_ladder(
     radii = ladder.radii()
     if radii[-1] > 1e300:
         raise DomainError("ladder top exceeds the double-precision range")
-    if isinstance(mapping, Power):
-        kind = "power"
-        denom = radii ** (1.0 / mapping.alpha)
-    elif isinstance(mapping, LogLog):
-        kind = "loglog"
-        if radii[0] < math.e:
-            raise DomainError("ladder must start at or above e for the log scale")
-        denom = np.log(radii) ** (1.0 / mapping.alpha)
-    else:
-        raise TypeError("sharpness ladder applies to power and loglog maps only")
+    # a small alpha takes the scale to 0 or inf within a few rungs; it is
+    # refused below, so numpy need not warn about the overflow
+    with np.errstate(over="ignore"):
+        if isinstance(mapping, Power):
+            kind, scale = "power", "R^(1/alpha)"
+            denom = radii ** (1.0 / mapping.alpha)
+        elif isinstance(mapping, LogLog):
+            kind, scale = "loglog", "(ln R)^(1/alpha)"
+            if radii[0] < math.e:
+                raise DomainError("ladder must start at or above e for the log scale")
+            denom = np.log(radii) ** (1.0 / mapping.alpha)
+        else:
+            raise TypeError("sharpness ladder applies to power and loglog maps only")
+    beyond = ~(np.isfinite(denom) & (denom > 0.0))
+    if np.any(beyond):
+        k = int(np.argmax(beyond))
+        raise DomainError(
+            f"growth scale {scale} = {float(denom[k])} at R = {float(radii[k])} "
+            f"(rung {k}) is beyond double precision for alpha = {mapping.alpha}"
+        )
     m_max, _ = modulus_extremes(mapping, 0j, radii, q)
     ratios = m_max / denom
     rows = tuple(zip(radii.tolist(), ratios.tolist()))

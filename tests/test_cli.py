@@ -1,8 +1,6 @@
 """Command-line interface: config parsing, outputs, exit codes, determinism."""
 
-import csv
 import inspect
-import io
 import json
 import math
 import os
@@ -44,7 +42,7 @@ from beltrami_growth import (
     theorem1_check,
 )
 from beltrami_growth.dilatation import E_2
-from test_readme import EXAMPLES
+from test_readme import EXAMPLES, reference_csv
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -75,12 +73,13 @@ class TestFormatting:
         assert fmt(np.bool_(False)) == "false"
 
     def test_csv_bytes_of_every_cell_type(self, tmp_path):
-        row = (0.1, np.float64(1.0 / 3.0), True, np.bool_(False), 7, np.int64(-3), "x")
-        path = write_csv(tmp_path / "row.csv", list("abcdefg"), [row, row[::-1]])
+        # an int cell is refused: see TestSpelledOnce.WRONG_INPUTS
+        row = (0.1, np.float64(1.0 / 3.0), True, np.bool_(False), "x", "-")
+        path = write_csv(tmp_path / "row.csv", list("abcdef"), [row, row[::-1]])
         assert path.read_bytes() == (
-            b"a,b,c,d,e,f,g\n"
-            b"0.10000000000000001,0.33333333333333331,true,false,7,-3,x\n"
-            b"x,-3,7,false,true,0.33333333333333331,0.10000000000000001\n"
+            b"a,b,c,d,e,f\n"
+            b"0.10000000000000001,0.33333333333333331,true,false,x,-\n"
+            b"-,x,false,true,0.33333333333333331,0.10000000000000001\n"
         )
 
     #: floats whose spelling is easy to get wrong: nan, the infinities, a
@@ -100,12 +99,12 @@ class TestFormatting:
 
     @pytest.mark.parametrize(
         "last",
-        [None, 7, np.int64(-3), True, False, np.bool_(True), np.bool_(False)],
-        ids=["floats", "int", "np.int64", "True", "False", "np.True_", "np.False_"],
+        [None, True, False, np.bool_(True), np.bool_(False)],
+        ids=["floats", "True", "False", "np.True_", "np.False_"],
     )
     def test_rows_spelled_as_fmt(self, tmp_path, last):
-        # all-float rows are written by one "%.17g" template, rows with any
-        # other cell by csv.writer through fmt; both must give fmt's bytes
+        # a bool is a label, spelled apart from the floats; both must give
+        # fmt's bytes (an int last cell is refused: see TestSpelledOnce)
         row = self.EDGE_FLOATS + (() if last is None else (last,))
         header = [f"c{i}" for i in range(len(row))]
         path = write_csv(tmp_path / "row.csv", header, [row, row])
@@ -116,18 +115,8 @@ class TestFormatting:
             assert line.endswith("true" if last else "false")
 
 
-def reference_csv(header, rows) -> bytes:
-    """Every row through csv.writer, cell by cell through fmt."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) for v in row])
-    return buf.getvalue().encode()
-
-
 class TestWriteCsvReference:
-    """write_csv writes the bytes of a per-row csv.writer over fmt."""
+    """write_csv writes the bytes of a per-row csv.writer over fmt, a string as given."""
 
     FLOATS = [
         (-0.0, 5e-324, 1e308),
@@ -154,11 +143,6 @@ class TestWriteCsvReference:
             FLOATS_AND_BOOLS[:1],
             [(True, False, np.bool_(True))] * 3,
             FLOATS_AND_BOOLS + [(1.0, True, "x")],
-            FLOATS_AND_BOOLS + [(1.0, True)],
-            [(1.0, True, "x"), (2.0, np.bool_(False), 7)] + FLOATS,
-            FLOATS + [(np.int64(3), -1, "a,b")],
-            FLOATS + [(1.0, 2.0)],
-            FLOATS[:2] + [(1.0, 2.0, 3.0, 4.0)],
             [],
             np.array(FLOATS, dtype=np.float64),
             # a residual-like table: repeated radii and angles, round-off values
@@ -171,19 +155,25 @@ class TestWriteCsvReference:
             np.asfortranarray(np.array(FLOATS, dtype=np.float64)),
         ],
         ids=["floats", "one-row", "floats-and-bools", "one-row-with-bools", "bools",
-             "bools-and-a-string", "bools-and-short", "mixed-first", "mixed-last", "short",
-             "long", "no-rows", "array", "grid-array", "empty-array", "column-major-array"],
+             "bools-and-a-string", "no-rows", "array", "grid-array", "empty-array",
+             "column-major-array"],
     )
     def test_bytes_equal_reference(self, tmp_path, rows):
         header = ["a", "b", "c"]
         path = write_csv(tmp_path / "t.csv", header, rows)
         assert path.read_bytes() == reference_csv(header, rows)
 
-    def test_no_columns(self, tmp_path):
-        # every row of an empty header is an empty line
-        for rows in ([(), ()], np.empty((2, 0))):
-            path = write_csv(tmp_path / "n.csv", [], rows)
-            assert path.read_bytes() == reference_csv([], [(), ()]) == b"\n\n\n"
+    def test_labels_spelled_once(self, tmp_path, monkeypatch):
+        # kappa.csv's rows: two floats and a piece label, spelled as one table
+        spelled = []
+        monkeypatch.setattr(
+            cli, "_spelled_floats", lambda *args: spelled.append(args) or _spelled_floats(*args)
+        )
+        header = ["r", "kappa", "piece"]
+        rows = [(r, 2.0, "-") for r in (1.5, 3.0)] + [(5.0, 2.0, "left"), (5.0, 3.0, "right")]
+        path = write_csv(tmp_path / "k.csv", header, rows)
+        assert path.read_bytes() == reference_csv(header, rows)
+        assert len(spelled) == 1 and spelled[0][2] == ["-", "left", "right"]
 
     def test_growth_table_spelled_once(self, tmp_path, monkeypatch):
         # verify_growth.csv's rows: six floats and a bool, spelled as one table
@@ -253,24 +243,58 @@ class TestSpelledOnce:
             v == 0.0 and math.copysign(1.0, v) < 0 for v in column
         ]
 
+    FLOATS = TestWriteCsvReference.FLOATS
+    EDGE_ROW = TestFormatting.EDGE_FLOATS
+    ABC = ["a", "b", "c"]
+    ARRAY = "2-d float64 array of 3 columns"
+    CELLS = "floats, bools or strings"
+    UNQUOTED = "free of CSV quoting"
+    #: (header, rows, message) of every input that no command writes
+    WRONG_INPUTS = {
+        "narrow": (ABC, np.zeros((4, 2)), ARRAY),
+        "wide": (ABC, np.zeros((4, 4)), ARRAY),
+        "1-d": (ABC, np.zeros(3), ARRAY),
+        "3-d": (ABC, np.zeros((2, 3, 3)), ARRAY),
+        "float32": (ABC, np.zeros((4, 3), dtype=np.float32), ARRAY),
+        "int64": (ABC, np.zeros((4, 3), dtype=np.int64), ARRAY),
+        "object": (ABC, np.zeros((4, 3), dtype=object), ARRAY),
+        "bool": (ABC, np.zeros((4, 3), dtype=bool), ARRAY),
+        # int cells
+        "every-cell-type": (
+            list("abcdefg"),
+            [(0.1, np.float64(1.0 / 3.0), True, np.bool_(False), 7, np.int64(-3), "x")],
+            CELLS,
+        ),
+        "int-last": ([f"c{i}" for i in range(11)], [EDGE_ROW + (7,)] * 2, CELLS),
+        "np.int64-last": ([f"c{i}" for i in range(11)], [EDGE_ROW + (np.int64(-3),)] * 2, CELLS),
+        "mixed-first": (ABC, [(1.0, True, "x"), (2.0, np.bool_(False), 7)] + FLOATS, CELLS),
+        "mixed-last": (ABC, FLOATS + [(np.int64(3), -1, "a,b")], CELLS),
+        "none": (ABC, [(1.0, None, 2.0)], CELLS),
+        # rows shorter or longer than the header
+        "bools-and-short": (ABC, TestWriteCsvReference.FLOATS_AND_BOOLS + [(1.0, True)], CELLS),
+        "short": (ABC, FLOATS + [(1.0, 2.0)], CELLS),
+        "long": (ABC, FLOATS[:2] + [(1.0, 2.0, 3.0, 4.0)], CELLS),
+        # an empty header
+        "no-columns": ([], [(), ()], UNQUOTED),
+        "no-columns-array": ([], np.empty((2, 0)), UNQUOTED),
+        # strings and names that CSV would quote, or that are empty
+        "comma-label": (ABC, [(1.0, 2.0, "a,b")], UNQUOTED),
+        "quote-label": (ABC, [(1.0, 2.0, 'say "x"')], UNQUOTED),
+        "cr-label": (ABC, [(1.0, 2.0, "a\rb")], UNQUOTED),
+        "newline-label": (ABC, [(1.0, 2.0, "a\n")], UNQUOTED),
+        "empty-label": (ABC, [(1.0, 2.0, "")], UNQUOTED),
+        "comma-name": (["a", "b,c", "d"], [(1.0, 2.0, 3.0)], UNQUOTED),
+        "quote-name": (["a", '"b"', "c"], np.zeros((1, 3)), UNQUOTED),
+        "empty-name": (["a", "", "c"], [(1.0, 2.0, 3.0)], UNQUOTED),
+    }
+
     @pytest.mark.parametrize(
-        "table",
-        [
-            np.zeros((4, 2)),
-            np.zeros((4, 4)),
-            np.zeros(3),
-            np.zeros((2, 3, 3)),
-            np.zeros((4, 3), dtype=np.float32),
-            np.zeros((4, 3), dtype=np.int64),
-            np.zeros((4, 3), dtype=object),
-            np.zeros((4, 3), dtype=bool),
-        ],
-        ids=["narrow", "wide", "1-d", "3-d", "float32", "int64", "object", "bool"],
+        "header, rows, message", WRONG_INPUTS.values(), ids=WRONG_INPUTS.keys()
     )
-    def test_wrong_array_rejected_before_writing(self, tmp_path, table):
+    def test_wrong_array_rejected_before_writing(self, tmp_path, header, rows, message):
         path = tmp_path / "t.csv"
-        with pytest.raises(ValueError, match="2-d float64 array of 3 columns"):
-            write_csv(path, ["a", "b", "c"], table)
+        with pytest.raises(ValueError, match=message):
+            write_csv(path, header, rows)
         assert not path.exists()
 
     def test_verify_residual_spelled_as_fmt(self, tmp_path):
@@ -876,6 +900,59 @@ class TestSharpness:
         code, out = run(tmp_path, "sharpness", cfg)
         assert code == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+
+class TestBeyondDoubleRange:
+    """A map or growth scale that leaves the double range is one numeric
+    failure: exit 3, one stderr line, no CSV, and no numpy warning on the
+    way, which this suite's filterwarnings would turn into an error."""
+
+    CASES = {
+        # rho = r^1000 overflows on the outer rungs
+        "verify-power-0.001": ("verify", {
+            "pair": {"name": "power", "alpha": 0.001},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "factor": 2.0, "count": 40},
+            "n": 256,
+        }, "d_r has 1344 non-finite samples, the first (inf+nanj)"),
+        # rho(1e300) w / r overflows in the product before the division
+        "verify-ladder-at-1e300": ("verify", {
+            "pair": {"name": "power", "alpha": 2},
+            "r0": 1.0,
+            "ladder": {"r0": 1e300, "factor": 1.0000001},
+            "n": 64,
+        }, "non-finite quadrature sample on the circle"),
+        "sharpness-subnormal-r0": ("sharpness", {
+            "example": {"kind": "power", "alpha": 1},
+            "ladder": {"r0": 5e-324},
+        }, "non-finite quadrature sample on the circle"),
+        "nonexist-loglog-subnormal-alpha": ("nonexist", {
+            "mapping": {"kind": "loglog", "alpha": 5e-324},
+            "profile": {"kind": "constant", "alpha": 1.0},
+            "r0": 20.0,
+            "ladder": {"r0": 20.0},
+        }, "non-finite quadrature sample on the circle"),
+        # R^1000 underflows to 0 at R = 1e-12
+        "sharpness-power-scale-0": ("sharpness", {
+            "example": {"kind": "power", "alpha": 0.001},
+            "ladder": {"r0": 1e-12, "factor": 1.5, "count": 8},
+            "n": 16,
+        }, "growth scale R^(1/alpha) = 0.0 at R = 1e-12 (rung 0) is beyond double precision"),
+        # (ln 3.7)^(1e300) overflows
+        "sharpness-loglog-scale-inf": ("sharpness", {
+            "example": {"kind": "loglog", "alpha": 1e-300},
+            "ladder": {"r0": 3.7, "factor": 1.0000001, "count": 1},
+        }, "growth scale (ln R)^(1/alpha) = inf at R = 3.7 (rung 0) is beyond double precision"),
+    }
+
+    @pytest.mark.parametrize("command, cfg, message", CASES.values(), ids=CASES.keys())
+    def test_one_numeric_failure(self, tmp_path, capsys, command, cfg, message):
+        code, out = run(tmp_path, command, cfg, "--quiet")
+        assert code == EXIT_NUMERIC
+        assert list(out.glob("*.csv")) == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"numeric failure: {message}")
 
 
 class TestNonexist:

@@ -3,6 +3,7 @@ the README's table of subcommand keys matches the COMMANDS rows, so the
 README and the config registry cannot drift apart."""
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from beltrami_growth.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, main
+from beltrami_growth.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, fmt, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,6 +49,36 @@ def test_example_runs(tmp_path, command, text):
     path.write_text(text)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == EXIT_OK
+
+
+def reference_csv(header, rows) -> bytes:
+    """Every row through csv.writer, a string as given and any other cell
+    through fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "command, text", EXAMPLES, ids=[f"{c}-{i}" for i, (c, _) in enumerate(EXAMPLES)]
+)
+def test_example_csvs_read_back_by_the_csv_module(tmp_path, command, text):
+    # the package writes no quotes, so the csv module must read each file
+    # into rows as wide as its header and write those rows back byte for byte
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    written = sorted(out.glob("*.csv"))
+    assert written
+    for csv_path in written:
+        with open(csv_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and {len(row) for row in rows} == {len(header)}, csv_path.name
+        assert reference_csv(header, rows) == csv_path.read_bytes(), csv_path.name
 
 
 def subcommand_table():
