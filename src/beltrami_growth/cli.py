@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -47,13 +48,7 @@ from .growth import (
     theorem1_check,
 )
 from .mappings import Identity, Linear, LogLog, Power, RadialTable, Spiral
-from .verify import (
-    AnnulusGrid,
-    build_extremal,
-    catalog_pair,
-    pde_residual,
-    sharpness_ladder,
-)
+from .verify import CATALOG, AnnulusGrid, build_extremal, pde_residual, sharpness_ladder
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -294,77 +289,67 @@ KEY_READERS = {
     "pair": lambda v: parse_pair(v),
     "ladder": lambda v: parse_ladder(v),
     "example": lambda v: _build(v, "sharpness example", EXAMPLE_KINDS),
-    "grid": lambda v: _construct(
-        AnnulusGrid, v, "grid", ("r_inner", "r_outer"), ("n_r", "n_theta")
-    ),
+    "grid": lambda v: _construct(AnnulusGrid, v, "grid"),
     "observed": _observed,
 }
 
 
-def _extremal(profile, r0, R, rho0=1.0, knots=128):
-    """The one builder of the extremal command and the extremal pair."""
-    return build_extremal(profile, r0, rho0, R, knots)
-
-
-def _extremal_pair(**params):
-    sol = _extremal(**params)
+def _extremal_pair(profile, r0, R, rho0=1.0, knots=128):
+    sol = build_extremal(profile, r0, rho0, R, knots)
     return sol.mapping(), sol.coefficient()
 
 
-def _catalog_pair(name):
-    """catalog_pair(name, **params), looked up when called like the nested
-    parsers above."""
-    return lambda **params: catalog_pair(name, **params)
+def _unnamed_pair(mapping, coefficient):
+    return mapping, coefficient
 
 
-#: kind -> (constructor, required keys, optional keys); the constructor takes
-#: the keys as keyword arguments, and a key outside the row is an error
+#: kind -> constructor; its parameters are the kind's keys (config_keys)
 MAPPING_KINDS = {
-    "identity": (Identity, (), ()),
-    "linear": (Linear, ("a", "b"), ("c",)),
-    "spiral": (Spiral, (), ()),
-    "power": (Power, ("alpha",), ()),
-    "loglog": (LogLog, ("alpha",), ()),
-    "radial_table": (RadialTable.from_csv, ("path",), ("center", "linear_inner")),
+    "identity": Identity,
+    "linear": Linear,
+    "spiral": Spiral,
+    "power": Power,
+    "loglog": LogLog,
+    "radial_table": RadialTable.from_csv,
 }
 COEFFICIENT_KINDS = {
-    "linear": (LinearCoefficient, ("a", "b"), ("center",)),
-    "spiral": (SpiralCoefficient, (), ("center",)),
-    "power": (PowerCoefficient, ("alpha",), ("center",)),
-    "loglog": (LogLogCoefficient, ("alpha",), ("center",)),
-    "grid": (GridCoefficient.from_csv, ("path",), ("center",)),
-    "radial": (RadialCoefficient, ("profile",), ("center",)),
+    "linear": LinearCoefficient,
+    "spiral": SpiralCoefficient,
+    "power": PowerCoefficient,
+    "loglog": LogLogCoefficient,
+    "grid": GridCoefficient.from_csv,
+    # radial_domain is no config key
+    "radial": lambda profile, center=0j: RadialCoefficient(profile, center),
 }
 PROFILE_KINDS = {
-    "constant": (ConstantProfile, ("alpha",), ()),
-    "log_product": (LogProductProfile, ("alpha", "depth"), ()),
-    "piecewise": (
-        lambda breakpoints, pieces: PiecewiseProfile(breakpoints, pieces),
-        ("breakpoints", "pieces"),
-        (),
-    ),
-    "table": (TableProfile, ("radii", "values"), ()),
-    "from_field": (
-        lambda coefficient, n=CircleQuadrature(): FieldProfile(coefficient, n),
-        ("coefficient",),
-        ("n",),
-    ),
+    "constant": ConstantProfile,
+    "log_product": LogProductProfile,
+    "piecewise": lambda breakpoints, pieces: PiecewiseProfile(breakpoints, pieces),
+    "table": TableProfile,
+    "from_field": lambda coefficient, n=CircleQuadrature(): FieldProfile(coefficient, n),
 }
-#: named pairs: a catalog mapping with its coefficient (the keys are the
-#: mapping's), or the extremal solution of a profile
-PAIR_NAMES = {
-    **{
-        name: (_catalog_pair(name), *MAPPING_KINDS[name][1:])
-        for name in ("identity", "linear", "spiral", "power", "loglog")
-    },
-    "extremal": (_extremal_pair, ("profile", "r0", "R"), ("rho0", "knots")),
-}
+#: named pairs: a catalog mapping with its coefficient, or the extremal
+#: solution of a profile
+PAIR_NAMES = {**CATALOG, "extremal": _extremal_pair}
 #: the two examples whose growth bounds the paper shows to be sharp
 EXAMPLE_KINDS = {kind: MAPPING_KINDS[kind] for kind in ("power", "loglog")}
 
 
-def _construct(build, cfg, name, required, optional):
-    """build(**cfg) after checking cfg's keys and reading each value."""
+@functools.cache
+def config_keys(build, skip=0):
+    """(required, optional): the names of build's parameters after the first
+    skip, those without a default, then those with one."""
+    params = list(inspect.signature(build).parameters.values())[skip:]
+    return (
+        tuple(p.name for p in params if p.default is p.empty),
+        tuple(p.name for p in params if p.default is not p.empty),
+    )
+
+
+def _construct(build, cfg, name, keys=None):
+    """build(**cfg) after checking cfg's keys, by default config_keys(build),
+    and reading each value."""
+    required, optional = config_keys(build) if keys is None else keys
     _require_keys(cfg, name, {*required, *optional}, required)
     try:
         return build(**{key: KEY_READERS[key](value) for key, value in cfg.items()})
@@ -373,7 +358,7 @@ def _construct(build, cfg, name, required, optional):
 
 
 def _build(cfg, section, kinds, tag="kind"):
-    """What a config section describes, built by the row of its kind."""
+    """What a config section describes, built by the constructor of its kind."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{section} must be an object, got {type(cfg).__name__}")
     kind = cfg.get(tag)
@@ -381,9 +366,8 @@ def _build(cfg, section, kinds, tag="kind"):
         raise ConfigError(f"{section} needs a string {tag!r}, got {kind!r}")
     if kind not in kinds:
         raise ConfigError(f"unknown {section} {tag} {kind!r}, expected one of {sorted(kinds)}")
-    build, required, optional = kinds[kind]
     params = {key: value for key, value in cfg.items() if key != tag}
-    return _construct(build, params, f"{section} {tag} {kind!r}", required, optional)
+    return _construct(kinds[kind], params, f"{section} {tag} {kind!r}")
 
 
 def parse_mapping(cfg):
@@ -400,7 +384,7 @@ def parse_profile(cfg):
 
 def parse_ladder(cfg):
     try:
-        return _construct(RadiusLadder, cfg, "ladder", ("r0",), ("factor", "count"))
+        return _construct(RadiusLadder, cfg, "ladder")
     except BeltramiGrowthError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -408,8 +392,7 @@ def parse_ladder(cfg):
 def parse_pair(cfg):
     if isinstance(cfg, dict) and "name" in cfg:
         return _build(cfg, "pair", PAIR_NAMES, tag="name")
-    keys = ("mapping", "coefficient")
-    return _construct(lambda mapping, coefficient: (mapping, coefficient), cfg, "pair", keys, ())
+    return _construct(_unnamed_pair, cfg, "pair")
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +451,8 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
     mapping, coefficient = pair
     top = float(ladder.radii()[-1])
     if grid is None:
+        if not top > r0:
+            raise ConfigError(f"the default grid needs a top rung above r0 = {r0}, got {top}")
         grid = AnnulusGrid(r0, min(top, 8.0 * r0))
 
     failures = []
@@ -514,8 +499,8 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
     return EXIT_OK
 
 
-def cmd_extremal(outdir: Path, plot: bool, say, **params) -> int:
-    sol = _extremal(**params)
+def cmd_extremal(outdir: Path, plot: bool, say, profile, r0, R, rho0=1.0, knots=128) -> int:
+    sol = build_extremal(profile, r0, rho0, R, knots)
     rho_path = write_csv(
         outdir / "extremal_rho.csv", ["r", "rho"], np.column_stack((sol.knots, sol.rho))
     )
@@ -573,16 +558,15 @@ def cmd_nonexist(outdir: Path, plot: bool, say, profile, r0, observed=None, mapp
     return EXIT_OK
 
 
-#: subcommand -> (command, required keys, optional keys), read like the kind
-#: tables; the command takes the keys as keyword arguments after
-#: (outdir, plot, say), and its signature holds the optional keys' defaults
+#: subcommand -> command; its parameters after (outdir, plot, say) are the
+#: config's keys
 COMMANDS = {
-    "kappa": (cmd_kappa, ("coefficient", "radii"), ("n",)),
-    "envelope": (cmd_envelope, ("profile", "r0", "ladder"), ()),
-    "verify": (cmd_verify, ("pair", "r0", "ladder"), ("n", "h", "grid", "residual_tol")),
-    "extremal": (cmd_extremal, ("profile", "r0", "R"), ("rho0", "knots")),
-    "sharpness": (cmd_sharpness, ("example", "ladder"), ("n",)),
-    "nonexist": (cmd_nonexist, ("profile", "r0"), ("observed", "mapping", "ladder", "n")),
+    "kappa": cmd_kappa,
+    "envelope": cmd_envelope,
+    "verify": cmd_verify,
+    "extremal": cmd_extremal,
+    "sharpness": cmd_sharpness,
+    "nonexist": cmd_nonexist,
 }
 #: the subcommands that write an SVG with --plot
 PLOTTED = ("envelope", "sharpness")
@@ -637,11 +621,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    command, required, optional = COMMANDS[args.command]
+    command = COMMANDS[args.command]
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        params = _construct(dict, cfg, "config", required, optional)
+        params = _construct(dict, cfg, "config", config_keys(command, skip=3))
         # outside _construct: a ValueError of the numerics is no config error
         return command(outdir, args.plot, say, **params)
     except (ConfigError, OSError) as exc:

@@ -113,8 +113,10 @@ def jacobian_polar(r, pd: PolarDerivPair):
 
 
 def jacobian_wirtinger(wp: WirtingerPair):
-    """Jacobian |f_z|^2 - |f_zbar|^2."""
-    out = np.abs(np.asarray(wp.d_z)) ** 2 - np.abs(np.asarray(wp.d_zbar)) ** 2
+    """Jacobian |f_z|^2 - |f_zbar|^2; beyond the double range it is +-inf or
+    NaN, for the guards to refuse, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.abs(np.asarray(wp.d_z)) ** 2 - np.abs(np.asarray(wp.d_zbar)) ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -50,8 +50,10 @@ class CircleQuadrature:
 
     def points(self, z0: complex, r) -> np.ndarray:
         """The n nodes on the circle |z - z0| = r; an r of shape (k, 1) gives
-        one row of nodes per radius."""
-        return complex(z0) + r * np.exp(1j * self.angles())
+        one row of nodes per radius.  A circle that leaves the double range
+        raises QuadratureFailure (:func:`_finite_nodes`)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite_nodes(complex(z0) + r * np.exp(1j * self.angles()), z0, r)
 
     def mean(self, samples: np.ndarray):
         """Angular mean over the last axis: a float for one circle, an array
@@ -94,7 +96,9 @@ class CircleQuadrature:
             raise ValueError(f"radius must be positive, got {r}")
         rows = np.atleast_1d(radii)[:, None]
         if symmetry == "radius":
-            out = self.mean(sample(complex(center) + rows))
+            with np.errstate(over="ignore"):
+                nodes = _finite_nodes(complex(center) + rows, center, rows)
+            out = self.mean(sample(nodes))
         elif symmetry == "angle":
             # no circle at all for no radii, as on the full path
             unit = np.ones((min(1, rows.shape[0]), 1))
@@ -102,6 +106,19 @@ class CircleQuadrature:
         else:
             out = self.blockwise(lambda block: self.mean(sample(self.points(center, block))), rows)
         return float(out[0]) if radii.ndim == 0 else out
+
+
+def _finite_nodes(nodes: np.ndarray, center, r) -> np.ndarray:
+    """The circle nodes about center at the radii r, if every one is within
+    the double range; otherwise raise QuadratureFailure naming the first
+    radius whose circle leaves it."""
+    finite = np.isfinite(nodes)
+    if finite.all():
+        return nodes
+    radius = np.broadcast_to(r, nodes.shape)[np.unravel_index(np.argmin(finite), nodes.shape)]
+    raise QuadratureFailure(
+        f"the circle of radius {float(radius)} about {complex(center)} leaves the double range"
+    )
 
 
 class CoefficientField:
@@ -160,6 +177,13 @@ class LinearCoefficient(CoefficientField):
     def __post_init__(self):
         if abs(abs(self.a) - abs(self.b)) == 0.0:
             raise ValueError("degenerate coefficient: |A| must differ from |B|")
+        try:  # squared as in _value_array, where a Python float raises on overflow
+            abs(self.b) ** 2 - abs(self.a) ** 2
+        except OverflowError:
+            raise ValueError(
+                "|B|^2 - |A|^2 is beyond double precision: "
+                f"|A| = {abs(self.a)}, |B| = {abs(self.b)}"
+            ) from None
 
     def _value_array(self, w, r):
         delta = abs(self.b) ** 2 - abs(self.a) ** 2
@@ -428,9 +452,11 @@ class LogProductProfile(KappaProfile):
         # ln_k r = ln(ln_{k-1} r) >= 1 after the clip, so no log leaves its domain
         out = self.alpha * np.ones(rr.shape)
         log_k = rr
-        for _ in range(self.depth):
-            log_k = np.log(log_k)
-            out = out * log_k
+        # a product beyond the double range is inf, which the kappa guards refuse
+        with np.errstate(over="ignore"):
+            for _ in range(self.depth):
+                log_k = np.log(log_k)
+                out = out * log_k
         return float(out) if np.ndim(r) == 0 else out
 
 

@@ -49,11 +49,16 @@ class RadiusLadder:
             raise DomainError(f"ladder factor must exceed 1, got {self.factor}")
         if self.count < 1:
             raise DomainError(f"ladder needs at least one step, got {self.count}")
-        # check the top rung in log space; factor**count itself can overflow
+        # check the top rung in log space, and factor**count, which radii()
+        # forms before the product with r0
         if math.log(self.r0) + self.count * math.log(self.factor) > math.log(
             sys.float_info.max
         ):
             raise DomainError("ladder top overflows double precision")
+        if self.count * math.log(self.factor) > math.log(sys.float_info.max):
+            raise DomainError(
+                f"ladder factor^count = {self.factor}^{self.count} overflows double precision"
+            )
 
     def radii(self) -> np.ndarray:
         return self.r0 * self.factor ** np.arange(self.count + 1, dtype=float)
@@ -375,7 +380,15 @@ def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np
     rho = np.exp(u)
     # every segment's circles, then the two circles of the tail
     mean_jac = _mean_jacobians(mapping, z0, np.append(rho, [rho_min, 2.0 * rho_min]), q)
-    g = TWO_PI * rho**2 * mean_jac[:-2]
+    with np.errstate(over="ignore"):
+        g = TWO_PI * rho**2 * mean_jac[:-2]
+    beyond = ~np.isfinite(g)
+    if np.any(beyond):
+        k = int(np.argmax(beyond))
+        raise QuadratureFailure(
+            f"area integrand 2 pi rho^2 mean(J_f) = {float(g[k])} at rho = {float(rho[k])} "
+            "is beyond double precision"
+        )
     # np.sum over each segment's own nodes: a pairwise sum, which the
     # sequential np.add.reduceat is not
     sums = [np.sum(part) for part in np.split(w * g, np.cumsum(count)[:-1] * _GAUSS_NODES.size)]

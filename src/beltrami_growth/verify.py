@@ -167,15 +167,29 @@ def pde_residual(
     w = z - K.center on the grid about K.center.
 
     Grid points whose 2h-stencil would touch a seam or the origin are
-    excluded; J_f must be positive at every retained point.
+    excluded; J_f must be positive, and every residual finite, at every
+    retained point.
     """
-    w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
-    residual = wp.d_zbar - (w / np.conj(w)) * wp.d_z - k * np.sqrt(np.abs(jac))
-    abs_res = np.abs(residual)
+    # far out, the derivatives, J_f, K or the residual may leave the double
+    # range; the derivatives' finite guards and the check below refuse the
+    # result, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
+        abs_res = np.abs(wp.d_zbar - (w / np.conj(w)) * wp.d_z - k * np.sqrt(np.abs(jac)))
+        rms = float(np.sqrt(np.mean(abs_res**2)))
+    beyond = ~np.isfinite(abs_res)
+    if np.any(beyond):
+        i = int(np.argmax(beyond))
+        raise DomainError(
+            f"residual = {abs_res[i]} at r = {float(rr[i])}, theta = {float(tt[i])} "
+            f"(J_f = {jac[i]}, K = {k[i]}) is beyond double precision"
+        )
     i = int(np.argmax(abs_res))
+    if math.isinf(rms):  # the squares overflowed, not the residuals
+        rms = float(abs_res[i] * np.sqrt(np.mean((abs_res / abs_res[i]) ** 2)))
     return ResidualReport(
         float(abs_res[i]),
-        float(np.sqrt(np.mean(abs_res**2))),
+        rms,
         float(rr[i]),
         float(tt[i]),
         int(abs_res.size),
@@ -288,21 +302,19 @@ def sharpness_ladder(
 # catalog solution pairs
 
 
+#: name -> constructor of a catalog pair (mapping, coefficient); its
+#: parameters are the pair's keys
+CATALOG = {
+    "identity": lambda: (Identity(), PowerCoefficient(1.0)),
+    "linear": lambda a, b, c=0j: (Linear(a, b, c), LinearCoefficient(a, b)),
+    "spiral": lambda: (Spiral(), SpiralCoefficient()),
+    "power": lambda alpha: (Power(alpha), PowerCoefficient(alpha)),
+    "loglog": lambda alpha: (LogLog(alpha), LogLogCoefficient(alpha)),
+}
+
+
 def catalog_pair(name: str, **params):
     """(mapping, coefficient) for a named certified solution of the equation."""
-    if name == "identity":
-        return Identity(), PowerCoefficient(1.0)
-    if name == "linear":
-        a = complex(params["a"])
-        b = complex(params["b"])
-        c = complex(params.get("c", 0j))
-        return Linear(a, b, c), LinearCoefficient(a, b)
-    if name == "spiral":
-        return Spiral(), SpiralCoefficient()
-    if name == "power":
-        alpha = float(params["alpha"])
-        return Power(alpha), PowerCoefficient(alpha)
-    if name == "loglog":
-        alpha = float(params["alpha"])
-        return LogLog(alpha), LogLogCoefficient(alpha)
-    raise ValueError(f"unknown catalog pair {name!r}")
+    if name not in CATALOG:
+        raise ValueError(f"unknown catalog pair {name!r}")
+    return CATALOG[name](**params)

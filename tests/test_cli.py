@@ -15,7 +15,6 @@ import pytest
 
 from beltrami_growth import cli
 from beltrami_growth.cli import (
-    COMMANDS,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -23,7 +22,6 @@ from beltrami_growth.cli import (
     PLOTTED,
     ConfigError,
     _check_radii,
-    _extremal,
     _parser,
     _spelled_floats,
     fmt,
@@ -902,10 +900,14 @@ class TestSharpness:
         assert "PASS" in capsys.readouterr().out
 
 
+LINEAR_1E300 = {"kind": "linear", "a": [0.5, 0], "b": [1e300, 0]}
+
+
 class TestBeyondDoubleRange:
-    """A map or growth scale that leaves the double range is one numeric
-    failure: exit 3, one stderr line, no CSV, and no numpy warning on the
-    way, which this suite's filterwarnings would turn into an error."""
+    """A map, coefficient, circle or growth scale that leaves the double
+    range is one numeric failure (exit 3), or one config error (exit 2) when
+    the config alone shows it: one stderr line, no CSV, and no numpy warning
+    on the way, which this suite's filterwarnings would turn into an error."""
 
     CASES = {
         # rho = r^1000 overflows on the outer rungs
@@ -943,6 +945,59 @@ class TestBeyondDoubleRange:
             "example": {"kind": "loglog", "alpha": 1e-300},
             "ladder": {"r0": 3.7, "factor": 1.0000001, "count": 1},
         }, "growth scale (ln R)^(1/alpha) = inf at R = 3.7 (rung 0) is beyond double precision"),
+        # J = |B|^2 - |A|^2 overflows on the residual grid
+        "verify-linear-map-b-1e300": ("verify", {
+            "pair": {"mapping": LINEAR_1E300, "coefficient": {"kind": "power", "alpha": 2}},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+            "n": 64,
+        }, "residual = inf at r = 1.0, theta = 0.0 (J_f = inf, K = (-1.4142135623730951+0j)) "
+           "is beyond double precision"),
+        # rho^2 J overflows in the disk areas' radial sweep
+        "verify-spiral-r0-1e300": ("verify", {
+            "pair": {"name": "spiral"},
+            "r0": 1e300,
+            "ladder": {"r0": 1e300, "count": 1},
+            "n": 64,
+        }, "area integrand 2 pi rho^2 mean(J_f) = inf at rho = 1.0076487688955337e+292 "
+           "is beyond double precision"),
+        # alpha ln r overflows in the profile
+        "envelope-log-product-1e308": ("envelope", {
+            "profile": {"kind": "log_product", "alpha": 1e308, "depth": 1},
+            "r0": 3.0,
+            "ladder": {"r0": 3.0, "count": 4},
+        }, "kappa sample inf at r = 6.03846636375478"),
+        # the stencil margin 2 h r overflows near r_outer
+        "verify-grid-margin-overflow": ("verify", {
+            "pair": {"name": "spiral"},
+            "r0": 3.0,
+            "ladder": {"r0": 3.0, "count": 1},
+            "grid": {"r_inner": 0.5, "r_outer": 1e308, "n_r": 5, "n_theta": 8},
+            "h": 3814279.104760214,
+            "n": 8,
+        }, "no grid points outside the mapping's excluded bands"),
+        # A conj(w) - B w overflows at the grid's outer radius
+        "verify-linear-coefficient-far-out": ("verify", {
+            "pair": {"name": "linear", "a": [-1, 0], "b": [1.2, 0]},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 1},
+            "grid": {"r_inner": 1.0, "r_outer": 1e308, "n_r": 2, "n_theta": 8},
+            "n": 8,
+        }, "residual = nan at r = 1e+308, theta = 0.0 (J_f = 0.43999999999999995, "
+           "K = (-inf+nanj)) is beyond double precision"),
+        # 2 w overflows in the conversion to Wirtinger derivatives
+        "verify-loglog-at-1e308": ("verify", {
+            "pair": {"name": "loglog", "alpha": 2},
+            "r0": 1e308,
+            "ladder": {"r0": 1e308, "factor": 1.5, "count": 1},
+            "n": 8,
+        }, "d_z has 92 non-finite samples, the first (nan+nanj)"),
+        # center + r overflows at the circle's theta = 0 node
+        "kappa-circle-beyond-range": ("kappa", {
+            "coefficient": {"kind": "spiral", "center": [1e308, 1e308]},
+            "radii": [1e308],
+            "n": 8,
+        }, "the circle of radius 1e+308 about (1e+308+1e+308j) leaves the double range"),
     }
 
     @pytest.mark.parametrize("command, cfg, message", CASES.values(), ids=CASES.keys())
@@ -953,6 +1008,58 @@ class TestBeyondDoubleRange:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"numeric failure: {message}")
+
+    CONFIG_ERRORS = {
+        "verify-linear-pair-b-1e300": ("verify", {
+            "pair": {"name": "linear", "a": [0.5, 0], "b": [1e300, 0]},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+        }, "|B|^2 - |A|^2 is beyond double precision: |A| = 0.5, |B| = 1e+300"),
+        "verify-linear-coefficient-b-1e300": ("verify", {
+            "pair": {"mapping": {"kind": "identity"}, "coefficient": LINEAR_1E300},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+        }, "|B|^2 - |A|^2 is beyond double precision: |A| = 0.5, |B| = 1e+300"),
+        # the default grid would run from r0 down to the top rung
+        "verify-ladder-below-r0": ("verify", {
+            "pair": {"name": "spiral"},
+            "r0": 1e300,
+            "ladder": {"r0": 1.0, "count": 4},
+        }, "the default grid needs a top rung above r0 = 1e+300, got 16.0"),
+        # the top rung 5e-324 * 1e308^2 is finite, but 1e308^2 is not
+        "sharpness-ladder-factor-power": ("sharpness", {
+            "example": {"kind": "loglog", "alpha": 2},
+            "ladder": {"r0": 5e-324, "factor": 1e308, "count": 2},
+        }, "ladder factor^count = 1e+308^2 overflows double precision"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, cfg, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys()
+    )
+    def test_one_config_error(self, tmp_path, capsys, command, cfg, message):
+        code, out = run(tmp_path, command, cfg, "--quiet")
+        assert code == EXIT_CONFIG
+        assert list(out.glob("*.csv")) == []
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_rms_finite_where_every_residual_is(self, tmp_path, capsys):
+        # |K| = 1e154 on the identity: each residual is about 1e154, whose
+        # square overflows, yet their root mean square is about 1e154 too
+        cfg = {
+            "pair": {
+                "mapping": {"kind": "identity"},
+                "coefficient": {"kind": "radial", "profile": {"kind": "constant", "alpha": 1e308}},
+            },
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+            "n": 64,
+        }
+        code, _ = run(tmp_path, "verify", cfg)
+        assert code == EXIT_CHECK_FAILED
+        line = capsys.readouterr().out.splitlines()[0]
+        biggest, rms = (float(x) for x in re.findall(r"(?:max|rms)=(\S+)", line))
+        assert biggest == 1.0000000000000003e154
+        assert rms == pytest.approx(biggest, rel=1e-15)
 
 
 class TestNonexist:
@@ -1065,16 +1172,11 @@ def test_first_bad_value_in_document_order_named(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: radii must be a list\n"
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_command_signature_matches_its_row(name):
-    # main passes the row's keys as keyword arguments, outside the config-error
-    # wrapper, so a key the signature lacks would be a TypeError, not exit 2
-    command, required, optional = COMMANDS[name]
-    params = list(inspect.signature(command).parameters.values())[3:]
-    if params[0].kind is inspect.Parameter.VAR_KEYWORD:
-        params = list(inspect.signature(_extremal).parameters.values())
-    assert {p.name for p in params if p.default is p.empty} == set(required)
-    assert {p.name for p in params if p.default is not p.empty} == set(optional)
+def test_extremal_command_and_pair_take_the_same_keys():
+    # both build the extremal solution from the same keys, so their defaults
+    # may not drift apart
+    command = list(inspect.signature(cli.cmd_extremal).parameters.values())[3:]
+    assert command == list(inspect.signature(cli.PAIR_NAMES["extremal"]).parameters.values())
 
 
 @pytest.mark.parametrize(

@@ -133,7 +133,7 @@ def test_doubled_f_z_margins():
 @pytest.mark.parametrize("name", MUTANTS)
 def test_cli_verdicts(tmp_path, capsys, monkeypatch, name):
     _, _, mapping_cfg, coefficient_cfg, expected = MUTANTS[name]
-    monkeypatch.setitem(cli.MAPPING_KINDS, "doubled_f_z", (DoubledFz, ("alpha",), ()))
+    monkeypatch.setitem(cli.MAPPING_KINDS, "doubled_f_z", DoubledFz)
     cfg = {
         "pair": {"mapping": mapping_cfg, **coefficient_cfg},
         "r0": R0,

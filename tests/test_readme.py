@@ -1,6 +1,7 @@
 """Every JSON example under a README subcommand heading runs with exit 0, and
-the README's table of subcommand keys matches the COMMANDS rows, so the
-README and the config registry cannot drift apart."""
+the README's tables of subcommand and kind keys match the keys that
+config_keys reads from the code, so the README and the config registry
+cannot drift apart."""
 
 import contextlib
 import csv
@@ -11,7 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from beltrami_growth.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, fmt, main
+from beltrami_growth.cli import (
+    COEFFICIENT_KINDS,
+    COMMANDS,
+    EXIT_CONFIG,
+    EXIT_OK,
+    MAPPING_KINDS,
+    PAIR_NAMES,
+    PROFILE_KINDS,
+    config_keys,
+    fmt,
+    main,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -81,30 +93,46 @@ def test_example_csvs_read_back_by_the_csv_module(tmp_path, command, text):
         assert reference_csv(header, rows) == csv_path.read_bytes(), csv_path.name
 
 
-def subcommand_table():
-    """{subcommand: (required keys, optional keys)} of the README's table whose
-    header starts with "| Subcommand |"; parenthesized notes and defaults are
-    not keys."""
+def readme_table(title):
+    """{name: (required keys, optional keys)} of the README's table whose
+    header starts with "| <title> |"; a row may name several kinds, and
+    parenthesized notes and defaults are not keys."""
     rows, inside = {}, False
     for line in README.read_text().splitlines():
-        if line.startswith("| Subcommand |"):
+        if line.startswith(f"| {title} |"):
             inside = True
         elif inside and not line.startswith("|"):
             break
         elif inside and not line.startswith("|---"):
-            name, required, optional = line.strip("|").split("|")
-            rows[name.strip().strip("`")] = tuple(
+            names, required, optional = (
                 set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
-                for cell in (required, optional)
+                for cell in line.strip("|").split("|")
             )
+            rows.update(dict.fromkeys(names, (required, optional)))
     return rows
 
 
+def code_keys(rows, skip=0):
+    """{name: (required keys, optional keys)} of each row's config_keys."""
+    return {name: tuple(map(set, config_keys(build, skip))) for name, build in rows.items()}
+
+
 def test_subcommand_table_matches_commands():
-    table = subcommand_table()
-    assert sorted(table) == sorted(COMMANDS)
-    for name, (_, required, optional) in COMMANDS.items():
-        assert table[name] == (set(required), set(optional)), name
+    assert readme_table("Subcommand") == code_keys(COMMANDS, skip=3)
+
+
+@pytest.mark.parametrize(
+    "title, rows",
+    [
+        ("Mapping kind", MAPPING_KINDS),
+        ("Coefficient kind", COEFFICIENT_KINDS),
+        ("Profile kind", PROFILE_KINDS),
+        ("Pair name", PAIR_NAMES),
+    ],
+    ids=["mapping", "coefficient", "profile", "pair"],
+)
+def test_kind_table_matches_its_constructors(title, rows):
+    assert readme_table(title) == code_keys(rows)
 
 
 def run_text(tmp_path, command, cfg):
@@ -122,7 +150,9 @@ FIRST_EXAMPLES = {}
 for _command, _text in EXAMPLES:
     FIRST_EXAMPLES.setdefault(_command, json.loads(_text))
 
-REQUIRED = [(command, key) for command, (_, required, _) in COMMANDS.items() for key in required]
+REQUIRED = [
+    (command, key) for command, build in COMMANDS.items() for key in config_keys(build, skip=3)[0]
+]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -7,6 +7,7 @@ from beltrami_growth import (
     AnnulusGrid,
     ConstantProfile,
     DomainError,
+    Identity,
     LogProductProfile,
     NonPositiveJacobian,
     Linear,
@@ -15,6 +16,7 @@ from beltrami_growth import (
     LOGLOG_SEAM,
     Power,
     PowerCoefficient,
+    RadialCoefficient,
     RadiusLadder,
     angular_dilatation,
     area_bound_check,
@@ -193,3 +195,13 @@ class TestSharpness:
             sharpness_ladder(Linear(0.1 + 0j, 1 + 0j, 0j), RadiusLadder(1.0, 2.0, 4))
         with pytest.raises(DomainError):
             sharpness_ladder(LogLog(1.0), RadiusLadder(1.0, 2.0, 4))
+
+
+def test_rms_finite_where_every_residual_is():
+    # |K| = 1e154 on the identity: every residual is about 1e154, and its
+    # square overflows; scaling by a power of two is exact
+    rep = pde_residual(Identity(), RadialCoefficient(ConstantProfile(1e308)), GRID)
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(rep.abs_residual)) and np.isinf(np.mean(rep.abs_residual**2))
+    scaled = np.sqrt(np.mean((rep.abs_residual * 2.0**-600) ** 2)) * 2.0**600
+    assert rep.rms == pytest.approx(scaled, rel=1e-15)
