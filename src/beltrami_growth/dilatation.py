@@ -23,7 +23,7 @@ from .complex_polar import (
 )
 from .errors import DomainError, NonPositiveKappa, QuadratureFailure
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
-from .mappings import require_known_symmetry
+from .mappings import require_finite_modulus, require_known_symmetry
 
 JACOBIAN_FLOOR = 1e-14
 #: most circle points one call of a many-circle kernel evaluates.  Larger
@@ -175,14 +175,14 @@ class LinearCoefficient(CoefficientField):
     abs2_symmetry = "angle"
 
     def __post_init__(self):
-        if abs(abs(self.a) - abs(self.b)) == 0.0:
+        abs_a, abs_b = require_finite_modulus("a", self.a), require_finite_modulus("b", self.b)
+        if abs(abs_a - abs_b) == 0.0:
             raise ValueError("degenerate coefficient: |A| must differ from |B|")
         try:  # squared as in _value_array, where a Python float raises on overflow
-            abs(self.b) ** 2 - abs(self.a) ** 2
+            abs_b ** 2 - abs_a ** 2
         except OverflowError:
             raise ValueError(
-                "|B|^2 - |A|^2 is beyond double precision: "
-                f"|A| = {abs(self.a)}, |B| = {abs(self.b)}"
+                f"|B|^2 - |A|^2 is beyond double precision: |A| = {abs_a}, |B| = {abs_b}"
             ) from None
 
     def _value_array(self, w, r):

@@ -96,10 +96,28 @@ def corollary_exponent(bound) -> float:
 # the attenuation integral and its envelope
 
 ENVELOPE_ABS_TOL = 1e-11
+
+
+def _gauss_legendre(nodes, weights):
+    """Ascending Gauss-Legendre rule on [-1, 1] from its positive nodes
+    (ascending) and their weights, mirrored about 0 as numpy's ``leggauss``
+    mirrors its own, so each table below is ``leggauss(n)`` bit for bit."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
 #: Gauss-Legendre nodes on [-1, 1]: the 12-point rule, then the 6-point rule
 #: whose difference from it is each panel's error estimate
-_GL12, _W12 = np.polynomial.legendre.leggauss(12)
-_GL6, _W6 = np.polynomial.legendre.leggauss(6)
+_GL12, _W12 = _gauss_legendre(
+    [0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+     0.7699026741943047, 0.9041172563704748, 0.9815606342467192],
+    [0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+     0.16007832854334642, 0.10693932599531907, 0.04717533638651141],
+)
+_GL6, _W6 = _gauss_legendre(
+    [0.2386191860831969, 0.6612093864662645, 0.9324695142031519],
+    [0.46791393457269104, 0.3607615730481387, 0.17132449237917027],
+)
 _PANEL_NODES = np.concatenate([_GL12, _GL6])
 #: panel halvings the attenuation integral over one gap may make before it
 #: gives up
@@ -340,7 +358,11 @@ def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
     return q.circle_means(jacobian, z0, r, symmetry)
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+#: the 8-point Gauss-Legendre rule of the disk sweep's panels in ln(rho)
+_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706],
+)
 #: panel count over ln(1/INNER_CUTOFF), and the relative radius below which
 #: the area integral is replaced by a power-law tail
 RADIAL_STEPS = 48

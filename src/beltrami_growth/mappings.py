@@ -142,6 +142,20 @@ def require_known_symmetry(cls, name: str, values: tuple):
         raise TypeError(f"{cls.__name__}.{name} must be one of {values}, got {vars(cls)[name]!r}")
 
 
+def require_finite_modulus(key: str, value: complex) -> float:
+    """|value|, refused with a ValueError naming ``key`` when it is not finite.
+
+    abs() of a Python complex raises OverflowError, naming neither, when the
+    modulus of finite parts is beyond double precision."""
+    try:
+        modulus = abs(complex(value))
+    except OverflowError:
+        modulus = math.inf
+    if not math.isfinite(modulus):
+        raise ValueError(f"|{key}| = {modulus} is not finite: {key} = {value}")
+    return modulus
+
+
 class Mapping:
     """Base class: shared finite differences and seam logic.
 
@@ -330,7 +344,8 @@ class Linear(Mapping):
     def __post_init__(self):
         if not all(np.isfinite([self.a, self.b, self.c]).tolist()):
             raise ValueError("coefficients must be finite")
-        if abs(abs(self.a) - abs(self.b)) == 0.0:
+        abs_a, abs_b = require_finite_modulus("a", self.a), require_finite_modulus("b", self.b)
+        if abs(abs_a - abs_b) == 0.0:
             raise ValueError("degenerate linear map: |A| must differ from |B|")
 
     def _eval_array(self, z):

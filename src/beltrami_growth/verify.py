@@ -156,6 +156,26 @@ def _grid_derivatives(mapping: Mapping, K: CoefficientField, grid: AnnulusGrid, 
     return z - complex(K.center), rr, tt, wp, jac, np.asarray(K(z))
 
 
+def _residual_norms(abs_res, rr, tt, jac, k, name):
+    """(index of the largest, root mean square) of the residual magnitudes
+    ``abs_res``; a non-finite one is refused with a DomainError naming its
+    point, J_f and K there.  The rms is rescaled by the largest when the
+    squares overflow though no residual does."""
+    beyond = ~np.isfinite(abs_res)
+    if np.any(beyond):
+        i = int(np.argmax(beyond))
+        raise DomainError(
+            f"{name} = {abs_res[i]} at r = {float(rr[i])}, theta = {float(tt[i])} "
+            f"(J_f = {jac[i]}, K = {k[i]}) is beyond double precision"
+        )
+    i = int(np.argmax(abs_res))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(abs_res**2)))
+    if math.isinf(rms):  # the squares overflowed, not the residuals
+        rms = float(abs_res[i] * np.sqrt(np.mean((abs_res / abs_res[i]) ** 2)))
+    return i, rms
+
+
 def pde_residual(
     mapping: Mapping,
     K: CoefficientField,
@@ -176,17 +196,7 @@ def pde_residual(
     with np.errstate(over="ignore", invalid="ignore"):
         w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
         abs_res = np.abs(wp.d_zbar - (w / np.conj(w)) * wp.d_z - k * np.sqrt(np.abs(jac)))
-        rms = float(np.sqrt(np.mean(abs_res**2)))
-    beyond = ~np.isfinite(abs_res)
-    if np.any(beyond):
-        i = int(np.argmax(beyond))
-        raise DomainError(
-            f"residual = {abs_res[i]} at r = {float(rr[i])}, theta = {float(tt[i])} "
-            f"(J_f = {jac[i]}, K = {k[i]}) is beyond double precision"
-        )
-    i = int(np.argmax(abs_res))
-    if math.isinf(rms):  # the squares overflowed, not the residuals
-        rms = float(abs_res[i] * np.sqrt(np.mean((abs_res / abs_res[i]) ** 2)))
+    i, rms = _residual_norms(abs_res, rr, tt, jac, k, "residual")
     return ResidualReport(
         float(abs_res[i]),
         rms,
@@ -222,21 +232,25 @@ def real_system_residual(
     (y-y0) u_x - (x-x0) u_y = k1 |J|^{1/2} and the same with v and k2,
     where z0 = x0 + i y0 = K.center, k1 = -Im(conj(w) K) and
     k2 = Re(conj(w) K).  The combined magnitude equals r times the complex
-    residual at every point.
+    residual at every point; its non-finite guard and rms are pde_residual's.
     """
-    w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
-    root = np.sqrt(np.abs(jac))
-    fx = wp.d_z + wp.d_zbar
-    fy = 1j * (wp.d_z - wp.d_zbar)
-    kw = np.conj(w) * k
-    k1 = -np.imag(kw)
-    k2 = np.real(kw)
-    res_u = w.imag * np.real(fx) - w.real * np.real(fy) - k1 * root
-    res_v = w.imag * np.imag(fx) - w.real * np.imag(fy) - k2 * root
-    combined = np.hypot(res_u, res_v)
+    # as in pde_residual: the guard below refuses a value beyond the double
+    # range, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
+        root = np.sqrt(np.abs(jac))
+        fx = wp.d_z + wp.d_zbar
+        fy = 1j * (wp.d_z - wp.d_zbar)
+        kw = np.conj(w) * k
+        k1 = -np.imag(kw)
+        k2 = np.real(kw)
+        res_u = w.imag * np.real(fx) - w.real * np.real(fy) - k1 * root
+        res_v = w.imag * np.imag(fx) - w.real * np.imag(fy) - k2 * root
+        combined = np.hypot(res_u, res_v)
+    i, rms = _residual_norms(combined, rr, tt, jac, k, "combined residual")
     return RealSystemReport(
-        float(np.max(combined)),
-        float(np.sqrt(np.mean(combined**2))),
+        float(combined[i]),
+        rms,
         int(combined.size),
         rr,
         tt,

@@ -1020,6 +1020,33 @@ class TestBeyondDoubleRange:
             "r0": 1.0,
             "ladder": {"r0": 1.0, "count": 4},
         }, "|B|^2 - |A|^2 is beyond double precision: |A| = 0.5, |B| = 1e+300"),
+        # both parts are finite, but the modulus |b| is not
+        "verify-linear-pair-b-modulus": ("verify", {
+            "pair": {"name": "linear", "a": [1e308, 1e308], "b": [1.5e308, 1.5e308]},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+        }, "|b| = inf is not finite: b = (1.5e+308+1.5e+308j)"),
+        "verify-linear-pair-a-modulus": ("verify", {
+            "pair": {"name": "linear", "a": [1.5e308, 1.5e308], "b": [1, 0]},
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+        }, "|a| = inf is not finite: a = (1.5e+308+1.5e+308j)"),
+        "verify-linear-mapping-b-modulus": ("verify", {
+            "pair": {
+                "mapping": {"kind": "linear", "a": [1e308, 1e308], "b": [1.5e308, 1.5e308]},
+                "coefficient": {"kind": "power", "alpha": 2.0},
+            },
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+        }, "|b| = inf is not finite: b = (1.5e+308+1.5e+308j)"),
+        "verify-linear-coefficient-b-modulus": ("verify", {
+            "pair": {
+                "mapping": {"kind": "identity"},
+                "coefficient": {"kind": "linear", "a": [1e308, 1e308], "b": [1.5e308, 1.5e308]},
+            },
+            "r0": 1.0,
+            "ladder": {"r0": 1.0, "count": 4},
+        }, "|b| = inf is not finite: b = (1.5e+308+1.5e+308j)"),
         # the default grid would run from r0 down to the top rung
         "verify-ladder-below-r0": ("verify", {
             "pair": {"name": "spiral"},

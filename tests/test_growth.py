@@ -160,6 +160,41 @@ class TestLadderAndExponents:
         assert corollary_exponent(CoefficientBound(2.0)) == 0.25
 
 
+GAUSS_TABLES = [
+    pytest.param(12, "_GL12", "_W12", id="n12"),
+    pytest.param(6, "_GL6", "_W6", id="n6"),
+    pytest.param(8, "_GAUSS_NODES", "_GAUSS_WEIGHTS", id="n8"),
+]
+
+
+class TestGaussLegendreTables:
+    """The Gauss-Legendre rules are literal tables, held against numpy's
+    ``leggauss`` bit for bit and against the moments they must integrate."""
+
+    @pytest.mark.parametrize("n, nodes, weights", GAUSS_TABLES)
+    def test_bit_equal_to_leggauss(self, n, nodes, weights):
+        x, w = getattr(growth, nodes), getattr(growth, weights)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert x.dtype == w.dtype == np.float64
+        assert np.array_equal(x.view(np.uint64), ref_x.view(np.uint64))
+        assert np.array_equal(w.view(np.uint64), ref_w.view(np.uint64))
+
+    @pytest.mark.parametrize("n, nodes, weights", GAUSS_TABLES)
+    def test_exact_to_degree_2n_minus_1(self, n, nodes, weights):
+        # int_{-1}^{1} x^k dx is 2/(k+1) for even k and 0 for odd k
+        x, w = getattr(growth, nodes), getattr(growth, weights)
+        exact = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(2 * n + 1)]
+        errors = [abs(float(np.sum(w * x**k)) - exact[k]) for k in range(2 * n + 1)]
+        assert max(errors[: 2 * n]) < 4e-15
+        # an n-point rule is not exact at degree 2n, so a mistyped digit
+        # cannot pass as a symmetric rule of some other order
+        assert errors[2 * n] > 1e-8
+
+    def test_panel_nodes_are_the_12_then_the_6_point_rule(self):
+        both = np.concatenate([growth._GL12, growth._GL6])
+        assert np.array_equal(growth._PANEL_NODES, both)
+
+
 class TestEnvelope:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_constant_closed_form(self, alpha):

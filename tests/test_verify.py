@@ -77,6 +77,22 @@ class TestCatalogResiduals:
         with pytest.raises(NonPositiveJacobian):
             pde_residual(mapping, K, GRID)
 
+    def test_real_system_rms_finite_where_every_residual_is(self):
+        # |K| = 1e154 on the identity: each combined residual is r * 1e154,
+        # whose square overflows, yet their root mean square is finite
+        K = RadialCoefficient(ConstantProfile(1e308))
+        rep = real_system_residual(Identity(), K, GRID)
+        assert rep.max_abs == 2.0000000000000005e155
+        radii = np.geomspace(GRID.r_inner, GRID.r_outer, GRID.n_r)
+        assert rep.rms == pytest.approx(1e154 * np.sqrt(np.mean(radii**2)), rel=1e-14)
+
+    def test_real_system_refuses_a_non_finite_residual(self):
+        # A conj(w) - B w overflows at the grid's outer radius
+        grid = AnnulusGrid(1.0, 1e308, n_r=2, n_theta=8)
+        mapping, K = catalog_pair("linear", a=-1, b=1.2)
+        with pytest.raises(DomainError, match=r"^combined residual = nan at r = 1e\+308, theta"):
+            real_system_residual(mapping, K, grid)
+
 
 def _grid_for(mapping):
     lo, hi = 0.5, 20.0
