@@ -35,6 +35,7 @@ from .dilatation import (
 )
 from .errors import (
     BeltramiGrowthError,
+    BeyondDoubleRange,
     DegenerateRadius,
     DomainError,
     NonPositiveJacobian,

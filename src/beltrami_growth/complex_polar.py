@@ -2,9 +2,9 @@
 
 Conversions between the formal derivative pair (f_z, f_zbar) and the polar
 derivative pair (f_r, f_theta) about a center z0, the two equivalent
-Jacobian formulas, and the guards that a point is clear of its center and
-that a Jacobian exceeds its floor.  All functions accept python complex
-scalars or numpy arrays of complex.
+Jacobian formulas, and the guards that values are within the double range,
+that a point is clear of its center and that a Jacobian exceeds its floor.
+All functions accept python complex scalars or numpy arrays of complex.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRadius, NonPositiveJacobian, QuadratureFailure
+from .errors import BeyondDoubleRange, DegenerateRadius, NonPositiveJacobian
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,12 +22,20 @@ TWO_PI = 2.0 * math.pi
 RADIUS_FLOOR = 1e-14
 
 
-def _require_finite(value, name: str):
-    finite = np.isfinite(value)
-    if not np.all(finite):
-        bad = np.ravel(value)[~np.ravel(finite)]
-        raise QuadratureFailure(f"{name} has {bad.size} non-finite samples, the first {bad[0]}")
-    return value
+def require_finite(values, what: str, where=None):
+    """Return ``values`` itself if every sample is finite; otherwise raise
+    BeyondDoubleRange naming ``what``, the first non-finite sample in flat
+    order, its location ``where(i)`` at that flat index i (called only to
+    raise; None leaves the location out) and the count of such samples."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    bad = np.flatnonzero(~finite)
+    at = "" if where is None else f" at {where(int(bad[0]))}"
+    raise BeyondDoubleRange(
+        f"{what} = {np.ravel(values)[bad[0]]}{at} is beyond double precision "
+        f"({bad.size} of {finite.size} samples)"
+    )
 
 
 def normalize_angle(theta):
@@ -47,8 +55,8 @@ class WirtingerPair:
     d_zbar: complex
 
     def __post_init__(self):
-        _require_finite(self.d_z, "d_z")
-        _require_finite(self.d_zbar, "d_zbar")
+        require_finite(self.d_z, "d_z")
+        require_finite(self.d_zbar, "d_zbar")
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,8 @@ class PolarDerivPair:
     d_theta: complex
 
     def __post_init__(self):
-        _require_finite(self.d_r, "d_r")
-        _require_finite(self.d_theta, "d_theta")
+        require_finite(self.d_r, "d_r")
+        require_finite(self.d_theta, "d_theta")
 
 
 def require_radius_above_floor(r, center):
@@ -124,7 +132,7 @@ def require_jacobian_above(jac, floor: float, z, z0):
     """Return ``jac``, the Jacobian sampled at the points ``z`` of the same
     shape, if every sample exceeds ``floor``; otherwise raise
     NonPositiveJacobian naming the smallest sample and its (r, theta) about z0.
-    NaN and +inf samples pass; the circle quadrature rejects them."""
+    NaN and +inf samples pass; :func:`require_finite` in the circle mean refuses them."""
     if np.any(np.asarray(jac) <= floor):
         i = int(np.nanargmin(jac))
         w = np.ravel(np.asarray(z, dtype=complex) - complex(z0))[i]

@@ -18,10 +18,11 @@ from .complex_polar import (
     TWO_PI,
     center_offset,
     jacobian_polar,
+    require_finite,
     require_jacobian_above,
     wirtinger_to_polar,
 )
-from .errors import DomainError, NonPositiveKappa, QuadratureFailure
+from .errors import DomainError, NonPositiveKappa
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
 from .mappings import require_finite_modulus, require_known_symmetry
 
@@ -50,18 +51,19 @@ class CircleQuadrature:
 
     def points(self, z0: complex, r) -> np.ndarray:
         """The n nodes on the circle |z - z0| = r; an r of shape (k, 1) gives
-        one row of nodes per radius.  A circle that leaves the double range
-        raises QuadratureFailure (:func:`_finite_nodes`)."""
+        one row of nodes per radius.  A node beyond the double range raises
+        BeyondDoubleRange naming its radius and z0."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite_nodes(complex(z0) + r * np.exp(1j * self.angles()), z0, r)
+            nodes = complex(z0) + r * np.exp(1j * self.angles())
+        return require_finite(nodes, "circle node", on_circle(r, nodes.shape, z0))
 
-    def mean(self, samples: np.ndarray):
+    def mean(self, samples: np.ndarray, r=None):
         """Angular mean over the last axis: a float for one circle, an array
         for one row per circle.  np.mean uses pairwise summation along each
-        row, so results are reproducible for a fixed n."""
-        if not np.all(np.isfinite(samples)):
-            raise QuadratureFailure("non-finite quadrature sample on the circle")
-        out = np.mean(samples, axis=-1)
+        row, so results are reproducible for a fixed n.  A non-finite sample
+        raises BeyondDoubleRange naming its circle's radius in ``r``, if given."""
+        where = None if r is None else on_circle(r, np.shape(samples))
+        out = np.mean(require_finite(samples, "quadrature sample", where), axis=-1)
         return float(out) if np.ndim(out) == 0 else out
 
     def blockwise(self, fn, radii: np.ndarray) -> np.ndarray:
@@ -86,7 +88,7 @@ class CircleQuadrature:
         over the unit circle about center is every circle's mean.  A fixed
         unit circle, not the first radius, keeps a radius's mean the same
         whatever radii come with it.  Each mean goes through :meth:`mean` and
-        its non-finite check."""
+        its non-finite guard."""
         if symmetry not in CIRCLE_SYMMETRIES:
             raise ValueError(f"unknown circle symmetry {symmetry!r}, not in {CIRCLE_SYMMETRIES}")
         radii = np.asarray(r, dtype=float)
@@ -97,27 +99,23 @@ class CircleQuadrature:
         rows = np.atleast_1d(radii)[:, None]
         if symmetry == "radius":
             with np.errstate(over="ignore"):
-                nodes = _finite_nodes(complex(center) + rows, center, rows)
-            out = self.mean(sample(nodes))
+                nodes = complex(center) + rows
+            require_finite(nodes, "circle node", on_circle(rows, nodes.shape, center))
+            out = self.mean(sample(nodes), rows)
         elif symmetry == "angle":
             # no circle at all for no radii, as on the full path
             unit = np.ones((min(1, rows.shape[0]), 1))
-            out = np.repeat(self.mean(sample(self.points(center, unit))), rows.shape[0])
+            out = np.repeat(self.mean(sample(self.points(center, unit)), unit), rows.shape[0])
         else:
-            out = self.blockwise(lambda block: self.mean(sample(self.points(center, block))), rows)
+            out = self.blockwise(lambda b: self.mean(sample(self.points(center, b)), b), rows)
         return float(out[0]) if radii.ndim == 0 else out
 
 
-def _finite_nodes(nodes: np.ndarray, center, r) -> np.ndarray:
-    """The circle nodes about center at the radii r, if every one is within
-    the double range; otherwise raise QuadratureFailure naming the first
-    radius whose circle leaves it."""
-    finite = np.isfinite(nodes)
-    if finite.all():
-        return nodes
-    radius = np.broadcast_to(r, nodes.shape)[np.unravel_index(np.argmin(finite), nodes.shape)]
-    raise QuadratureFailure(
-        f"the circle of radius {float(radius)} about {complex(center)} leaves the double range"
+def on_circle(r, shape, center=None):
+    """The ``where`` of :func:`require_finite` for samples of ``shape`` on the
+    circles of radii ``r`` (broadcast to that shape) about ``center``, if given."""
+    return lambda i: f"r = {float(np.broadcast_to(r, shape).flat[i])}" + (
+        "" if center is None else f" about {complex(center)}"
     )
 
 

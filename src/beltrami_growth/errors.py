@@ -34,6 +34,10 @@ class QuadratureFailure(BeltramiGrowthError):
     """A quadrature sample was non-finite or an integral is not convergent."""
 
 
+class BeyondDoubleRange(QuadratureFailure):
+    """A computed sample is inf or NaN; raised by complex_polar.require_finite."""
+
+
 class DomainError(BeltramiGrowthError):
     """Argument outside the mathematical domain of a profile or ladder."""
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_polar import TWO_PI, jacobian_wirtinger, require_jacobian_above, wirtinger_to_polar
+from .complex_polar import require_finite
 # ConstantProfile and LogProductProfile are bound here for bench/tracing.py
 from .dilatation import (
     CircleQuadrature,
@@ -26,6 +27,7 @@ from .dilatation import (
     KappaProfile,
     LogProductProfile,
     circle_average_D,
+    on_circle,
 )
 from .errors import DomainError, NonPositiveKappa, QuadratureFailure
 from .mappings import Linear, Mapping, require_radii_within
@@ -208,24 +210,23 @@ def ladder_integrals(profile: KappaProfile, r0: float, radii) -> np.ndarray:
     a, b = _panel_edges(t, count)
     gap = np.repeat(np.searchsorted(edges, stops[:-1], side="right") - 1, count)
 
-    def failure(k, why):
-        span = f"gap {k}, [{edges[k]}, {edges[k + 1]}]"
-        return QuadratureFailure(f"attenuation integral over {span}, {why}")
+    def span(k):
+        return f"gap {k}, [{edges[k]}, {edges[k + 1]}]"
 
     done_gap, done_value = [np.zeros(0, dtype=int)], [np.zeros(0)]
     bisections = np.zeros(len(rungs), dtype=int)
     while gap.size:
         fine, coarse = _panel_rules(profile, a, b)
-        finite = np.isfinite(fine) & np.isfinite(coarse)
-        if not np.all(finite):
-            raise failure(int(gap[np.argmin(finite)]), "is not finite: 1/kappa overflows")
+        for values in (fine, coarse):
+            require_finite(values, "attenuation integral panel", lambda i: span(gap[i]))
         retry = np.abs(fine - coarse) > ENVELOPE_ABS_TOL
         done_gap.append(gap[~retry])
         done_value.append(fine[~retry])
         bisections += np.bincount(gap[retry], minlength=bisections.size)
         if np.any(bisections > MAX_BISECTIONS):
             k = int(np.argmax(bisections > MAX_BISECTIONS))
-            raise failure(k, f"missed {ENVELOPE_ABS_TOL} after {MAX_BISECTIONS} panel bisections")
+            why = f"missed {ENVELOPE_ABS_TOL} after {MAX_BISECTIONS} panel bisections"
+            raise QuadratureFailure(f"attenuation integral over {span(k)}, {why}")
         a, b, gap = a[retry], b[retry], gap[retry]
         mid = 0.5 * (a + b)
         a, b, gap = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([gap, gap])
@@ -258,7 +259,7 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
     other map is scanned on the quadrature angles, then refined by
     golden-section search within 2*pi/n of the best grid angle, down to a
     bracket below MODULUS_ANGLE_TOL in theta, every radius and both
-    extremes at once.  A non-finite extreme raises QuadratureFailure.
+    extremes at once.  A non-finite value raises BeyondDoubleRange naming its radius.
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1 or radii.size == 0:
@@ -272,8 +273,7 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
         a, b = abs(mapping.a), abs(mapping.b)
         with np.errstate(over="ignore"):  # an overflow is refused below
             m_max, m_min = (a + b) * rr, abs(b - a) * rr
-        if not np.all(np.isfinite(m_max)):
-            raise QuadratureFailure("non-finite modulus sample on the circle")
+        require_finite(m_max, "max |f(z) - f(z0)|", on_circle(rr, rr.shape, z0))
         return (float(m_max[0]), float(m_min[0])) if radii.ndim == 0 else (m_max, m_min)
     z0c = complex(z0)
     f0 = mapping.evaluate(z0c)
@@ -286,8 +286,7 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
         values = q.circle_means(distance, z0c, r, "radius")
         return (values, values) if radii.ndim == 0 else (values, values.copy())
     values = q.blockwise(lambda block: distance(q.points(z0c, block[:, None])), rr)
-    if not np.all(np.isfinite(values)):
-        raise QuadratureFailure("non-finite modulus sample on the circle")
+    require_finite(values, "node sample |f(z) - f(z0)|", on_circle(rr[:, None], values.shape, z0c))
     # golden-section search for the maximum of +|f - f0| about the best grid
     # maximum and of -|f - f0| about the best grid minimum, one bracket per
     # (radius, extreme); every bracket starts 2 * step wide and shrinks by
@@ -315,8 +314,7 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
         x1, x2 = np.where(left, t, x2), np.where(left, x1, t)
         f1, f2 = np.where(left, ft, f2), np.where(left, f1, ft)
         best = np.maximum(best, ft)
-    if not np.all(np.isfinite(best)):
-        raise QuadratureFailure("non-finite modulus sample on the circle")
+    require_finite(best, "refined sample +-|f(z) - f(z0)|", on_circle(rho, best.shape, z0c))
     m_max = np.maximum(np.max(values, axis=1), best[:k])
     m_min = np.minimum(np.min(values, axis=1), -best[k:])
     if radii.ndim == 0:
@@ -345,7 +343,7 @@ def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
     When the mapping has any symmetry about z0 (Mapping.symmetry_about), J_f
     is constant on each circle, and one node per circle is read
     (CircleQuadrature.circle_means); that node still goes through the J > 0
-    guard and the non-finite check of the mean.
+    guard and the non-finite guard of the mean.
     """
 
     def jacobian(z):
@@ -404,13 +402,7 @@ def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np
     mean_jac = _mean_jacobians(mapping, z0, np.append(rho, [rho_min, 2.0 * rho_min]), q)
     with np.errstate(over="ignore"):
         g = TWO_PI * rho**2 * mean_jac[:-2]
-    beyond = ~np.isfinite(g)
-    if np.any(beyond):
-        k = int(np.argmax(beyond))
-        raise QuadratureFailure(
-            f"area integrand 2 pi rho^2 mean(J_f) = {float(g[k])} at rho = {float(rho[k])} "
-            "is beyond double precision"
-        )
+    require_finite(g, "area integrand 2 pi rho^2 mean(J_f)", lambda k: f"rho = {rho[k]}")
     # np.sum over each segment's own nodes: a pairwise sum, which the
     # sequential np.add.reduceat is not
     sums = [np.sum(part) for part in np.split(w * g, np.cumsum(count)[:-1] * _GAUSS_NODES.size)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_polar import jacobian_wirtinger, require_jacobian_above
+from .complex_polar import jacobian_wirtinger, require_finite, require_jacobian_above
 from .dilatation import (
     JACOBIAN_FLOOR,
     CircleQuadrature,
@@ -158,16 +158,14 @@ def _grid_derivatives(mapping: Mapping, K: CoefficientField, grid: AnnulusGrid, 
 
 def _residual_norms(abs_res, rr, tt, jac, k, name):
     """(index of the largest, root mean square) of the residual magnitudes
-    ``abs_res``; a non-finite one is refused with a DomainError naming its
+    ``abs_res``; a non-finite one raises BeyondDoubleRange naming its
     point, J_f and K there.  The rms is rescaled by the largest when the
     squares overflow though no residual does."""
-    beyond = ~np.isfinite(abs_res)
-    if np.any(beyond):
-        i = int(np.argmax(beyond))
-        raise DomainError(
-            f"{name} = {abs_res[i]} at r = {float(rr[i])}, theta = {float(tt[i])} "
-            f"(J_f = {jac[i]}, K = {k[i]}) is beyond double precision"
-        )
+    require_finite(
+        abs_res,
+        name,
+        lambda i: f"r = {float(rr[i])}, theta = {float(tt[i])} (J_f = {jac[i]}, K = {k[i]})",
+    )
     i = int(np.argmax(abs_res))
     with np.errstate(over="ignore"):
         rms = float(np.sqrt(np.mean(abs_res**2)))
@@ -191,8 +189,7 @@ def pde_residual(
     retained point.
     """
     # far out, the derivatives, J_f, K or the residual may leave the double
-    # range; the derivatives' finite guards and the check below refuse the
-    # result, so numpy need not warn
+    # range; require_finite refuses the result, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
         abs_res = np.abs(wp.d_zbar - (w / np.conj(w)) * wp.d_z - k * np.sqrt(np.abs(jac)))
@@ -234,8 +231,7 @@ def real_system_residual(
     k2 = Re(conj(w) K).  The combined magnitude equals r times the complex
     residual at every point; its non-finite guard and rms are pde_residual's.
     """
-    # as in pde_residual: the guard below refuses a value beyond the double
-    # range, so numpy need not warn
+    # as in pde_residual, require_finite refuses a value beyond the double range
     with np.errstate(over="ignore", invalid="ignore"):
         w, rr, tt, wp, jac, k = _grid_derivatives(mapping, K, grid, h)
         root = np.sqrt(np.abs(jac))
@@ -296,13 +292,13 @@ def sharpness_ladder(
             denom = np.log(radii) ** (1.0 / mapping.alpha)
         else:
             raise TypeError("sharpness ladder applies to power and loglog maps only")
-    beyond = ~(np.isfinite(denom) & (denom > 0.0))
-    if np.any(beyond):
-        k = int(np.argmax(beyond))
+    if np.any(denom == 0.0):  # an underflow to 0 is finite: the guard passes it
+        k = int(np.argmax(denom == 0.0))
         raise DomainError(
-            f"growth scale {scale} = {float(denom[k])} at R = {float(radii[k])} "
-            f"(rung {k}) is beyond double precision for alpha = {mapping.alpha}"
+            f"growth scale {scale} = 0.0 at R = {float(radii[k])} (rung {k}) "
+            f"is beyond double precision for alpha = {mapping.alpha}"
         )
+    require_finite(denom, f"growth scale {scale}", lambda k: f"R = {float(radii[k])} (rung {k})")
     m_max, _ = modulus_extremes(mapping, 0j, radii, q)
     ratios = m_max / denom
     rows = tuple(zip(radii.tolist(), ratios.tolist()))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from beltrami_growth import (
     AnnulusGrid,
+    BeyondDoubleRange,
     CircleQuadrature,
     ConstantProfile,
     Mapping,
@@ -27,7 +28,6 @@ from beltrami_growth import (
     PolarDerivPair,
     Power,
     PowerCoefficient,
-    QuadratureFailure,
     RadialTable,
     angular_dilatation,
     area_bound_check,
@@ -510,10 +510,11 @@ class TestOneNodeGuards:
         # a NaN rho makes f_theta NaN, and the derivative pair refuses it
         # before any J is formed, on either path, with a short message that
         # names the field, the count and the first bad sample
-        with pytest.raises(QuadratureFailure) as info:
+        with pytest.raises(BeyondDoubleRange) as info:
             image_area(wrap(NanBandRadial()), 0j, 1.0, FOLD_Q)
         message = str(info.value)
-        assert re.fullmatch(r"d_theta has [1-9]\d* non-finite samples, the first \S+", message)
+        pattern = r"d_theta = \S+ is beyond double precision \([1-9]\d* of [1-9]\d* samples\)"
+        assert re.fullmatch(pattern, message)
         assert len(message) < 200
 
 

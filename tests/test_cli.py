@@ -399,8 +399,8 @@ class TestEnvelope:
         assert code == EXIT_NUMERIC
         assert list(out.glob("*.csv")) == []
         assert capsys.readouterr().err == (
-            "numeric failure: attenuation integral over gap 1, [1.0, 2.0], "
-            "is not finite: 1/kappa overflows\n"
+            "numeric failure: attenuation integral panel = inf at gap 1, [1.0, 2.0] "
+            "is beyond double precision (3 of 3 samples)\n"
         )
 
     def test_overflowing_envelope_names_its_rung(self, tmp_path, capsys):
@@ -916,24 +916,24 @@ class TestBeyondDoubleRange:
             "r0": 1.0,
             "ladder": {"r0": 1.0, "factor": 2.0, "count": 40},
             "n": 256,
-        }, "d_r has 1344 non-finite samples, the first (inf+nanj)"),
+        }, "d_r = (inf+nanj) is beyond double precision (1344 of 2048 samples)"),
         # rho(1e300) w / r overflows in the product before the division
         "verify-ladder-at-1e300": ("verify", {
             "pair": {"name": "power", "alpha": 2},
             "r0": 1.0,
             "ladder": {"r0": 1e300, "factor": 1.0000001},
             "n": 64,
-        }, "non-finite quadrature sample on the circle"),
+        }, "quadrature sample = inf at r = 1e+300 is beyond double precision (41 of 42 samples)"),
         "sharpness-subnormal-r0": ("sharpness", {
             "example": {"kind": "power", "alpha": 1},
             "ladder": {"r0": 5e-324},
-        }, "non-finite quadrature sample on the circle"),
+        }, "quadrature sample = nan at r = 5e-324 is beyond double precision (41 of 41 samples)"),
         "nonexist-loglog-subnormal-alpha": ("nonexist", {
             "mapping": {"kind": "loglog", "alpha": 5e-324},
             "profile": {"kind": "constant", "alpha": 1.0},
             "r0": 20.0,
             "ladder": {"r0": 20.0},
-        }, "non-finite quadrature sample on the circle"),
+        }, "quadrature sample = nan at r = 20.0 is beyond double precision (41 of 41 samples)"),
         # R^1000 underflows to 0 at R = 1e-12
         "sharpness-power-scale-0": ("sharpness", {
             "example": {"kind": "power", "alpha": 0.001},
@@ -991,13 +991,14 @@ class TestBeyondDoubleRange:
             "r0": 1e308,
             "ladder": {"r0": 1e308, "factor": 1.5, "count": 1},
             "n": 8,
-        }, "d_z has 92 non-finite samples, the first (nan+nanj)"),
+        }, "d_z = (nan+nanj) is beyond double precision (92 of 2048 samples)"),
         # center + r overflows at the circle's theta = 0 node
         "kappa-circle-beyond-range": ("kappa", {
             "coefficient": {"kind": "spiral", "center": [1e308, 1e308]},
             "radii": [1e308],
             "n": 8,
-        }, "the circle of radius 1e+308 about (1e+308+1e+308j) leaves the double range"),
+        }, "circle node = (inf+1e+308j) at r = 1e+308 about (1e+308+1e+308j) "
+           "is beyond double precision (1 of 1 samples)"),
     }
 
     @pytest.mark.parametrize("command, cfg, message", CASES.values(), ids=CASES.keys())

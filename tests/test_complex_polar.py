@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami_growth import (
+    BeltramiGrowthError,
+    BeyondDoubleRange,
     DegenerateRadius,
     PolarDerivPair,
+    QuadratureFailure,
     WirtingerPair,
     jacobian_polar,
     jacobian_wirtinger,
     polar_to_wirtinger,
     wirtinger_to_polar,
 )
-from beltrami_growth.complex_polar import normalize_angle
+from beltrami_growth.complex_polar import normalize_angle, require_finite
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -118,3 +121,59 @@ class TestJacobian:
             wirtinger_to_polar(1 + 0j, 1 + 0j, WirtingerPair(1 + 0j, 0j))
         with pytest.raises(DegenerateRadius):
             jacobian_polar(0.0, PolarDerivPair(1 + 0j, 1j))
+
+
+def never(i):
+    pytest.fail(f"where({i}) called though every sample is finite")
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([1.0, -2.5, 1e308]),
+            np.array([1 + 2j, 3j], dtype=np.complex64),
+            np.array(4.0),
+            np.ones((2, 3)),
+            complex(1.0, -1e-320),
+        ],
+        ids=["real", "complex", "0-d", "2-d", "python-complex"],
+    )
+    def test_finite_input_is_returned_itself(self, values):
+        assert require_finite(values, "x", never) is values
+
+    def test_names_the_first_bad_sample_in_flat_order(self):
+        values = np.array([[1.0, 2.0, math.inf], [math.nan, 5.0, -math.inf]])
+        seen = []
+
+        def where(i):
+            seen.append(i)
+            return f"cell {i}"
+
+        with pytest.raises(BeyondDoubleRange) as info:
+            require_finite(values, "g", where)
+        assert str(info.value) == "g = inf at cell 2 is beyond double precision (3 of 6 samples)"
+        assert seen == [2]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.array(math.nan), "d = nan is beyond double precision (1 of 1 samples)"),
+            (complex(math.inf, 0.0), "d = (inf+0j) is beyond double precision (1 of 1 samples)"),
+            (
+                np.array([1j, complex(math.inf, math.nan), complex(0.0, -math.inf)]),
+                "d = (inf+nanj) is beyond double precision (2 of 3 samples)",
+            ),
+        ],
+        ids=["0-d", "python-complex", "complex"],
+    )
+    def test_no_where_leaves_the_location_out(self, values, message):
+        with pytest.raises(BeyondDoubleRange) as info:
+            require_finite(values, "d")
+        assert str(info.value) == message
+
+    def test_error_is_a_quadrature_failure(self):
+        with pytest.raises(BeyondDoubleRange) as info:
+            require_finite(np.array([1.0, math.inf]), "x")
+        assert isinstance(info.value, QuadratureFailure)
+        assert isinstance(info.value, BeltramiGrowthError)

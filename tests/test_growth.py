@@ -1,5 +1,6 @@
 """Envelope integrals, circle functionals, and the growth inequality checks."""
 
+import cmath
 import inspect
 import math
 
@@ -48,7 +49,7 @@ from beltrami_growth import (
 )
 import beltrami_growth
 from beltrami_growth import dilatation, growth
-from beltrami_growth.errors import QuadratureFailure
+from beltrami_growth.errors import BeyondDoubleRange, QuadratureFailure
 from beltrami_growth.dilatation import E_2, E_3, KappaProfile
 from beltrami_growth.growth import _disk_areas, _mean_jacobians
 from beltrami_growth.mappings import Mapping
@@ -393,7 +394,8 @@ class TestLadderIntegrals:
     def test_overflowing_panel_names_its_gap(self, alpha):
         # 1/kappa, or its panel sum, leaves the double range; no numpy
         # warning escapes first, which this suite would turn into an error
-        with pytest.raises(QuadratureFailure, match=r"gap 1, \[1\.0, 2\.0\], is not finite"):
+        message = r"^attenuation integral panel = inf at gap 1, \[1\.0, 2\.0\] is beyond"
+        with pytest.raises(BeyondDoubleRange, match=message):
             ladder_integrals(ConstantProfile(alpha), 1.0, [1.0, 2.0, 4.0])
 
     @pytest.mark.parametrize(
@@ -616,6 +618,10 @@ class Doubled(Linear):
         return 2.0 * super()._eval_array(z)
 
 
+class Scanned(Linear):
+    """A Linear map by another name: not exactly Linear, so scanned."""
+
+
 class TestLinearClosedForm:
     """A Linear map's M and m come from |A| and |B|, with no point evaluated."""
 
@@ -680,8 +686,33 @@ class TestLinearClosedForm:
         # (|A| + |B|) r = 3e308 overflows, as the scan's samples do
         mapping = Linear(1.0, 2.0)
         for r in (1e308, np.array([1.0, 1e308])):
-            with pytest.raises(QuadratureFailure, match="non-finite modulus sample"):
+            message = r"^max \|f\(z\) - f\(z0\)\| = inf at r = 1e\+308 about 0j is beyond"
+            with pytest.raises(BeyondDoubleRange, match=message):
                 modulus_extremes(mapping, 0j, r)
+
+    def test_scan_refuses_a_non_finite_node(self):
+        # Re f = 1.9e308 cos(theta) r overflows on the circle r = 1 near
+        # theta = 0 and pi, nodes among them; the circle r = 0.5 is finite
+        mapping = Scanned(1e308, 0.9e308)
+        message = r"^node sample \|f\(z\) - f\(z0\)\| = inf at r = 1\.0 about 0j is beyond"
+        with np.errstate(over="ignore"), pytest.raises(BeyondDoubleRange, match=message):
+            modulus_extremes(mapping, 0j, np.array([0.5, 1.0]), CircleQuadrature(8))
+
+    def test_refinement_refuses_a_non_finite_sample(self):
+        # |f| = |A e^{-i theta} + B e^{i theta}| r peaks at (|A| + |B|) r =
+        # 1.89e308 at theta = pi/8, halfway between two of the 8 nodes, where
+        # it is at most 1.75e308: every node is finite, the peak is not
+        mapping = Scanned(0.95e308 * cmath.exp(0.25j * math.pi), 0.94e308)
+        q = CircleQuadrature(8)
+        with np.errstate(over="ignore"):
+            nodes = np.abs(mapping.evaluate(q.points(0j, 1.0)))
+        assert np.all(np.isfinite(nodes)) and np.max(nodes) < 1.75e308
+        message = (
+            r"^refined sample \+-\|f\(z\) - f\(z0\)\| = inf at r = 1\.0 about 0j "
+            r"is beyond double precision \(1 of 4 samples\)$"
+        )
+        with np.errstate(over="ignore"), pytest.raises(BeyondDoubleRange, match=message):
+            modulus_extremes(mapping, 0j, np.array([0.5, 1.0]), q)
 
     def test_argument_errors_come_first(self):
         mapping = Linear(1.0, 2.0)

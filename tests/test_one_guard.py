@@ -2,8 +2,10 @@
 
 ``require_radii_within`` owns the radius-in-domain rule,
 ``require_jacobian_above`` the J_f > floor rule and
-``require_radius_above_floor`` the |z - center| >= RADIUS_FLOOR rule; a
-second check elsewhere would bring back a second slop or a second message.
+``require_radius_above_floor`` the |z - center| >= RADIUS_FLOOR rule and
+``require_finite`` the rule that a computed value is within the double
+range; a second check elsewhere would bring back a second slop or a second
+message.
 The rule is read from the package source with ``ast``.
 """
 
@@ -21,6 +23,7 @@ GUARDS = {
     "OutOfDomain": "require_radii_within",
     "NonPositiveJacobian": "require_jacobian_above",
     "DegenerateRadius": "require_radius_above_floor",
+    "BeyondDoubleRange": "require_finite",
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from beltrami_growth import (
     AnnulusGrid,
+    BeyondDoubleRange,
     ConstantProfile,
     DomainError,
     Identity,
@@ -90,7 +91,8 @@ class TestCatalogResiduals:
         # A conj(w) - B w overflows at the grid's outer radius
         grid = AnnulusGrid(1.0, 1e308, n_r=2, n_theta=8)
         mapping, K = catalog_pair("linear", a=-1, b=1.2)
-        with pytest.raises(DomainError, match=r"^combined residual = nan at r = 1e\+308, theta"):
+        message = r"^combined residual = nan at r = 1e\+308, theta = 0\.0 \(J_f = 0\.4399"
+        with pytest.raises(BeyondDoubleRange, match=message):
             real_system_residual(mapping, K, grid)
 
 
