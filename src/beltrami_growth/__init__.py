@@ -80,6 +80,7 @@ from .verify import (
     pde_residual,
     real_system_residual,
     sharpness_ladder,
+    verify_pair,
 )
 
 __version__ = "0.1.0"

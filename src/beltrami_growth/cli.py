@@ -37,27 +37,28 @@ from .dilatation import (
     TableProfile,
     kappa as circle_kappa,
 )
-from .errors import BeltramiGrowthError
+from .errors import BeltramiGrowthError, ConfigError
 from .growth import (
     RadiusLadder,
     _envelope,
-    disk_checks,
     ladder_integrals,
     modulus_extremes,
     nonexistence_diagnostic,
-    theorem1_check,
 )
-from .mappings import Identity, Linear, LogLog, Power, RadialTable, Spiral
-from .verify import CATALOG, AnnulusGrid, build_extremal, pde_residual, sharpness_ladder
+from .mappings import DEFAULT_FD_STEP, Identity, Linear, LogLog, Power, RadialTable, Spiral
+from .verify import (
+    CATALOG,
+    RESIDUAL_TOL,
+    AnnulusGrid,
+    build_extremal,
+    sharpness_ladder,
+    verify_pair,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigError(Exception):
-    """Invalid or malformed configuration document."""
 
 
 # ---------------------------------------------------------------------------
@@ -438,45 +439,18 @@ def cmd_envelope(outdir: Path, plot: bool, say, profile, r0, ladder) -> int:
     return EXIT_OK
 
 
-def _check_radii(mapping, r0: float, top: float):
-    radii = np.geomspace(r0, min(top, 100.0 * r0), 10)
-    mask = mapping.smooth_mask(mapping.center + radii, 0.05)
-    if not np.any(mask):
-        raise ConfigError("no check radii clear of the mapping's excluded bands")
-    return radii[mask]
-
-
 def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadrature(),
-               h=1e-5, grid=None, residual_tol=1e-8) -> int:
+               h=DEFAULT_FD_STEP, grid=None, residual_tol=RESIDUAL_TOL) -> int:
     mapping, coefficient = pair
-    top = float(ladder.radii()[-1])
-    if grid is None:
-        if not top > r0:
-            raise ConfigError(f"the default grid needs a top rung above r0 = {r0}, got {top}")
-        grid = AnnulusGrid(r0, min(top, 8.0 * r0))
-
-    failures = []
-
-    def judge(name, ok, detail=""):
-        say(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
-        if not ok:
-            failures.append(name)
-
-    residual = pde_residual(mapping, coefficient, grid, h=h)
-    judge("pde_residual", residual.max_abs <= residual_tol,
-          f" max={fmt(residual.max_abs)} rms={fmt(residual.rms)} tol={fmt(residual_tol)}")
-
-    radii = _check_radii(mapping, r0, top)
-    rows, iso, area = disk_checks(mapping, coefficient, r0, radii, n)
-    judge("differential_inequality", all(row.ok for row in rows),
-          f" min_ratio={fmt(min(row.ratio for row in rows))}")
-    judge("isoperimetric", all(rep.ok for rep in iso))
-    judge("area_bound", area.ok,
-          f" slack={fmt(area.slack)}" + (" (equality)" if area.equality else ""))
-
-    growth = theorem1_check(mapping, coefficient, coefficient.center, r0, ladder, n)
-    judge("growth_ladder", growth.all_ok,
-          f" m={fmt(growth.m_inner)} liminf_proxy={fmt(growth.liminf_proxy)}")
+    results = []
+    for result in verify_pair(mapping, coefficient, r0, ladder, n,
+                              h=h, grid=grid, residual_tol=residual_tol):
+        say(f"{'PASS' if result.ok else 'FAIL'} {result.name}"
+            + "".join(f" {label}={fmt(value)}" for label, value in result.values)
+            + (" (equality)" if result.equality else ""))
+        results.append(result)
+    reports = {result.name: result.report for result in results}
+    residual, growth = reports["pde_residual"], reports["growth_ladder"]
     # written once every check has run, so a numeric failure leaves no file
     write_csv(
         outdir / "verify_residual.csv",
@@ -492,6 +466,7 @@ def cmd_verify(outdir: Path, plot: bool, say, pair, r0, ladder, n=CircleQuadratu
         ],
     )
 
+    failures = [result.name for result in results if not result.ok]
     if failures:
         say(f"FAILED checks: {', '.join(failures)}")
         return EXIT_CHECK_FAILED
@@ -527,15 +502,12 @@ def cmd_sharpness(outdir: Path, plot: bool, say, example, ladder, n=CircleQuadra
         )
         say(f"wrote {svg}")
     if report.kind == "power":
-        ok = report.max_deviation <= 1e-9
-        say(f"{'PASS' if ok else 'FAIL'} ratio constant at 1 "
-            f"(max deviation {fmt(report.max_deviation)})")
+        claim = f"ratio constant at 1 (max deviation {fmt(report.max_deviation)})"
     else:
-        ok = report.strictly_decreasing and report.halved
-        say(f"{'PASS' if ok else 'FAIL'} ratio strictly decreasing "
-            f"and below half its initial value "
-            f"(decreasing={fmt(report.strictly_decreasing)}, halved={fmt(report.halved)})")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        claim = (f"ratio strictly decreasing and below half its initial value "
+                 f"(decreasing={fmt(report.strictly_decreasing)}, halved={fmt(report.halved)})")
+    say(f"{'PASS' if report.ok else 'FAIL'} {claim}")
+    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def cmd_nonexist(outdir: Path, plot: bool, say, profile, r0, observed=None, mapping=None,

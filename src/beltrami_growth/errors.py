@@ -1,8 +1,11 @@
-"""Typed exceptions raised by the numeric kernels.
+"""Typed exceptions raised by the numeric kernels, and ConfigError.
 
 Every failure mode that a caller might want to branch on gets its own
 class; plain ValueError is reserved for programming errors (bad argument
-counts, malformed configuration objects and the like).
+counts, malformed configuration objects and the like).  ConfigError, no
+BeltramiGrowthError, is an input that the command line refuses with exit 2:
+a malformed config document, or a verify_pair run that a config leaves
+without a default grid or without check radii.
 """
 
 
@@ -44,3 +47,7 @@ class DomainError(BeltramiGrowthError):
 
 class OutOfDomain(DomainError):
     """Radius outside the radial domain of a mapping, field or profile."""
+
+
+class ConfigError(Exception):
+    """Invalid or malformed configuration document."""

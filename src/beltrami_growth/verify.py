@@ -1,11 +1,12 @@
-"""Extremal radial solutions and PDE residual certification.
+"""Extremal radial solutions, PDE residual certification and verify_pair.
 
 For a radial map f = rho(r) e^{i theta} the solution property pins the
 profile through rho'/rho = 1/(r kappa); integrating that ODE from a kappa
 profile produces a mapping that attains equality in the growth bounds.
 The residual checkers certify (mapping, coefficient) pairs directly
 against the defining equation, in complex form and as the equivalent
-system of two real equations.
+system of two real equations.  verify_pair judges a pair by the residual
+and the theorem's four bounds, the checks of the verify command.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .dilatation import (
     RadialCoefficient,
     SpiralCoefficient,
 )
-from .errors import DomainError
-from .growth import RadiusLadder, ladder_integrals, modulus_extremes
+from .errors import ConfigError, DomainError
+from .growth import RadiusLadder, disk_checks, ladder_integrals, modulus_extremes, theorem1_check
 from .mappings import (
     DEFAULT_FD_STEP,
     Identity,
@@ -256,7 +257,91 @@ def real_system_residual(
 
 
 # ---------------------------------------------------------------------------
+# the five checks of a solution pair
+
+#: largest residual magnitude that pde_residual's check passes
+RESIDUAL_TOL = 1e-8
+
+
+@dataclass(frozen=True, eq=False)
+class CheckResult:
+    """One judged check: the (label, value) pairs it is printed with, the
+    report it was judged from, and whether it holds with equality (set by
+    the area bound alone)."""
+
+    name: str
+    ok: bool
+    values: tuple
+    report: object
+    equality: bool = False
+
+
+def check_radii(mapping: Mapping, r0: float, top: float) -> np.ndarray:
+    """Ten geometric radii from r0 to the lesser of top and 100 r0, less
+    those whose circle about the mapping's center meets an excluded band."""
+    radii = np.geomspace(r0, min(top, 100.0 * r0), 10)
+    mask = mapping.smooth_mask(mapping.center + radii, 0.05)
+    if not np.any(mask):
+        raise ConfigError("no check radii clear of the mapping's excluded bands")
+    return radii[mask]
+
+
+def verify_pair(
+    mapping: Mapping,
+    K: CoefficientField,
+    r0: float,
+    ladder: RadiusLadder,
+    q: CircleQuadrature = CircleQuadrature(),
+    *,
+    h: float = DEFAULT_FD_STEP,
+    grid: AnnulusGrid | None = None,
+    residual_tol: float = RESIDUAL_TOL,
+):
+    """Judge the pair by the PDE residual, the differential inequality, the
+    isoperimetric inequality, the area bound and the growth ladder, and
+    yield each CheckResult in that order as soon as it is judged.
+
+    The residual is taken on grid, by default 32 x 64 points from r0 to the
+    lesser of 8 r0 and the ladder's top rung; the three disk checks at
+    check_radii up to the top rung.  A config that leaves no default grid
+    or no check radii raises ConfigError; a check that cannot be computed
+    raises after the results judged before it were yielded.
+    """
+    top = float(ladder.radii()[-1])
+    if grid is None:
+        if not top > r0:
+            raise ConfigError(f"the default grid needs a top rung above r0 = {r0}, got {top}")
+        grid = AnnulusGrid(r0, min(top, 8.0 * r0))
+    residual = pde_residual(mapping, K, grid, h=h)
+    yield CheckResult(
+        "pde_residual",
+        residual.max_abs <= residual_tol,
+        (("max", residual.max_abs), ("rms", residual.rms), ("tol", residual_tol)),
+        residual,
+    )
+    rows, iso, area = disk_checks(mapping, K, r0, check_radii(mapping, r0, top), q)
+    yield CheckResult(
+        "differential_inequality",
+        all(row.ok for row in rows),
+        (("min_ratio", min(row.ratio for row in rows)),),
+        rows,
+    )
+    yield CheckResult("isoperimetric", all(rep.ok for rep in iso), (), iso)
+    yield CheckResult("area_bound", area.ok, (("slack", area.slack),), area, area.equality)
+    growth = theorem1_check(mapping, K, K.center, r0, ladder, q)
+    yield CheckResult(
+        "growth_ladder",
+        growth.all_ok,
+        (("m", growth.m_inner), ("liminf_proxy", growth.liminf_proxy)),
+        growth,
+    )
+
+
+# ---------------------------------------------------------------------------
 # sharpness ladders
+
+#: largest |ratio - 1| of a power example that its sharpness ladder passes
+SHARPNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,6 +351,7 @@ class SharpnessReport:
     max_deviation: float  # power: max |ratio - 1|; loglog: 0.0
     strictly_decreasing: bool
     halved: bool  # final ratio below half the first one
+    ok: bool  # power: max_deviation <= SHARPNESS_TOL; loglog: decreasing and halved
 
 
 def sharpness_ladder(
@@ -273,8 +359,9 @@ def sharpness_ladder(
 ) -> SharpnessReport:
     """Ratios of M(R) to the predicted growth scale along a radius ladder.
 
-    Power maps are compared against R^{1/alpha} (ratio should be 1);
-    doubly-logarithmic maps against (ln R)^{1/alpha} (ratio should decay).
+    Power maps are compared against R^{1/alpha} (ratio should be 1, within
+    SHARPNESS_TOL); doubly-logarithmic maps against (ln R)^{1/alpha} (ratio
+    should fall strictly and end below half its first value).
     """
     radii = ladder.radii()
     if radii[-1] > 1e300:
@@ -304,8 +391,12 @@ def sharpness_ladder(
     rows = tuple(zip(radii.tolist(), ratios.tolist()))
     decreasing = bool(np.all(np.diff(ratios) < 0.0))
     halved = bool(ratios[-1] < 0.5 * ratios[0])
-    max_dev = float(np.max(np.abs(ratios - 1.0))) if kind == "power" else 0.0
-    return SharpnessReport(kind, rows, max_dev, decreasing, halved)
+    if kind == "power":
+        max_dev = float(np.max(np.abs(ratios - 1.0)))
+        ok = max_dev <= SHARPNESS_TOL
+    else:
+        max_dev, ok = 0.0, decreasing and halved
+    return SharpnessReport(kind, rows, max_dev, decreasing, halved, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,11 @@ from beltrami_growth import (
     pde_residual,
     polar_to_wirtinger,
 )
-from beltrami_growth.cli import _check_radii
 from beltrami_growth.complex_polar import require_jacobian_above
 from beltrami_growth.dilatation import JACOBIAN_FLOOR
 from beltrami_growth.growth import _disk_areas, _mean_jacobians
 from beltrami_growth.mappings import RadialMapping
+from beltrami_growth.verify import check_radii as verify_check_radii
 
 from conftest import CATALOG_IDS, CATALOG_SPECS
 
@@ -243,7 +243,7 @@ class TestDiskChecks:
     @pytest.mark.parametrize("name", DISK_PAIRS)
     def test_matches_separate_checks(self, name):
         mapping, K, r0 = DISK_PAIRS[name]
-        radii = _check_radii(mapping, r0, 100.0 * r0)
+        radii = verify_check_radii(mapping, r0, 100.0 * r0)
         rows, iso, area = disk_checks(mapping, K, r0, radii, self.q)
         rel = 1e-13
         ref_rows = differential_inequality_check(mapping, 0j, radii, self.q)
@@ -544,7 +544,7 @@ class TestSweepPointCount:
     @pytest.mark.parametrize("name", CERTIFY_KINDS)
     def test_at_most_a_tenth_of_the_full_circle_points(self, name, monkeypatch):
         mapping, K, r0 = DISK_PAIRS[name]
-        radii = _check_radii(mapping, r0, 100.0 * r0)
+        radii = verify_check_radii(mapping, r0, 100.0 * r0)
         points = self.counted(mapping, monkeypatch)
         q = CircleQuadrature(256)
         disk_checks(mapping, K, r0, radii, q)
@@ -558,7 +558,7 @@ class TestSweepPointCount:
         # the sweep (every segment and the tail), S', the mean dilatation and
         # the length read the derivatives in one call each
         mapping, K, r0 = DISK_PAIRS[name]
-        radii = _check_radii(mapping, r0, 100.0 * r0)
+        radii = verify_check_radii(mapping, r0, 100.0 * r0)
         points = self.counted(mapping, monkeypatch)
         disk_checks(mapping, K, r0, radii, CircleQuadrature(256))
         assert len(points) == 4

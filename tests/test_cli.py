@@ -21,24 +21,16 @@ from beltrami_growth.cli import (
     EXIT_OK,
     PLOTTED,
     ConfigError,
-    _check_radii,
     _parser,
     _spelled_floats,
     fmt,
     main,
+    parse_ladder,
     parse_mapping,
     parse_pair,
     write_csv,
 )
-from beltrami_growth import (
-    AnnulusGrid,
-    CircleQuadrature,
-    RadiusLadder,
-    disk_checks,
-    growth,
-    pde_residual,
-    theorem1_check,
-)
+from beltrami_growth import CircleQuadrature, RadiusLadder, growth, verify_pair
 from beltrami_growth.dilatation import E_2
 from test_readme import EXAMPLES, reference_csv
 
@@ -304,7 +296,8 @@ class TestSpelledOnce:
         code, out = run(tmp_path, "verify", cfg, "--quiet")
         assert code == EXIT_OK
         mapping, coefficient = parse_pair(cfg["pair"])
-        residual = pde_residual(mapping, coefficient, AnnulusGrid(1.0, 8.0))
+        ladder, q = parse_ladder(cfg["ladder"]), CircleQuadrature(cfg["n"])
+        residual = next(verify_pair(mapping, coefficient, cfg["r0"], ladder, q)).report
         rows = zip(residual.r.tolist(), residual.theta.tolist(), residual.abs_residual.tolist())
         expected = reference_csv(["r", "theta", "abs_residual"], rows)
         assert (out / "verify_residual.csv").read_bytes() == expected
@@ -463,6 +456,25 @@ class TestVerify:
             "numeric failure: envelope exp(I) overflows double precision at R = 4.0, I = 1386."
         )
         # the residual table was judged before the failure, yet nothing is written
+        assert list(out.iterdir()) == []
+
+    def test_no_check_radii_is_config_error_after_the_residual(self, tmp_path, capsys):
+        # the ladder tops out at 1.001 r0, so every check radius r lies
+        # within the mask's margin 0.1 r of the loglog seam at e^e = 15.154;
+        # the residual, judged before the radii are drawn, is printed, and
+        # nothing is written
+        cfg = {
+            "pair": {"name": "loglog", "alpha": 2.0},
+            "r0": 15.1,
+            "ladder": {"r0": 15.1, "factor": 1.001, "count": 1},
+            "n": 256,
+        }
+        code, out = run(tmp_path, "verify", cfg)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "PASS pde_residual max=1.5515838457795457e-17 rms=3.8358104309682909e-18 tol=1e-08\n",
+            "config error: no check radii clear of the mapping's excluded bands\n",
+        )
         assert list(out.iterdir()) == []
 
     def test_mismatched_pair_fails(self, tmp_path, capsys):
@@ -774,26 +786,24 @@ class TestRadialTableConfig:
         return rows
 
     def test_library_matches_cli_off_center(self, tmp_path, capsys):
-        # the pair-level functions take the center from the coefficient, as
-        # verify does, so the same calls without z0 give the CLI's reports
+        # verify_pair takes the center from the coefficient, as verify does,
+        # so the same call without z0 gives the CLI's reports
         cfg = self.translated_config(tmp_path / "a", [5.0, 0.0])
         code, out = run(tmp_path, "verify", cfg)
         stdout = capsys.readouterr().out
         assert code == EXIT_OK
         mapping, K = parse_pair(cfg["pair"])
         assert K.center == mapping.center == 5.0
-        q, ladder = CircleQuadrature(256), RadiusLadder(0.1, 2.0, 4)
-        residual = pde_residual(mapping, K, AnnulusGrid(0.1, 0.8))
+        ladder = RadiusLadder(0.1, 2.0, 4)
+        results = list(verify_pair(mapping, K, 0.1, ladder, CircleQuadrature(256)))
+        residual, diff, iso, area, growth_report = (result.report for result in results)
         _, rows = read_csv(out / "verify_residual.csv")
         library = zip(residual.r.tolist(), residual.theta.tolist(), residual.abs_residual.tolist())
         assert [[fmt(x) for x in row] for row in library] == rows
         assert f"max={fmt(residual.max_abs)} rms={fmt(residual.rms)}" in stdout
-        radii = _check_radii(mapping, 0.1, 1.6)
-        diff, iso, area = disk_checks(mapping, K, 0.1, radii, q)
         assert f"min_ratio={fmt(min(row.ratio for row in diff))}" in stdout
         assert all(rep.ok for rep in iso) and area.ok
         assert f"area_bound slack={fmt(area.slack)}" in stdout
-        growth_report = theorem1_check(mapping, K, K.center, 0.1, ladder, q)
         _, rows = read_csv(out / "verify_growth.csv")
         assert [
             [fmt(x) for x in (r.R, r.M, r.m, r.integral, r.envelope, r.v, r.bound_ok)]
@@ -1205,6 +1215,16 @@ def test_extremal_command_and_pair_take_the_same_keys():
     # may not drift apart
     command = list(inspect.signature(cli.cmd_extremal).parameters.values())[3:]
     assert command == list(inspect.signature(cli.PAIR_NAMES["extremal"]).parameters.values())
+
+
+def test_verify_command_defaults_are_verify_pairs():
+    # n, h, grid and residual_tol of the command are q, h, grid and
+    # residual_tol of the library routine, so its defaults are stated once
+    def defaults(build, skip):
+        params = list(inspect.signature(build).parameters.values())[skip:]
+        return [p.default for p in params if p.default is not p.empty]
+
+    assert defaults(cli.cmd_verify, 3) == defaults(verify_pair, 0)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from beltrami_growth import (
     StencilCrossesSeam,
     jacobian_wirtinger,
 )
-from beltrami_growth.cli import _check_radii
+from beltrami_growth.verify import check_radii
 from conftest import fd_wirtinger_oracle, smooth_points
 
 RNG = np.random.default_rng(20260823)
@@ -250,7 +250,7 @@ class TestRadialTable:
         knots = np.geomspace(0.05, 3.0, 60)
         table = RadialTable(knots, np.sqrt(knots), 5.0, linear_inner=True)
         centered = RadialTable(knots, np.sqrt(knots), 0j, linear_inner=True)
-        assert _check_radii(table, 0.1, 1.6).tolist() == _check_radii(centered, 0.1, 1.6).tolist()
+        assert check_radii(table, 0.1, 1.6).tolist() == check_radii(centered, 0.1, 1.6).tolist()
         wp = table.wirtinger_fd(6.0 + 0j)
         wp0 = centered.wirtinger_fd(1.0 + 0j)
         assert wp.d_z == pytest.approx(wp0.d_z, rel=1e-9)

@@ -28,16 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami_growth import (
-    AnnulusGrid,
     CircleQuadrature,
     Power,
     PowerCoefficient,
     RadiusLadder,
     area_bound_check,
     cli,
-    disk_checks,
-    pde_residual,
     theorem1_check,
+    verify_pair,
 )
 from beltrami_growth.cli import EXIT_CHECK_FAILED, main
 from beltrami_growth.complex_polar import WirtingerPair, jacobian_wirtinger
@@ -87,19 +85,12 @@ MUTANTS = {
 
 
 def library_verdicts(mapping, K):
-    """The five verdicts of verify, from the library calls it makes."""
-    residual = pde_residual(mapping, K, AnnulusGrid(R0, 8.0 * R0))
-    radii = cli._check_radii(mapping, R0, float(LADDER.radii()[-1]))
-    rows, iso, area = disk_checks(mapping, K, R0, radii, Q)
-    growth = theorem1_check(mapping, K, K.center, R0, LADDER, Q)
-    verdicts = (
-        residual.max_abs <= 1e-8,
-        all(row.ok for row in rows),
-        all(rep.ok for rep in iso),
-        area.ok,
-        growth.all_ok,
-    )
-    return verdicts, residual, rows, area, growth
+    """The five verdicts of verify_pair, with the residual, differential,
+    area-bound and growth reports they were judged from."""
+    results = list(verify_pair(mapping, K, R0, LADDER, Q))
+    assert tuple(result.name for result in results) == CHECKS
+    residual, rows, _, area, growth = (result.report for result in results)
+    return tuple(result.ok for result in results), residual, rows, area, growth
 
 
 @pytest.mark.parametrize("name", MUTANTS)

@@ -33,7 +33,7 @@ from beltrami_growth import (
     modulus_extremes,
     theorem1_check,
 )
-from beltrami_growth.cli import _check_radii
+from beltrami_growth.verify import check_radii
 
 from test_area_sweep import (
     CERTIFY_KINDS,
@@ -273,7 +273,7 @@ def counted_points(mapping, K, r0):
             patch.setattr(Mapping, name, counting(getattr(Mapping, name), maps))
         patch.setattr(CoefficientField, "abs2", counting(CoefficientField.abs2, fields))
         theorem1_check(mapping, K, K.center, r0, RadiusLadder(r0, 2.0, 10), q)
-        disk_checks(mapping, K, r0, _check_radii(mapping, r0, 100.0 * r0), q)
+        disk_checks(mapping, K, r0, check_radii(mapping, r0, 100.0 * r0), q)
     return sum(maps), sum(fields)
 
 

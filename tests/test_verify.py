@@ -198,15 +198,20 @@ class TestSharpness:
     def test_power_ratio_is_one(self):
         rep = sharpness_ladder(Power(2.0), RadiusLadder(1.0, 4.0, 12))
         assert rep.kind == "power"
-        assert rep.max_deviation <= 1e-9
+        assert rep.ok
 
     def test_loglog_ratio_decays(self):
         rep = sharpness_ladder(
             LogLog(1.0), RadiusLadder.reaching(LOGLOG_SEAM, 1e9, 2.0)
         )
         assert rep.kind == "loglog"
-        assert rep.strictly_decreasing
-        assert rep.halved
+        assert rep.ok
+
+    def test_loglog_ratio_not_yet_halved_fails(self):
+        # three doublings from the seam: the ratio falls, but not to half
+        rep = sharpness_ladder(LogLog(1.0), RadiusLadder(LOGLOG_SEAM, 2.0, 3))
+        assert rep.strictly_decreasing and not rep.halved
+        assert not rep.ok
 
     def test_rejects_other_maps(self):
         with pytest.raises(TypeError):
