@@ -420,6 +420,8 @@ class KappaProfile:
 
 @dataclass(frozen=True)
 class ConstantProfile(KappaProfile):
+    """kappa(r) = alpha, a positive finite constant, for every r > 0."""
+
     alpha: float
 
     def __post_init__(self):

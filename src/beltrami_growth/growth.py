@@ -436,16 +436,31 @@ def image_area(
 # Each check is judging code over swept disk areas.  The three public checks
 # run it on a sweep of their own; disk_checks runs all three on one sweep.
 
-#: relative tolerances of the verdicts: the three disk checks (shared with
-#: disk_checks) and the growth ladder of theorem1_check
+#: relative tolerances of the verdicts, each passed to judge: the three disk
+#: checks (shared with disk_checks) and the growth ladder of theorem1_check
 ISOPERIMETRIC_REL_TOL = 1e-6
 DIFFERENTIAL_REL_TOL = 1e-3
 AREA_BOUND_REL_TOL = 1e-4
 GROWTH_REL_TOL = 1e-6
 
 
+def judge(lhs: float, rhs: float, rel_tol: float):
+    """The one verdict rule, for lhs >= rhs: (margin, ok, equality) with
+    margin = lhs - rhs and tol = rel_tol * max(|lhs|, |rhs|).  ok is
+    margin >= -tol and equality is |margin| <= tol, both Python bools.  An
+    absolute limit is judge(limit, value, 0.0), which is ok exactly when
+    value <= limit."""
+    margin = lhs - rhs
+    tol = rel_tol * max(abs(lhs), abs(rhs))
+    return margin, bool(margin >= -tol), bool(abs(margin) <= tol)
+
+
 @dataclass(frozen=True)
 class IsoperimetricReport:
+    """The isoperimetric inequality L^2 >= 4*pi*S on one circle: slack, ok
+    and equality are judge's triple with L^2 the left side and 4*pi*S the
+    right."""
+
     length: float
     area: float
     slack: float  # L^2 - 4*pi*S
@@ -454,14 +469,12 @@ class IsoperimetricReport:
 
 
 def _isoperimetric_reports(mapping, z0, radii, areas, q) -> tuple:
-    reports = []
-    for length, area in zip(circle_length(mapping, z0, radii, q).tolist(), areas.tolist()):
-        slack = length**2 - 4.0 * math.pi * area
-        scale = ISOPERIMETRIC_REL_TOL * length**2
-        reports.append(
-            IsoperimetricReport(length, area, slack, slack >= -scale, abs(slack) <= scale)
+    return tuple(
+        IsoperimetricReport(
+            length, area, *judge(length**2, 4.0 * math.pi * area, ISOPERIMETRIC_REL_TOL)
         )
-    return tuple(reports)
+        for length, area in zip(circle_length(mapping, z0, radii, q).tolist(), areas.tolist())
+    )
 
 
 def isoperimetric_check(
@@ -483,6 +496,9 @@ def isoperimetric_check(
 
 @dataclass(frozen=True)
 class DifferentialInequalityRow:
+    """S'(r) >= 2 S/(r d_f) at one radius: ok is judge's verdict with the
+    area rate S' the left side and the bound the right."""
+
     r: float
     area: float
     area_rate: float  # S'(r) = r * int J_f dtheta over the circle, exactly
@@ -496,11 +512,9 @@ def _differential_rows(mapping, z0, radii, areas, q) -> list:
     d_mean = circle_average_D(mapping, z0, radii, q)
     rows = []
     for r, area, j, d in zip(radii.tolist(), areas.tolist(), mean_jac.tolist(), d_mean.tolist()):
-        rate = TWO_PI * r * j
-        bound = 2.0 * area / (r * d)
-        ratio = rate / bound
-        ok = ratio >= 1.0 - DIFFERENTIAL_REL_TOL
-        rows.append(DifferentialInequalityRow(r, area, rate, bound, ratio, ok))
+        rate, bound = TWO_PI * r * j, 2.0 * area / (r * d)
+        ok = judge(rate, bound, DIFFERENTIAL_REL_TOL)[1]
+        rows.append(DifferentialInequalityRow(r, area, rate, bound, rate / bound, ok))
     return rows
 
 
@@ -525,6 +539,10 @@ def differential_inequality_check(
 
 @dataclass(frozen=True)
 class AreaBoundReport:
+    """The area bound S(r0) <= S(R) exp(-2 I(r0, R)): slack, ok and
+    equality are judge's triple with rhs = S(R) exp(-2 I) the left side and
+    area_inner = S(r0) the right."""
+
     r0: float
     R: float
     area_inner: float
@@ -539,9 +557,8 @@ class AreaBoundReport:
 def _area_bound_report(K, r0, R, area_inner, area_outer, q) -> AreaBoundReport:
     integral = float(ladder_integrals(FieldProfile(K, q), r0, [R])[0])
     rhs = area_outer * math.exp(-2.0 * integral)
-    slack, tol = rhs - area_inner, AREA_BOUND_REL_TOL * rhs
     return AreaBoundReport(
-        r0, R, area_inner, area_outer, integral, rhs, slack, slack >= -tol, abs(slack) <= tol
+        r0, R, area_inner, area_outer, integral, rhs, *judge(rhs, area_inner, AREA_BOUND_REL_TOL)
     )
 
 
@@ -592,6 +609,9 @@ def disk_checks(
 
 @dataclass(frozen=True)
 class GrowthLadderRow:
+    """One rung of the growth ladder: bound_ok is judge's verdict on
+    v = M(R) exp(-I) >= m(r0)."""
+
     R: float
     M: float
     m: float
@@ -603,6 +623,9 @@ class GrowthLadderRow:
 
 @dataclass(frozen=True)
 class GrowthLadderReport:
+    """The growth ladder M(R) exp(-I(r0, R)) >= m(r0): all_ok holds when
+    every row's bound_ok does."""
+
     rows: tuple
     m_inner: float
     liminf_proxy: float  # running minimum of v over the ladder
@@ -632,9 +655,8 @@ def theorem1_check(
     m_max, m_min = modulus_extremes(mapping, K.center, np.array([r0] + radii), q)
     m_inner = float(m_min[0])
     v = [M * math.exp(-I) for M, I in zip(m_max[1:].tolist(), integrals)]
-    floor = m_inner * (1.0 - GROWTH_REL_TOL)
     rows = tuple(
-        GrowthLadderRow(R, M, m, I, _envelope(R, I), vk, vk >= floor)
+        GrowthLadderRow(R, M, m, I, _envelope(R, I), vk, judge(vk, m_inner, GROWTH_REL_TOL)[1])
         for R, M, m, I, vk in zip(radii, m_max[1:].tolist(), m_min[1:].tolist(), integrals, v)
     )
     return GrowthLadderReport(rows, m_inner, min(v), all(row.bound_ok for row in rows))
@@ -653,6 +675,10 @@ DECAY_FACTOR = 0.01
 
 @dataclass(frozen=True)
 class NonexistenceReport:
+    """The non-existence diagnostic: verdict is "inconsistent" when v(R)
+    falls monotonically over the ladder's last half and below DECAY_FACTOR
+    of its first value, a criterion, not a judged tolerance."""
+
     rows: tuple  # (R, M, v)
     verdict: str  # "inconsistent" or "consistent"
     note: str = NONEXISTENCE_NOTE

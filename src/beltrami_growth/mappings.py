@@ -300,9 +300,13 @@ class RadialMapping(Mapping):
         out = np.zeros(z.shape, dtype=complex)
         mask = r > 0.0
         # rho of a radius far out or far in may leave the double range; the
-        # circle mean's check refuses the inf or nan, so numpy need not warn
+        # circle mean's check refuses the inf or nan, so numpy need not warn.
+        # rho times the unit w / r overflows only with rho itself; w / r is
+        # divided by parts, since numpy's complex division multiplies by a
+        # rounded 1 / r, so f at a theta = 0 node is rho bit for bit
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out[mask] = self._rho_of_r(r[mask]) * w[mask] / r[mask]
+            w, r = w[mask], r[mask]
+            out[mask] = self._rho_of_r(r) * (w.real / r + 1j * (w.imag / r))
         return out
 
     def _wirtinger_array(self, z):
@@ -321,6 +325,8 @@ class RadialMapping(Mapping):
 
 @dataclass(frozen=True)
 class Identity(Mapping):
+    """f(z) = z; f_z = 1, f_zbar = 0 and J = 1."""
+
     symmetry = "equivariant"
 
     def _eval_array(self, z):

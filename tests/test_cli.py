@@ -30,7 +30,7 @@ from beltrami_growth.cli import (
     parse_pair,
     write_csv,
 )
-from beltrami_growth import CircleQuadrature, RadiusLadder, growth, verify_pair
+from beltrami_growth import CircleQuadrature, Power, RadiusLadder, growth, verify_pair
 from beltrami_growth.dilatation import E_2
 from test_readme import EXAMPLES, reference_csv
 
@@ -927,23 +927,26 @@ class TestBeyondDoubleRange:
             "ladder": {"r0": 1.0, "factor": 2.0, "count": 40},
             "n": 256,
         }, "d_r = (inf+nanj) is beyond double precision (1344 of 2048 samples)"),
-        # rho(1e300) w / r overflows in the product before the division
-        "verify-ladder-at-1e300": ("verify", {
-            "pair": {"name": "power", "alpha": 2},
+        # rho = r^2 overflows from the first rung on
+        "verify-power-0.5-ladder-at-1e200": ("verify", {
+            "pair": {"name": "power", "alpha": 0.5},
             "r0": 1.0,
-            "ladder": {"r0": 1e300, "factor": 1.0000001},
+            "ladder": {"r0": 1e200, "factor": 10.0, "count": 9},
             "n": 64,
-        }, "quadrature sample = inf at r = 1e+300 is beyond double precision (41 of 42 samples)"),
-        "sharpness-subnormal-r0": ("sharpness", {
-            "example": {"kind": "power", "alpha": 1},
-            "ladder": {"r0": 5e-324},
-        }, "quadrature sample = nan at r = 5e-324 is beyond double precision (41 of 41 samples)"),
+        }, "quadrature sample = inf at r = 1e+200 is beyond double precision (10 of 11 samples)"),
+        # rho = (ln r)^(1/alpha) is inf, so |f| is too
         "nonexist-loglog-subnormal-alpha": ("nonexist", {
             "mapping": {"kind": "loglog", "alpha": 5e-324},
             "profile": {"kind": "constant", "alpha": 1.0},
             "r0": 20.0,
             "ladder": {"r0": 20.0},
-        }, "quadrature sample = nan at r = 20.0 is beyond double precision (41 of 41 samples)"),
+        }, "quadrature sample = inf at r = 20.0 is beyond double precision (41 of 41 samples)"),
+        # R^2 overflows on every rung of a ladder whose top is 1e308
+        "sharpness-power-0.5-top-1e308": ("sharpness", {
+            "example": {"kind": "power", "alpha": 0.5},
+            "ladder": {"r0": 1e299, "factor": 10.0, "count": 9},
+        }, "growth scale R^(1/alpha) = inf at R = 1e+299 (rung 0) is beyond double precision "
+           "(10 of 10 samples)"),
         # R^1000 underflows to 0 at R = 1e-12
         "sharpness-power-scale-0": ("sharpness", {
             "example": {"kind": "power", "alpha": 0.001},
@@ -1098,6 +1101,58 @@ class TestBeyondDoubleRange:
         biggest, rms = (float(x) for x in re.findall(r"(?:max|rms)=(\S+)", line))
         assert biggest == 1.0000000000000003e154
         assert rms == pytest.approx(biggest, rel=1e-15)
+
+
+class TestNearTheEndsOfTheRange:
+    """A config whose |f| stays within the double range runs to its verdict,
+    however far out or far in its ladder lies: f = rho(r) (w / r) overflows
+    only with rho, and w / r is exactly 1 on a ladder's theta = 0 nodes."""
+
+    CASES = {
+        # rho(R) * R passes 1.8e308 from R = 1e206 on, but |f| <= 1e104.5
+        "sharpness-power-ladder-at-1e200": ("sharpness", {
+            "example": {"kind": "power", "alpha": 2.0},
+            "ladder": {"r0": 1e200, "factor": 10.0, "count": 9},
+            "n": 64,
+        }),
+        # the top rung is 1e308
+        "sharpness-power-top-1e308": ("sharpness", {
+            "example": {"kind": "power", "alpha": 2.0},
+            "ladder": {"r0": 1e299, "factor": 10.0, "count": 9},
+        }),
+        "sharpness-subnormal-r0": ("sharpness", {
+            "example": {"kind": "power", "alpha": 1},
+            "ladder": {"r0": 5e-324},
+        }),
+        "verify-ladder-at-1e300": ("verify", {
+            "pair": {"name": "power", "alpha": 2},
+            "r0": 1.0,
+            "ladder": {"r0": 1e300, "factor": 1.0000001},
+            "n": 64,
+        }),
+    }
+
+    @pytest.mark.parametrize("command, cfg", CASES.values(), ids=CASES.keys())
+    def test_modulus_is_rho(self, tmp_path, command, cfg):
+        code, out = run(tmp_path, command, cfg, "--quiet")
+        assert code == EXIT_OK
+        if command == "sharpness":
+            _, rows = read_csv(out / "sharpness.csv")
+            assert [float(ratio) for _, ratio in rows] == [1.0] * len(rows)
+        else:
+            _, rows = read_csv(out / "verify_growth.csv")
+            for R, M, m in (map(float, row[:3]) for row in rows):
+                assert M == m == float(Power(2.0)._rho_of_r(np.array([R]))[0])
+
+    def test_loglog_far_ladder_fails_to_halve(self, tmp_path):
+        # from 1e299 to 1e308 (ln R)^(1/2) barely moves, so the ratio of
+        # the doubly-log map does not halve: a FAIL, not a numeric failure
+        cfg = {
+            "example": {"kind": "loglog", "alpha": 2.0},
+            "ladder": {"r0": 1e299, "factor": 10.0, "count": 9},
+        }
+        code, _ = run(tmp_path, "sharpness", cfg, "--quiet")
+        assert code == EXIT_CHECK_FAILED
 
 
 class TestNonexist:

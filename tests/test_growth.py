@@ -557,6 +557,25 @@ class TestCircleFunctionals:
             assert m_max == pytest.approx(9.0 ** (1.0 / alpha), rel=1e-10)
             assert m_min == pytest.approx(9.0 ** (1.0 / alpha), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "mapping, ladder",
+        [
+            (Power(2.3), RadiusLadder(0.7, 2.0, 40)),
+            (LogLog(2.0), RadiusLadder(20.0, 2.0, 30)),
+            (Power(1.0), RadiusLadder(E_2, 1.5, 3)),
+        ],
+        ids=["power", "loglog", "power-from-e2"],
+    )
+    def test_modulus_extremes_is_rho_bit_for_bit(self, mapping, ladder):
+        # a radial map reads M = m at the theta = 0 node, where w / r is
+        # exactly 1, so both are rho(r) itself; (rho w) / r, or a complex
+        # w / r that multiplies by a rounded 1 / r, missed it by an ulp
+        radii = ladder.radii()
+        m_max, m_min = modulus_extremes(mapping, 0j, radii, CircleQuadrature(256))
+        rho = mapping._rho_of_r(radii)
+        assert m_max.tolist() == rho.tolist()
+        assert m_min.tolist() == rho.tolist()
+
     def test_modulus_extremes_linear(self):
         a, b, r = 0.3 + 0.1j, 1.2 - 0.4j, 2.5
         m_max, m_min = modulus_extremes(Linear(a, b, 1j), 0j, r)

@@ -1,7 +1,7 @@
 """Every JSON example under a README subcommand heading runs with exit 0, and
 the README's tables of subcommand and kind keys match the keys that
 config_keys reads from the code, so the README and the config registry
-cannot drift apart."""
+cannot drift apart; its table of verdict tolerances matches the constants."""
 
 import contextlib
 import csv
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from beltrami_growth import growth, verify
 from beltrami_growth.cli import (
     COEFFICIENT_KINDS,
     COMMANDS,
@@ -133,6 +134,30 @@ def test_subcommand_table_matches_commands():
 )
 def test_kind_table_matches_its_constructors(title, rows):
     assert readme_table(title) == code_keys(rows)
+
+
+#: the verdict tolerances the README states, and where each is defined
+VERDICT_TOLERANCES = {
+    "RESIDUAL_TOL": verify,
+    "DIFFERENTIAL_REL_TOL": growth,
+    "ISOPERIMETRIC_REL_TOL": growth,
+    "AREA_BOUND_REL_TOL": growth,
+    "GROWTH_REL_TOL": growth,
+    "SHARPNESS_TOL": verify,
+}
+
+
+def test_verdict_tolerance_table_matches_the_constants():
+    stated, inside = {}, False
+    for line in README.read_text().splitlines():
+        if line.startswith("| Verdict tolerance |"):
+            inside = True
+        elif inside and not line.startswith("|"):
+            break
+        elif inside and not line.startswith("|---"):
+            name, value = re.findall(r"`([^`]+)`", line)[:2]
+            stated[name] = float(value)
+    assert stated == {name: getattr(module, name) for name, module in VERDICT_TOLERANCES.items()}
 
 
 def run_text(tmp_path, command, cfg):
