@@ -46,6 +46,7 @@ from .growth import (
     nonexistence_diagnostic,
 )
 from .mappings import DEFAULT_FD_STEP, Identity, Linear, LogLog, Power, RadialTable, Spiral
+from .mappings import require_ascending, require_count, require_positive
 from .verify import (
     CATALOG,
     RESIDUAL_TOL,
@@ -204,17 +205,9 @@ def _num(value, name, *, positive=False) -> float:
         raise ConfigError(f"{name} must be a number")
     if not _finite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
-    if positive and not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+    if positive:
+        require_positive(name, value)
     return float(value)
-
-
-def _int(value, name, *, minimum=None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-    return value
 
 
 def _list(value, name) -> list:
@@ -236,10 +229,6 @@ def _flag(value, name) -> bool:
     return value
 
 
-def _quadrature(n) -> CircleQuadrature:
-    return CircleQuadrature(_int(n, "n", minimum=8))
-
-
 def _observed(value) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError("observed must be a non-empty list of [R, M] pairs")
@@ -250,6 +239,8 @@ def _observed(value) -> list:
     ]
     if len(observed) != len(value):
         raise ConfigError("observed entries must be [R, M] pairs")
+    require_count("number of observations", len(observed), 2)
+    require_ascending("observed radii", [R for R, _ in observed])
     return observed
 
 
@@ -270,12 +261,12 @@ KEY_READERS = {
     "r_inner": lambda v: _num(v, "r_inner", positive=True),
     "r_outer": lambda v: _num(v, "r_outer", positive=True),
     "factor": lambda v: _num(v, "factor"),
-    "depth": lambda v: _int(v, "depth", minimum=1),
-    "knots": lambda v: _int(v, "knots", minimum=64),
-    "count": lambda v: _int(v, "count", minimum=1),
-    "n_r": lambda v: _int(v, "n_r", minimum=2),
-    "n_theta": lambda v: _int(v, "n_theta", minimum=8),
-    "n": _quadrature,
+    "depth": lambda v: require_count("depth", v, 1),
+    "knots": lambda v: require_count("knots", v, 64),
+    "count": lambda v: require_count("count", v, 1),
+    "n_r": lambda v: require_count("n_r", v, 2),
+    "n_theta": lambda v: require_count("n_theta", v, 8),
+    "n": CircleQuadrature,
     "path": _path,
     "linear_inner": lambda v: _flag(v, "linear_inner"),
     "breakpoints": lambda v: tuple(
@@ -515,6 +506,8 @@ def cmd_nonexist(outdir: Path, plot: bool, say, profile, r0, observed=None, mapp
     if observed is not None:
         if mapping is not None:
             raise ConfigError("give either observed data or a mapping, not both")
+        if ladder is not None:
+            raise ConfigError("a ladder goes with a mapping, not with observed data")
     elif mapping is not None:
         if ladder is None:
             raise ConfigError("a mapping-based diagnostic needs a ladder")

@@ -24,7 +24,8 @@ from .complex_polar import (
 )
 from .errors import DomainError, NonPositiveKappa
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
-from .mappings import require_finite_modulus, require_known_symmetry
+from .mappings import require_ascending, require_count, require_finite_modulus
+from .mappings import require_known_symmetry, require_positive
 
 JACOBIAN_FLOOR = 1e-14
 #: most circle points one call of a many-circle kernel evaluates.  Larger
@@ -43,8 +44,7 @@ class CircleQuadrature:
     n: int = 1024
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValueError(f"need at least 8 quadrature nodes, got {self.n}")
+        require_count("n", self.n, 8)
 
     def angles(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
@@ -264,8 +264,7 @@ class GridCoefficient(CoefficientField):
             raise ValueError("k2 must have shape (len(radii), len(thetas))")
         if not np.all((k2 >= 0.0) & np.isfinite(k2)):
             raise ValueError("tabulated |K|^2 values must be finite and nonnegative")
-        if not np.all(np.diff(radii) > 0.0) or not np.all(radii > 0.0):
-            raise ValueError("radii must be positive and strictly ascending")
+        require_ascending("radii", radii)
         if not np.all(np.diff(thetas) > 0.0) or thetas[0] < 0.0 or thetas[-1] >= TWO_PI:
             raise ValueError("thetas must be strictly ascending in [0, 2*pi)")
         lattice = (
@@ -380,8 +379,7 @@ E_3 = math.exp(E_2)
 
 def tower(k: int) -> float:
     """e_k with e_1 = e, e_{k+1} = e^{e_k}; finite in doubles only for k <= 3."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"tower index must be a positive integer, got {k!r}")
+    require_count("tower index", k, 1)
     if k >= 4:
         raise OverflowError(f"e_{k} exceeds double-precision range")
     return (E_1, E_2, E_3)[k - 1]
@@ -389,8 +387,7 @@ def tower(k: int) -> float:
 
 def iterated_log(k: int, t):
     """k-fold logarithm ln_k(t); requires t > e_{k-1} so the result is positive."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"log depth must be a positive integer, got {k!r}")
+    require_count("log depth", k, 1)
     out = np.asarray(t, dtype=float)
     for _ in range(k):
         if np.any(out <= 0.0):
@@ -425,8 +422,7 @@ class ConstantProfile(KappaProfile):
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        require_positive("alpha", self.alpha)
 
     def __call__(self, r):
         out = np.full(np.shape(r), self.alpha)
@@ -441,9 +437,9 @@ class LogProductProfile(KappaProfile):
     depth: int
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (1 <= self.depth <= 3):
+        require_positive("alpha", self.alpha)
+        require_count("depth", self.depth, 1)
+        if self.depth > 3:
             raise ValueError(f"depth must be in 1..3, got {self.depth}")
         object.__setattr__(self, "domain", (tower(self.depth), math.inf))
 
@@ -471,10 +467,7 @@ class PiecewiseProfile(KappaProfile):
         cuts = tuple(float(b) for b in self.cut_radii)
         if len(self.pieces) != len(cuts) + 1:
             raise ValueError("need exactly one more piece than cut radius")
-        if any(b2 <= b1 for b1, b2 in zip(cuts, cuts[1:])) or any(
-            b <= 0.0 for b in cuts
-        ):
-            raise ValueError("cut radii must be positive and strictly ascending")
+        require_ascending("cut radii", cuts)
         object.__setattr__(self, "cut_radii", cuts)
         # the cuts, and each piece's own breakpoints inside its interval
         spans = zip(self.pieces, (0.0,) + cuts, cuts + (math.inf,))
@@ -507,8 +500,7 @@ class TableProfile(KappaProfile):
         values = np.asarray(self.values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
             raise ValueError("radii and values must be equal-length 1-d arrays")
-        if not (np.all(radii > 0.0) and np.all(np.diff(radii) > 0.0)):
-            raise ValueError("radii must be positive and strictly ascending")
+        require_ascending("radii", radii)
         if not np.all(values > 0.0):
             raise NonPositiveKappa("tabulated kappa values must be positive")
         object.__setattr__(self, "radii", radii)

@@ -2,10 +2,14 @@
 
 Every failure mode that a caller might want to branch on gets its own
 class; plain ValueError is reserved for programming errors (bad argument
-counts, malformed configuration objects and the like).  ConfigError, no
-BeltramiGrowthError, is an input that the command line refuses with exit 2:
-a malformed config document, or a verify_pair run that a config leaves
-without a default grid or without check radii.
+counts, malformed configuration objects and the like).  InvalidParameter,
+a ValueError and no BeltramiGrowthError, is a constructor parameter that
+breaks its rule (positive and finite, an integer of at least some minimum,
+positive and strictly ascending); the guards in mappings alone raise it.
+ConfigError, no BeltramiGrowthError either, is an input that the command
+line refuses with exit 2: a malformed config document, a parameter that a
+guard refuses, or a verify_pair run that a config leaves without a default
+grid or without check radii.
 """
 
 
@@ -51,3 +55,7 @@ class OutOfDomain(DomainError):
 
 class ConfigError(Exception):
     """Invalid or malformed configuration document."""
+
+
+class InvalidParameter(ValueError):
+    """A parameter breaks its rule; raised by the require_* guards in mappings."""

@@ -30,7 +30,7 @@ from .dilatation import (
     on_circle,
 )
 from .errors import DomainError, NonPositiveKappa, QuadratureFailure
-from .mappings import Linear, Mapping, require_radii_within
+from .mappings import Linear, Mapping, require_count, require_radii_within
 
 # ---------------------------------------------------------------------------
 # ladders and exponents
@@ -49,8 +49,7 @@ class RadiusLadder:
             raise DomainError(f"ladder base must be positive, got {self.r0}")
         if not (self.factor > 1.0 and math.isfinite(self.factor)):
             raise DomainError(f"ladder factor must exceed 1, got {self.factor}")
-        if self.count < 1:
-            raise DomainError(f"ladder needs at least one step, got {self.count}")
+        require_count("count", self.count, 1)
         # check the top rung in log space, and factor**count, which radii()
         # forms before the product with r0
         if math.log(self.r0) + self.count * math.log(self.factor) > math.log(

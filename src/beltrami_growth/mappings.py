@@ -21,6 +21,7 @@ from .complex_polar import (
     polar_to_wirtinger,
 )
 from .errors import (
+    InvalidParameter,
     NotDifferentiableHere,
     OutOfDomain,
     StencilCrossesSeam,
@@ -142,8 +143,12 @@ def require_known_symmetry(cls, name: str, values: tuple):
         raise TypeError(f"{cls.__name__}.{name} must be one of {values}, got {vars(cls)[name]!r}")
 
 
+# The parameter guards: each rule on a constructor's parameter is stated
+# here once, and a parameter that breaks it raises InvalidParameter naming it.
+
+
 def require_finite_modulus(key: str, value: complex) -> float:
-    """|value|, refused with a ValueError naming ``key`` when it is not finite.
+    """|value|, refused, naming ``key``, when it is not finite.
 
     abs() of a Python complex raises OverflowError, naming neither, when the
     modulus of finite parts is beyond double precision."""
@@ -152,8 +157,32 @@ def require_finite_modulus(key: str, value: complex) -> float:
     except OverflowError:
         modulus = math.inf
     if not math.isfinite(modulus):
-        raise ValueError(f"|{key}| = {modulus} is not finite: {key} = {value}")
+        raise InvalidParameter(f"|{key}| = {modulus} is not finite: {key} = {value}")
     return modulus
+
+
+def require_positive(name: str, value):
+    """Refuse ``value`` unless it is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise InvalidParameter(f"{name} must be positive, got {value}")
+
+
+def require_count(name: str, value, minimum: int):
+    """``value``, refused unless it is an int or numpy integer, not a bool, of
+    at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be an integer")
+    if value < minimum:
+        raise InvalidParameter(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def require_ascending(name: str, values):
+    """Refuse ``values`` unless every one is positive and they ascend
+    strictly; a NaN fails both."""
+    values = np.asarray(values, dtype=float)
+    if not (np.all(values > 0.0) and np.all(np.diff(values) > 0.0)):
+        raise InvalidParameter(f"{name} must be positive and strictly ascending")
 
 
 class Mapping:
@@ -395,8 +424,7 @@ class Power(RadialMapping):
     origin_singular = True
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        require_positive("alpha", self.alpha)
 
     def _rho_of_r(self, r):
         return r ** (1.0 / self.alpha)
@@ -415,8 +443,7 @@ class LogLog(RadialMapping):
     origin_singular = True
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        require_positive("alpha", self.alpha)
 
     def _rho_of_r(self, r):
         out = math.exp(-math.e) * r
@@ -463,8 +490,7 @@ class RadialTable(RadialMapping):
         rho = np.asarray(self.rho, dtype=float)
         if knots.ndim != 1 or knots.shape != rho.shape or knots.size < 2:
             raise ValueError("knots and rho must be 1-d arrays of equal length >= 2")
-        if not (np.all(knots > 0.0) and np.all(np.diff(knots) > 0.0)):
-            raise ValueError("knots must be positive and strictly ascending")
+        require_ascending("knots", knots)
         if not (np.all(rho > 0.0) and np.all(np.diff(rho) > 0.0)):
             raise ValueError("rho must be positive and strictly increasing")
         object.__setattr__(self, "knots", knots)

@@ -45,6 +45,7 @@ from .mappings import (
     Spiral,
     require_radii_within,
 )
+from .mappings import require_count, require_positive
 
 # ---------------------------------------------------------------------------
 # extremal radial solutions
@@ -85,10 +86,8 @@ def build_extremal(
 ) -> ExtremalSolution:
     """Tabulate rho(r) = rho0 * exp(int_{r0}^{r} ds/(s kappa(s))) on a
     geometric knot grid from r0 to R."""
-    if knots < 64:
-        raise ValueError(f"need at least 64 knots, got {knots}")
-    if not (rho0 > 0.0):
-        raise ValueError(f"rho0 must be positive, got {rho0}")
+    require_count("knots", knots, 64)
+    require_positive("rho0", rho0)
     if not (R > r0 > 0.0):
         raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
     r0, R = require_radii_within(np.array([r0, R]), profile.domain, "the profile's").tolist()
@@ -119,8 +118,8 @@ class AnnulusGrid:
     def __post_init__(self):
         if not (0.0 < self.r_inner < self.r_outer):
             raise ValueError("need 0 < r_inner < r_outer")
-        if self.n_r < 2 or self.n_theta < 8:
-            raise ValueError("grid too coarse")
+        require_count("n_r", self.n_r, 2)
+        require_count("n_theta", self.n_theta, 8)
 
     def points(self, z0: complex):
         radii = np.geomspace(self.r_inner, self.r_outer, self.n_r)

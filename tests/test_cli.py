@@ -1219,6 +1219,26 @@ class TestNonexist:
         sources = {"mapping": {"kind": "identity"}}
         self.rejected(tmp_path, capsys, sources, "a mapping-based diagnostic needs a ladder")
 
+    @pytest.mark.parametrize("r0", [1.0, 0.001])
+    def test_ladder_beside_observed_rejected(self, tmp_path, capsys, r0):
+        # observed data brings its own radii, so a ladder would be ignored
+        sources = {"observed": [[2.0, 1.0], [4.0, 1.0]], "ladder": {"r0": r0}}
+        self.rejected(
+            tmp_path, capsys, sources, "a ladder goes with a mapping, not with observed data"
+        )
+
+    def test_single_observation_rejected(self, tmp_path, capsys):
+        sources = {"observed": [[2.0, 1.0]]}
+        self.rejected(
+            tmp_path, capsys, sources, "number of observations must be at least 2, got 1"
+        )
+
+    def test_descending_observations_rejected(self, tmp_path, capsys):
+        sources = {"observed": [[4.0, 1.0], [2.0, 1.0]]}
+        self.rejected(
+            tmp_path, capsys, sources, "observed radii must be positive and strictly ascending"
+        )
+
     def test_malformed_ladder_beside_observed_rejected(self, tmp_path, capsys):
         # a ladder is read whenever it is given, even where observed data is used
         cfg = {

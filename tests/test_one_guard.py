@@ -2,10 +2,12 @@
 
 ``require_radii_within`` owns the radius-in-domain rule,
 ``require_jacobian_above`` the J_f > floor rule and
-``require_radius_above_floor`` the |z - center| >= RADIUS_FLOOR rule and
+``require_radius_above_floor`` the |z - center| >= RADIUS_FLOOR rule,
 ``require_finite`` the rule that a computed value is within the double
-range; a second check elsewhere would bring back a second slop or a second
-message.
+range, and the four parameter guards of ``mappings`` the rules on a
+constructor's parameters (a finite modulus, positive and finite, an integer
+of at least some minimum, positive and strictly ascending); a second check
+elsewhere would bring back a second slop or a second message.
 The rule is read from the package source with ``ast``.
 """
 
@@ -18,12 +20,18 @@ import beltrami_growth
 
 PACKAGE = Path(beltrami_growth.__file__).parent
 
-#: guarded error -> the one function that may construct or raise it
+#: guarded error -> the functions that alone may construct or raise it
 GUARDS = {
-    "OutOfDomain": "require_radii_within",
-    "NonPositiveJacobian": "require_jacobian_above",
-    "DegenerateRadius": "require_radius_above_floor",
-    "BeyondDoubleRange": "require_finite",
+    "OutOfDomain": {"require_radii_within"},
+    "NonPositiveJacobian": {"require_jacobian_above"},
+    "DegenerateRadius": {"require_radius_above_floor"},
+    "BeyondDoubleRange": {"require_finite"},
+    "InvalidParameter": {
+        "require_finite_modulus",
+        "require_positive",
+        "require_count",
+        "require_ascending",
+    },
 }
 
 
@@ -62,8 +70,9 @@ def package_constructions():
 def test_only_the_guard_builds_the_error(error):
     found = [(func, where) for e, func, where in package_constructions() if e == error]
     assert found, f"no {error} is built anywhere"
-    stray = [where for func, where in found if func != GUARDS[error]]
-    assert not stray, f"{error} built outside {GUARDS[error]} at {stray}"
+    stray = [where for func, where in found if func not in GUARDS[error]]
+    assert not stray, f"{error} built outside {sorted(GUARDS[error])} at {stray}"
+    assert {func for func, _ in found} == GUARDS[error], f"a guard of {error} never raises it"
 
 
 def test_walker_sees_calls_and_bare_raises():

@@ -1,7 +1,8 @@
 """Every JSON example under a README subcommand heading runs with exit 0, and
 the README's tables of subcommand and kind keys match the keys that
 config_keys reads from the code, so the README and the config registry
-cannot drift apart; its table of verdict tolerances matches the constants."""
+cannot drift apart; its table of verdict tolerances matches the constants,
+and its table of parameter rules matches the config readers."""
 
 import contextlib
 import csv
@@ -12,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from beltrami_growth import growth, verify
+from beltrami_growth import growth, mappings, verify
 from beltrami_growth.cli import (
     COEFFICIENT_KINDS,
     COMMANDS,
     EXIT_CONFIG,
     EXIT_OK,
+    KEY_READERS,
     MAPPING_KINDS,
     PAIR_NAMES,
     PROFILE_KINDS,
@@ -25,6 +27,7 @@ from beltrami_growth.cli import (
     fmt,
     main,
 )
+from beltrami_growth.errors import ConfigError, InvalidParameter
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -158,6 +161,62 @@ def test_verdict_tolerance_table_matches_the_constants():
             name, value = re.findall(r"`([^`]+)`", line)[:2]
             stated[name] = float(value)
     assert stated == {name: getattr(module, name) for name, module in VERDICT_TOLERANCES.items()}
+
+
+def parameter_rules():
+    """[(rule, keys, guard)] of the README's parameter rule table."""
+    rules, inside = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("| Parameter rule |"):
+            inside = True
+        elif inside and not line.startswith("|"):
+            break
+        elif inside and not line.startswith("|---"):
+            rule, keys, guard = (cell.strip() for cell in line.strip("|").split("|"))
+            rules.append((rule, re.findall(r"`(\w+)`", keys), guard.strip("`")))
+    return rules
+
+
+def refused(key, value):
+    """The message of the InvalidParameter that key's config reader raises
+    on value, or None if it takes the value."""
+    try:
+        KEY_READERS[key](value)
+    except InvalidParameter as exc:
+        return str(exc)
+    except ConfigError:  # the reader of a list or a section refuses any number
+        pass
+    return None
+
+
+def test_parameter_rule_table_matches_the_readers():
+    rules = parameter_rules()
+    assert {guard for _, _, guard in rules} == {
+        "require_positive",
+        "require_count",
+        "require_ascending",
+    }
+    assert all(callable(getattr(mappings, guard)) for _, _, guard in rules)
+    counts, positive = {}, set()
+    for rule, keys, guard in rules:
+        minimum = re.fullmatch(r"an integer of at least (\d+)", rule)
+        if minimum:
+            assert guard == "require_count"
+            counts.update(dict.fromkeys(keys, int(minimum.group(1))))
+        elif rule == "positive and finite":
+            assert guard == "require_positive"
+            positive.update(keys)
+    for key, minimum in counts.items():
+        assert refused(key, minimum - 1) == f"{key} must be at least {minimum}, got {minimum - 1}"
+        assert refused(key, minimum) is None
+    for key in positive:
+        assert refused(key, 0) == f"{key} must be positive, got 0"
+        assert refused(key, 5e-324) is None
+    # every reader that refuses a fractional count or a zero is in the table
+    assert {key for key in KEY_READERS if refused(key, 2.5) is not None} == set(counts)
+    assert {
+        key for key in KEY_READERS if (refused(key, 0) or "").endswith("must be positive, got 0")
+    } == positive
 
 
 def run_text(tmp_path, command, cfg):
