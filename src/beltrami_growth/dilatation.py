@@ -9,6 +9,7 @@ coefficient takes |K|^2 from a kappa profile; FieldProfile goes the other way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,19 +23,32 @@ from .complex_polar import (
     require_jacobian_above,
     wirtinger_to_polar,
 )
-from .errors import DomainError, NonPositiveKappa
+from .errors import BeltramiGrowthError, DomainError, NonPositiveKappa
 from .mappings import LOGLOG_SEAM, Mapping, read_table_csv, require_radii_within
-from .mappings import require_ascending, require_count, require_finite_modulus
-from .mappings import require_known_symmetry, require_positive
+from .mappings import require_ascending, require_count, require_finite_modulus, require_positive
 
 JACOBIAN_FLOOR = 1e-14
 #: most circle points one call of a many-circle kernel evaluates.  Larger
 #: blocks were slower on verify: their temporaries (256 KiB and up per complex
 #: array) come back from the allocator as fresh pages on every call
 BLOCK_POINTS = 1 << 14
-#: what a circle integrand depends on: anything, the radius |z - center|
-#: alone, or the angle arg(z - center) alone
-CIRCLE_SYMMETRIES = (None, "radius", "angle")
+#: the angles beside theta = 0 at which circle_means probes every circle,
+#: searched so that a modulation eps cos(m theta + phi) with m <= 1024
+#: moves some probe by at least 0.114 eps |cos phi|, the error of theta = 0
+PROBE_ANGLES = (5.0896, 1.9945, 0.6356, 2.8783)
+#: e^{i theta} at theta = 0, exactly 1, and at the probe angles
+_PROBE_UNITS = np.exp(1j * np.array((0.0,) + PROBE_ANGLES))
+#: a circle's theta = 0 sample is its mean when every probe agrees with it
+#: within SYMMETRY_REL_TOL / 10, relative: within SYMMETRY_REL_TOL of the
+#: full-circle mean for such a modulation.  A probe is a test, not a proof:
+#: on ModulatedPower(2, eps, k), k <= 512, n = 1024, the probes alone pass
+#: eps up to 3.6e-13 (k = 227), and a higher or a cancelling frequency can
+#: pass them; so the largest circle of each call is tested at all n nodes
+#: too, which passes eps up to 2.5e-14 in J (k = 48; 5.1e-14 in |f - f0|).
+#: A circle small beside its center, |center| / r above 1e2 to 1e3, has
+#: nodes off it by more than this allows a radial integrand: it is read in
+#: full
+SYMMETRY_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,12 +63,16 @@ class CircleQuadrature:
     def angles(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
 
+    @functools.cached_property
+    def _units(self) -> np.ndarray:
+        return np.exp(1j * self.angles())
+
     def points(self, z0: complex, r) -> np.ndarray:
         """The n nodes on the circle |z - z0| = r; an r of shape (k, 1) gives
         one row of nodes per radius.  A node beyond the double range raises
         BeyondDoubleRange naming its radius and z0."""
         with np.errstate(over="ignore", invalid="ignore"):
-            nodes = complex(z0) + r * np.exp(1j * self.angles())
+            nodes = complex(z0) + r * self._units
         return require_finite(nodes, "circle node", on_circle(r, nodes.shape, z0))
 
     def mean(self, samples: np.ndarray, r=None):
@@ -77,38 +95,82 @@ class CircleQuadrature:
             [fn(radii[i : i + rows]) for i in range(0, max(1, radii.size), rows)]
         )
 
-    def circle_means(self, sample, center: complex, r, symmetry=None):
+    def probe(self, sample, center: complex, radii: np.ndarray):
+        """``sample`` at theta = 0 and PROBE_ANGLES on each circle of the 1-d
+        ``radii``, and at all n nodes of the largest, in one call: (the theta
+        = 0 samples, through the guard of :meth:`mean`; the probe samples,
+        one row per angle; the radius rule: whether each circle's probes and
+        the largest one's nodes agree with its theta = 0 sample within
+        SYMMETRY_REL_TOL / 10 plus eight ulps of r, relative).  A theta = 0
+        node (center + r, the full path's first) beyond the double range
+        raises BeyondDoubleRange; any other takes its circle's theta = 0 node."""
+        k, top = radii.size, radii.argmax(keepdims=True) if radii.size else []
+        ring = radii[top, None] * self._units  # the largest circle about 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = complex(center) + np.append(np.outer(_PROBE_UNITS, radii), ring)
+        finite = np.isfinite(nodes)
+        if not finite.all():
+            require_finite(nodes[:k], "circle node", on_circle(radii, radii.shape, center))
+            theta0 = np.concatenate([np.tile(nodes[:k], 5), np.repeat(nodes[5 * k], self.n)])
+            nodes = np.where(finite, nodes, theta0)
+        samples = sample(nodes)
+        at0, probed, largest = samples[:k], samples[: 5 * k].reshape(5, k), samples[5 * k :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = SYMMETRY_REL_TOL / 10 + 8.0 * np.spacing(radii) / radii
+            radial = (np.abs(probed - at0) <= slack * np.abs(at0)).all(axis=0)
+            if k and not np.abs(largest - largest[0]).max() <= slack[top] * abs(largest[0]):
+                radial[:] = False
+        means = require_finite(at0, "quadrature sample", on_circle(radii, radii.shape))
+        return means.copy(), probed, radial
+
+    def circle_means(self, sample, center: complex, r):
         """Angular mean of ``sample``, which maps an array of points to the
         integrand there, on each circle |z - center| = r: a float for a
         positive scalar r, one mean per radius for a 1-d array of them.
-        ``symmetry``, one of CIRCLE_SYMMETRIES, says what the integrand
-        depends on.  With None, full circles go to ``sample`` in blocks
-        (:meth:`blockwise`); with "radius", every circle is read at its
-        theta = 0 node center + r alone, in one call; with "angle", the mean
-        over the unit circle about center is every circle's mean.  A fixed
-        unit circle, not the first radius, keeps a radius's mean the same
-        whatever radii come with it.  Each mean goes through :meth:`mean` and
-        its non-finite guard."""
-        if symmetry not in CIRCLE_SYMMETRIES:
-            raise ValueError(f"unknown circle symmetry {symmetry!r}, not in {CIRCLE_SYMMETRIES}")
+        Each circle takes the first rule its probes (:meth:`probe`) allow:
+        - radius: its theta = 0 sample is its mean;
+        - angle: if the circles the radius rule left agree with each other
+          at every probe, each that agrees with the unit circle about center
+          takes the unit circle's mean (:meth:`_angle_rule`), the same
+          whatever radii come with it;
+        - full circles, in blocks (:meth:`blockwise`).
+        Each mean goes through :meth:`mean` and its non-finite guard."""
         radii = np.asarray(r, dtype=float)
         if radii.ndim > 1:
             raise ValueError(f"radius must be a scalar or a 1-d array, got shape {radii.shape}")
         if not np.all(radii > 0.0):
             raise ValueError(f"radius must be positive, got {r}")
-        rows = np.atleast_1d(radii)[:, None]
-        if symmetry == "radius":
-            with np.errstate(over="ignore"):
-                nodes = complex(center) + rows
-            require_finite(nodes, "circle node", on_circle(rows, nodes.shape, center))
-            out = self.mean(sample(nodes), rows)
-        elif symmetry == "angle":
-            # no circle at all for no radii, as on the full path
-            unit = np.ones((min(1, rows.shape[0]), 1))
-            out = np.repeat(self.mean(sample(self.points(center, unit)), unit), rows.shape[0])
-        else:
-            out = self.blockwise(lambda b: self.mean(sample(self.points(center, b)), b), rows)
+        rows = np.atleast_1d(radii)
+        out, probed, radial = self.probe(sample, center, rows)
+        mean, angular = self._angle_rule(sample, center, probed, ~radial)
+        out[angular] = mean
+        full = ~(radial | angular)
+        if full.any():
+            out[full] = self.blockwise(
+                lambda b: self.mean(sample(self.points(center, b)), b), rows[full, None]
+            )
         return float(out[0]) if radii.ndim == 0 else out
+
+    def _angle_rule(self, sample, center: complex, probed: np.ndarray, left: np.ndarray):
+        """(the unit circle's mean, from one more call; which circles of
+        ``left`` agree with it within SYMMETRY_REL_TOL / 10 at every probe),
+        or none if those disagree with each other or ``sample`` raises a
+        BeltramiGrowthError on the unit circle (off its domain, on a seam)."""
+
+        def agree(reference):
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = np.abs(probed - reference)
+                return (gap <= SYMMETRY_REL_TOL / 10 * np.abs(reference)).all(axis=0) & left
+
+        unit, none = np.ones((1, 1)), (math.nan, np.zeros_like(left))
+        if not left.any() or not np.array_equal(agree(probed[:, left.argmax(), None]), left):
+            return none
+        try:
+            nodes = np.hstack([self.points(center, unit), complex(center) + _PROBE_UNITS[None, :]])
+            samples = sample(nodes)
+            return self.mean(samples[:, : self.n], unit)[0], agree(samples[:, self.n :].T)
+        except BeltramiGrowthError:
+            return none
 
 
 def on_circle(r, shape, center=None):
@@ -125,23 +187,14 @@ class CoefficientField:
     A radial-phase field defines only |K|^2 (``_abs2_array``) and takes the
     phase K = -sqrt(|K|^2) w/conj(w), the sign convention of the catalog's
     radial solutions; any other phase has the same |K|^2.  A field with its
-    own phase defines ``_value_array`` instead.  ``abs2_symmetry``, one of
-    CIRCLE_SYMMETRIES, says what |K|^2 depends on, and kappa hands it to
-    CircleQuadrature.circle_means: "radius" for |z - center| alone, "angle"
-    for arg(z - center) alone; a field with "angle" is defined for every
-    radius and has no radial breakpoints.
+    own phase defines ``_value_array`` instead.
     """
 
     center: complex = 0j
-    #: one of CIRCLE_SYMMETRIES: what |K|^2 depends on
-    abs2_symmetry: str | None = None
     #: radii |z - center| where the field jumps or kinks (piecewise variants)
     radial_breakpoints: tuple = ()
     #: (lower, upper) radii |z - center| on which the field is defined
     radial_domain: tuple = (0.0, math.inf)
-
-    def __init_subclass__(cls):
-        require_known_symmetry(cls, "abs2_symmetry", CIRCLE_SYMMETRIES)
 
     def _abs2_array(self, w, r):
         return np.abs(self._value_array(w, r)) ** 2
@@ -170,7 +223,6 @@ class LinearCoefficient(CoefficientField):
     a: complex
     b: complex
     center: complex = 0j
-    abs2_symmetry = "angle"
 
     def __post_init__(self):
         abs_a, abs_b = require_finite_modulus("a", self.a), require_finite_modulus("b", self.b)
@@ -196,7 +248,6 @@ class SpiralCoefficient(CoefficientField):
     """Coefficient solved by the spiral map: -(w/conj(w)) e^{2i ln|w|}."""
 
     center: complex = 0j
-    abs2_symmetry = "radius"
 
     def _value_array(self, w, r):
         return -(w / np.conj(w)) * np.exp(2j * np.log(r))
@@ -210,7 +261,6 @@ class RadialCoefficient(CoefficientField):
     profile: KappaProfile
     center: complex = 0j
     radial_domain: tuple | None = None
-    abs2_symmetry = "radius"
 
     def __post_init__(self):
         object.__setattr__(self, "radial_breakpoints", tuple(self.profile.breakpoints))
@@ -351,22 +401,18 @@ def circle_average_D(
 
     The 1/(2*pi*r) normalization and the arc element |dz| = r d(theta)
     cancel, leaving a plain mean over theta.  A 1-d array of radii gives
-    one mean per radius (CircleQuadrature.circle_means).  About the center
-    of a map whose symmetry is "equivariant" the dilatation is the same all
-    round each circle, and one node per circle is read.
+    one mean per radius (CircleQuadrature.circle_means).
     """
-    symmetry = "radius" if mapping.symmetry_about(z0) == "equivariant" else None
-    return q.circle_means(lambda z: angular_dilatation(mapping, z0, z), z0, r, symmetry)
+    return q.circle_means(lambda z: angular_dilatation(mapping, z0, z), z0, r)
 
 
 def kappa(K: CoefficientField, r, q: CircleQuadrature = CircleQuadrature()):
     """Angular mean of |K|^2 on the circle of radius r about the field center.
 
-    A 1-d array of radii gives one mean per radius.  K.abs2_symmetry goes
-    to CircleQuadrature.circle_means as it is: with "radius" one node per
-    circle is read, with "angle" the unit circle's mean is every circle's.
+    A 1-d array of radii gives one mean per radius
+    (CircleQuadrature.circle_means).
     """
-    return q.circle_means(K.abs2, K.center, r, K.abs2_symmetry)
+    return q.circle_means(K.abs2, K.center, r)
 
 
 # ---------------------------------------------------------------------------

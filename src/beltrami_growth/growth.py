@@ -251,15 +251,13 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
     A scalar r gives two floats; a 1-d array of radii gives two arrays.  A
     Linear map, exactly that class, takes the closed form: about every z0,
     |f(z) - f(z0)| = |A conj(w) + B w| with |w| = r spans
-    [||B| - |A|| r, (|A| + |B|) r], and no point is evaluated.  About the
-    center of a map whose symmetry is "equivariant" (see
-    Mapping.symmetry_about) |f(z) - f(z0)| is the same all round each
-    circle, and max = min is read at the theta = 0 node z0 + r alone.  Any
-    other map is scanned on the quadrature angles, then refined by
-    golden-section search within 2*pi/n of the best grid angle, down to a
-    bracket below MODULUS_ANGLE_TOL in theta, every radius and both
-    extremes at once.  A non-finite value raises BeyondDoubleRange naming its radius.
-    """
+    [||B| - |A|| r, (|A| + |B|) r], and no point is evaluated.  Otherwise
+    max = min is the theta = 0 sample on each circle that takes the radius
+    rule of CircleQuadrature.probe; every other circle is scanned on the
+    quadrature angles, then refined by golden-section search within 2*pi/n
+    of the best grid angle, down to a bracket below MODULUS_ANGLE_TOL in
+    theta, every radius and both extremes at once.  A non-finite value
+    raises BeyondDoubleRange naming its radius."""
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1 or radii.size == 0:
         raise ValueError(
@@ -276,14 +274,20 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
         return (float(m_max[0]), float(m_min[0])) if radii.ndim == 0 else (m_max, m_min)
     z0c = complex(z0)
     f0 = mapping.evaluate(z0c)
-    theta = q.angles()
 
     def distance(z):
         return np.abs(mapping.evaluate(z) - f0)
 
-    if mapping.symmetry_about(z0c) == "equivariant":
-        values = q.circle_means(distance, z0c, r, "radius")
-        return (values, values) if radii.ndim == 0 else (values, values.copy())
+    m_max, _, radial = q.probe(distance, z0c, rr)
+    m_min, scan = m_max.copy(), ~radial
+    if np.any(scan):
+        m_max[scan], m_min[scan] = _scanned_extremes(distance, z0c, rr[scan], q)
+    return (float(m_max[0]), float(m_min[0])) if radii.ndim == 0 else (m_max, m_min)
+
+
+def _scanned_extremes(distance, z0c: complex, rr: np.ndarray, q: CircleQuadrature):
+    """(max, min) arrays of ``distance`` on each circle |z - z0c| = rr: the
+    grid scan and its golden-section refinement of modulus_extremes."""
     values = q.blockwise(lambda block: distance(q.points(z0c, block[:, None])), rr)
     require_finite(values, "node sample |f(z) - f(z0)|", on_circle(rr[:, None], values.shape, z0c))
     # golden-section search for the maximum of +|f - f0| about the best grid
@@ -298,7 +302,7 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
         return sign * distance(z0c + rho * np.exp(1j * t))
 
     step = TWO_PI / q.n
-    start = theta[np.concatenate([np.argmax(values, axis=1), np.argmin(values, axis=1)])]
+    start = q.angles()[np.concatenate([np.argmax(values, axis=1), np.argmin(values, axis=1)])]
     lo, hi = start - step, start + step
     x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
@@ -315,35 +319,24 @@ def modulus_extremes(mapping: Mapping, z0: complex, r, q: CircleQuadrature = Cir
         best = np.maximum(best, ft)
     require_finite(best, "refined sample +-|f(z) - f(z0)|", on_circle(rho, best.shape, z0c))
     m_max = np.maximum(np.max(values, axis=1), best[:k])
-    m_min = np.minimum(np.min(values, axis=1), -best[k:])
-    if radii.ndim == 0:
-        return float(m_max[0]), float(m_min[0])
-    return m_max, m_min
+    return m_max, np.minimum(np.min(values, axis=1), -best[k:])
 
 
 def circle_length(mapping: Mapping, z0: complex, r, q: CircleQuadrature = CircleQuadrature()):
     """Length of the image curve: int |f_theta| d(theta) by periodic trapezoid.
 
     A 1-d array of radii gives one length per radius (CircleQuadrature.circle_means).
-    About the center of a map whose symmetry is "equivariant" |f_theta| is
-    the same all round each circle, and one node per circle is read.
     """
 
     def speed(z):
         return np.abs(wirtinger_to_polar(z, z0, mapping.wirtinger_analytic(z)).d_theta)
 
-    symmetry = "radius" if mapping.symmetry_about(z0) == "equivariant" else None
-    return TWO_PI * q.circle_means(speed, z0, r, symmetry)
+    return TWO_PI * q.circle_means(speed, z0, r)
 
 
 def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
-    """Angular mean of J_f on each circle |z - z0| = r.
-
-    When the mapping has any symmetry about z0 (Mapping.symmetry_about), J_f
-    is constant on each circle, and one node per circle is read
-    (CircleQuadrature.circle_means); that node still goes through the J > 0
-    guard and the non-finite guard of the mean.
-    """
+    """Angular mean of J_f on each circle |z - z0| = r (circle_means); every
+    sample, the probes' too, goes through the J > 0 guard."""
 
     def jacobian(z):
         # J may decay to zero toward the center (e.g. |z|^{1/a-1} z with
@@ -351,8 +344,7 @@ def _mean_jacobians(mapping: Mapping, z0: complex, r, q: CircleQuadrature):
         jac = jacobian_wirtinger(mapping.wirtinger_analytic(z))
         return require_jacobian_above(jac, 0.0, z, z0)
 
-    symmetry = "radius" if mapping.symmetry_about(z0) else None
-    return q.circle_means(jacobian, z0, r, symmetry)
+    return q.circle_means(jacobian, z0, r)
 
 
 #: the 8-point Gauss-Legendre rule of the disk sweep's panels in ln(rho)
@@ -366,8 +358,9 @@ RADIAL_STEPS = 48
 INNER_CUTOFF = 1e-8
 
 
-def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np.ndarray:
-    """Areas of f(B(z0, r)) for every r in ``radii`` from one radial sweep.
+def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature, jac_radii=None):
+    """Areas of f(B(z0, r)) for every r in ``radii`` from one radial sweep;
+    with ``jac_radii``, (the areas, the angular mean of J_f on its circles).
 
     Composite 8-point Gauss panels in u = ln(rho) run from
     rho_min = INNER_CUTOFF * min(radii) to max(radii), with panel edges at the
@@ -376,10 +369,9 @@ def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np
     rho_min is accounted for by a local power-law extrapolation of the
     angular mean of J.  Panel density is RADIAL_STEPS panels over the
     smallest radius's log span, at least two per segment, split as the
-    attenuation integral's are (:func:`_panel_edges`).  There is one
-    :func:`_mean_jacobians` call over every circle, the tail's last: one node
-    per circle when the mapping has a symmetry about z0, all n otherwise.
-    """
+    attenuation integral's are (:func:`_panel_edges`).  One
+    :func:`_mean_jacobians` call reads the segments', the tail's two and
+    jac_radii's circles."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
         raise ValueError(f"radii must be a non-empty 1-d array, got shape {radii.shape}")
@@ -397,24 +389,25 @@ def _disk_areas(mapping: Mapping, z0: complex, radii, q: CircleQuadrature) -> np
     u = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
     w = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
     rho = np.exp(u)
-    # every segment's circles, then the two circles of the tail
-    mean_jac = _mean_jacobians(mapping, z0, np.append(rho, [rho_min, 2.0 * rho_min]), q)
+    extra = [] if jac_radii is None else jac_radii
+    mean_jac = _mean_jacobians(mapping, z0, np.r_[rho, rho_min, 2.0 * rho_min, extra], q)
     with np.errstate(over="ignore"):
-        g = TWO_PI * rho**2 * mean_jac[:-2]
+        g = TWO_PI * rho**2 * mean_jac[: rho.size]
     require_finite(g, "area integrand 2 pi rho^2 mean(J_f)", lambda k: f"rho = {rho[k]}")
     # np.sum over each segment's own nodes: a pairwise sum, which the
     # sequential np.add.reduceat is not
     sums = [np.sum(part) for part in np.split(w * g, np.cumsum(count)[:-1] * _GAUSS_NODES.size)]
 
     # power-law tail below the cutoff: mean J ~ c * rho^p
-    j1, j2 = mean_jac[-2:].tolist()
+    j1, j2 = mean_jac[rho.size : rho.size + 2].tolist()
     p = math.log(j2 / j1) / math.log(2.0)
     if p + 2.0 <= 0.05:
         raise QuadratureFailure(
             f"Jacobian not integrable at the center (local exponent {p:.3f})"
         )
     tail = TWO_PI * j1 * rho_min**2 / (p + 2.0)
-    return np.cumsum(sums)[np.searchsorted(stops, radii)] + tail
+    areas = np.cumsum(sums)[np.searchsorted(stops, radii)] + tail
+    return areas if jac_radii is None else (areas, mean_jac[rho.size + 2 :])
 
 
 def image_area(
@@ -506,8 +499,7 @@ class DifferentialInequalityRow:
     ok: bool
 
 
-def _differential_rows(mapping, z0, radii, areas, q) -> list:
-    mean_jac = _mean_jacobians(mapping, z0, radii, q)
+def _differential_rows(mapping, z0, radii, areas, mean_jac, q) -> list:
     d_mean = circle_average_D(mapping, z0, radii, q)
     rows = []
     for r, area, j, d in zip(radii.tolist(), areas.tolist(), mean_jac.tolist(), d_mean.tolist()):
@@ -532,8 +524,8 @@ def differential_inequality_check(
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         return []
-    areas = _disk_areas(mapping, z0, radii, q)
-    return _differential_rows(mapping, z0, radii, areas, q)
+    areas, mean_jac = _disk_areas(mapping, z0, radii, q, radii)
+    return _differential_rows(mapping, z0, radii, areas, mean_jac, q)
 
 
 @dataclass(frozen=True)
@@ -588,19 +580,18 @@ def disk_checks(
     circles about K.center, the center of the pair's equation.
 
     One radial sweep over radii and r0 gives every area, so S(r0) is swept
-    even when r0 is not a check radius.  S', the mean dilatation and the
-    image length are one CircleQuadrature.circle_means call each over the
-    radii: one node per circle where the map's symmetry makes the integrand
-    constant on circles about K.center, all n nodes otherwise.
+    even when r0 is not a check radius, and the mean J of S' rides in its
+    circle_means call.  The mean dilatation and the image length are one
+    CircleQuadrature.circle_means call each over the radii.
     """
     radii = np.asarray(radii, dtype=float)
     R = float(radii[-1])
     if not (R > r0 > 0.0):
         raise DomainError(f"need R > r0 > 0, got r0 = {r0}, R = {R}")
-    swept = _disk_areas(mapping, K.center, np.append(radii, r0), q)
+    swept, mean_jac = _disk_areas(mapping, K.center, np.append(radii, r0), q, radii)
     areas, area_inner = swept[:-1], float(swept[-1])
     return (
-        _differential_rows(mapping, K.center, radii, areas, q),
+        _differential_rows(mapping, K.center, radii, areas, mean_jac, q),
         _isoperimetric_reports(mapping, K.center, radii, areas, q),
         _area_bound_report(K, r0, R, area_inner, float(areas[-1]), q),
     )

@@ -132,17 +132,6 @@ def require_radii_within(r, domain: tuple, owner: str):
     return np.clip(r, lo, hi)
 
 
-#: the values of Mapping.symmetry, each claiming more than the one before
-MAPPING_SYMMETRIES = (None, "radial_jacobian", "equivariant")
-
-
-def require_known_symmetry(cls, name: str, values: tuple):
-    """Refuse with TypeError a class whose body sets ``name`` to a value outside
-    ``values``: a symmetry picks a circle-mean rule, so a typo must not pass."""
-    if vars(cls).get(name) not in values:
-        raise TypeError(f"{cls.__name__}.{name} must be one of {values}, got {vars(cls)[name]!r}")
-
-
 # The parameter guards: each rule on a constructor's parameter is stated
 # here once, and a parameter that breaks it raises InvalidParameter naming it.
 
@@ -186,31 +175,16 @@ def require_ascending(name: str, values):
 
 
 class Mapping:
-    """Base class: shared finite differences and seam logic.
-
-    ``symmetry`` says what rotations about the center keep:
-    ``"radial_jacobian"`` when J_f depends on |z - center| alone, and
-    ``"equivariant"`` when the map commutes with them, which makes J_f
-    radial too and |f - f(center)|, |f_theta| and the dilatation the same
-    all round each circle about the center.  Only :meth:`symmetry_about`
-    reads it.  A subclass that breaks the symmetry (one that modulates a
-    radial map in theta, say) must set it back.
-    """
+    """Base class: shared finite differences and seam logic."""
 
     #: point about which the seams, the origin and the domain are measured
     center: complex = 0j
-    #: one of MAPPING_SYMMETRIES; "equivariant" means
-    #: f(center + e^{i phi} w) - f(center) = e^{i phi} (f(center + w) - f(center))
-    symmetry: str | None = None
     #: radii |z - center| where the map is continuous but not differentiable
     seam_radii: tuple = ()
     #: derivatives undefined at the center
     origin_singular: bool = False
     #: |z - center| interval on which evaluate is defined
     radial_domain: tuple = (0.0, math.inf)
-
-    def __init_subclass__(cls):
-        require_known_symmetry(cls, "symmetry", MAPPING_SYMMETRIES)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -224,11 +198,6 @@ class Mapping:
 
     def __call__(self, z):
         return self.evaluate(z)
-
-    def symmetry_about(self, z0):
-        """The class's ``symmetry`` about z0: itself when z0 is the center,
-        None about any other point."""
-        return self.symmetry if complex(z0) == complex(self.center) else None
 
     # -- closed-form derivatives -------------------------------------------
 
@@ -314,8 +283,6 @@ class RadialMapping(Mapping):
     so J_f = rho rho' / r depends on r alone, and the map commutes with
     rotations about the center."""
 
-    symmetry = "equivariant"
-
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -356,8 +323,6 @@ class RadialMapping(Mapping):
 class Identity(Mapping):
     """f(z) = z; f_z = 1, f_zbar = 0 and J = 1."""
 
-    symmetry = "equivariant"
-
     def _eval_array(self, z):
         return z
 
@@ -373,8 +338,6 @@ class Linear(Mapping):
     a: complex
     b: complex
     c: complex = 0j
-    # J is constant, but A conj(z) rotates the other way: not equivariant
-    symmetry = "radial_jacobian"
 
     def __post_init__(self):
         if not all(np.isfinite([self.a, self.b, self.c]).tolist()):
@@ -400,7 +363,6 @@ class Spiral(Mapping):
     """Area-preserving spiral f(z) = z * e^{2i ln|z|}, f(0) = 0; J = 1."""
 
     origin_singular = True
-    symmetry = "equivariant"
 
     def _eval_array(self, z):
         r = np.abs(z)

@@ -23,12 +23,14 @@ from beltrami_growth import (
     BeyondDoubleRange,
     CircleQuadrature,
     ConstantProfile,
+    Identity,
     Mapping,
     NonPositiveJacobian,
     PolarDerivPair,
     Power,
     PowerCoefficient,
     RadialTable,
+    WirtingerPair,
     angular_dilatation,
     area_bound_check,
     build_extremal,
@@ -44,7 +46,7 @@ from beltrami_growth import (
     polar_to_wirtinger,
 )
 from beltrami_growth.complex_polar import require_jacobian_above
-from beltrami_growth.dilatation import JACOBIAN_FLOOR
+from beltrami_growth.dilatation import JACOBIAN_FLOOR, PROBE_ANGLES
 from beltrami_growth.growth import _disk_areas, _mean_jacobians
 from beltrami_growth.mappings import RadialMapping
 from beltrami_growth.verify import check_radii as verify_check_radii
@@ -347,18 +349,22 @@ def test_sweep_names_a_scalar_radius_by_its_shape():
 # radial Jacobians: one node per circle in the sweep
 
 
-class Unflagged:
-    """A mapping seen with no symmetry, so the sweep samples every node of
-    each circle: the full-circle oracle of the one-node path."""
+@dataclass(frozen=True)
+class FullCircles(CircleQuadrature):
+    """A quadrature whose probes never agree, so every circle mean and every
+    modulus extreme reads all n nodes: the full-circle oracle of the probe
+    rules."""
 
-    symmetry = None
-    symmetry_about = Mapping.symmetry_about
+    def probe(self, sample, center, radii):
+        blank = np.full((2, radii.size), math.nan)
+        return blank[0], blank, np.zeros(radii.size, dtype=bool)
 
-    def __init__(self, mapping):
-        self._mapping = mapping
-
-    def __getattr__(self, name):
-        return getattr(self._mapping, name)
+    def circle_means(self, sample, center, r):
+        radii = np.asarray(r, dtype=float)
+        out = self.blockwise(
+            lambda b: self.mean(sample(self.points(center, b)), b), np.atleast_1d(radii)[:, None]
+        )
+        return float(out[0]) if radii.ndim == 0 else out
 
 
 def seam_sides(mapping):
@@ -367,11 +373,12 @@ def seam_sides(mapping):
     return sorted(f * s for s in mapping.seam_radii or (2.0,) for f in (0.15, 0.9, 1.3, 60.0))
 
 
-#: every flagged catalog mapping (loglog on both sides of e^e, the extremal
-#: table inside and outside its first knot) and a radial table about 5 + 0j
-FLAGGED = {name: (mapping, seam_sides(mapping)) for name, mapping in zip(IDS, MAPS)}
+#: every catalog mapping, whose J is constant on circles about its center
+#: (loglog on both sides of e^e, the extremal table inside and outside its
+#: first knot), and a radial table about 5 + 0j
+RADIAL_J = {name: (mapping, seam_sides(mapping)) for name, mapping in zip(IDS, MAPS)}
 TABLE_AT_5 = RadialTable(EXTREMAL.knots, EXTREMAL.rho, center=5 + 0j, linear_inner=True)
-FLAGGED["table-at-5"] = (TABLE_AT_5, seam_sides(TABLE_AT_5))
+RADIAL_J["table-at-5"] = (TABLE_AT_5, seam_sides(TABLE_AT_5))
 
 
 def full_circle_jacobians(mapping, radii, q):
@@ -381,51 +388,29 @@ def full_circle_jacobians(mapping, radii, q):
 
 
 class TestRadialJacobian:
-    """A mapping with a symmetry gives the sweep one node per circle."""
-
-    def test_flagged_classes(self):
-        # a new mapping class must opt in here, not silently
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
-
-        flagged = {
-            cls.__name__: cls.symmetry
-            for cls in subclasses(Mapping)
-            if cls.__module__.startswith("beltrami_growth") and cls.symmetry
-        }
-        assert flagged == {
-            "RadialMapping": "equivariant",
-            "Power": "equivariant",
-            "LogLog": "equivariant",
-            "RadialTable": "equivariant",
-            "Identity": "equivariant",
-            "Linear": "radial_jacobian",
-            "Spiral": "equivariant",
-        }
-        assert ModulatedPower.symmetry is None and InteriorFold.symmetry is None
+    """A mapping whose J is constant on circles gives the sweep one node per
+    circle."""
 
     @given(
-        st.sampled_from([(name, r) for name, (_, radii) in FLAGGED.items() for r in radii]),
+        st.sampled_from([(name, r) for name, (_, radii) in RADIAL_J.items() for r in radii]),
         st.floats(0.8, 1.0),
         st.sampled_from([64, 256]),
     )
     @settings(max_examples=60, deadline=None)
     def test_jacobian_constant_on_circles(self, case, shrink, n):
-        # the symmetry is honest.  J = |f_z|^2 - |f_zbar|^2 is a difference, so
-        # its rounding is measured on the scale of |f_z|^2: on loglog far out
-        # the two terms agree to within a few percent
+        # J is constant on circles.  J = |f_z|^2 - |f_zbar|^2 is a difference,
+        # so its rounding is measured on the scale of |f_z|^2: on loglog far
+        # out the two terms agree to within a few percent
         name, r = case
-        mapping = FLAGGED[name][0]
+        mapping = RADIAL_J[name][0]
         z = CircleQuadrature(n).points(mapping.center, shrink * r)
         wp = mapping.wirtinger_analytic(z)
         assert np.ptp(jacobian_wirtinger(wp)) <= 1e-14 * np.max(np.abs(wp.d_z) ** 2)
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
-    @pytest.mark.parametrize("name", FLAGGED)
+    @pytest.mark.parametrize("name", RADIAL_J)
     def test_mean_jacobians_equal_full_circle_mean(self, name, n):
-        mapping, radii = FLAGGED[name]
+        mapping, radii = RADIAL_J[name]
         q, radii = CircleQuadrature(n), np.array(radii)
         np.testing.assert_allclose(
             _mean_jacobians(mapping, mapping.center, radii, q),
@@ -434,13 +419,12 @@ class TestRadialJacobian:
         )
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
-    @pytest.mark.parametrize("name", FLAGGED)
+    @pytest.mark.parametrize("name", RADIAL_J)
     def test_sweep_equals_full_circle_sweep(self, name, n):
-        mapping, radii = FLAGGED[name]
-        q = CircleQuadrature(n)
+        mapping, radii = RADIAL_J[name]
         np.testing.assert_allclose(
-            _disk_areas(mapping, mapping.center, radii, q),
-            _disk_areas(Unflagged(mapping), mapping.center, radii, q),
+            _disk_areas(mapping, mapping.center, radii, CircleQuadrature(n)),
+            _disk_areas(mapping, mapping.center, radii, FullCircles(n)),
             rtol=1e-14,
         )
 
@@ -450,11 +434,12 @@ class TestRadialJacobian:
         ids=["power", "linear", "table"],
     )
     def test_off_center_disk_samples_every_node(self, mapping, z0):
-        # about any point but the center, J is not constant on the circles
-        q = CircleQuadrature(256)
+        # about any point but the center, the probes see J vary round the
+        # circles of power and table, and they read every node; the linear
+        # map's J is the same everywhere, so one node is its exact mean
         for r in (0.5, 2.0):
-            assert image_area(mapping, z0, r, q) == float(
-                _disk_areas(Unflagged(mapping), z0, [r], q)[0]
+            assert image_area(mapping, z0, r, CircleQuadrature(256)) == float(
+                _disk_areas(mapping, z0, [r], FullCircles(256))[0]
             )
 
 
@@ -501,21 +486,79 @@ class TestOneNodeGuards:
             call(FoldedRadial())
         found = GUARD_MESSAGE.fullmatch(str(info.value))
         assert found is not None, str(info.value)
-        r = float(found["r"])
-        assert float(found["jac"]) <= 0.0 and float(found["theta"]) == 0.0
+        r, theta = float(found["r"]), float(found["theta"])
+        assert float(found["jac"]) <= 0.0
+        # the smallest J of a circle's probes, at theta = 0 or a probe angle
+        assert min(abs(theta - p) for p in (0.0,) + PROBE_ANGLES) < 1e-12, theta
         assert any(lo < r < hi for lo, hi in FOLD_BANDS), r
 
-    @pytest.mark.parametrize("wrap", [lambda f: f, Unflagged], ids=["one-node", "full-circle"])
-    def test_nan_band_is_refused(self, wrap):
+    @pytest.mark.parametrize("q", [FOLD_Q, FullCircles(256)], ids=["one-node", "full-circle"])
+    def test_nan_band_is_refused(self, q):
         # a NaN rho makes f_theta NaN, and the derivative pair refuses it
         # before any J is formed, on either path, with a short message that
         # names the field, the count and the first bad sample
         with pytest.raises(BeyondDoubleRange) as info:
-            image_area(wrap(NanBandRadial()), 0j, 1.0, FOLD_Q)
+            image_area(NanBandRadial(), 0j, 1.0, q)
         message = str(info.value)
         pattern = r"d_theta = \S+ is beyond double precision \([1-9]\d* of [1-9]\d* samples\)"
         assert re.fullmatch(pattern, message)
         assert len(message) < 200
+
+
+class WedgeFold(Identity):
+    """The identity, but with f_zbar = 2, so J_f = -3, where 3.5 < arg z <
+    4.0 and |z| in band: a wedge between the probe angles 2.8783
+    and 5.0896, so no probe of any circle sees the fold."""
+
+    band = (0.0, math.inf)
+
+    def _wirtinger_array(self, z):
+        arg, r = np.mod(np.angle(z), 2.0 * math.pi), np.abs(z)
+        fold = (3.5 < arg) & (arg < 4.0) & (self.band[0] < r) & (r < self.band[1])
+        return WirtingerPair(np.ones(z.shape, dtype=complex), np.where(fold, 2.0 + 0j, 0j))
+
+
+class BandWedgeFold(WedgeFold):
+    band = (0.3, 0.5)
+
+
+class TestWedgeFold:
+    """A fold confined to a wedge between the probes: the largest circle of
+    the sweep is read at every node, and the residual grid at 64 angles."""
+
+    def test_the_probes_miss_it(self):
+        # every probe reads J = 1; the circle's n nodes, as the largest of
+        # its call, refuse the radius rule
+        def jacobian(z):
+            return jacobian_wirtinger(WedgeFold().wirtinger_analytic(z))
+
+        _, probed, radial = CircleQuadrature(256).probe(jacobian, 0j, np.array([0.5]))
+        assert np.all(probed == 1.0) and not radial[0]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: image_area(f, 0j, 1.0, FOLD_Q),
+            lambda f: disk_checks(f, PowerCoefficient(1.0), 0.5, [0.5, 1.0], FOLD_Q),
+        ],
+        ids=["image_area", "disk_checks"],
+    )
+    def test_sweep_refuses_it_on_its_largest_circle(self, call):
+        with pytest.raises(NonPositiveJacobian) as info:
+            call(WedgeFold())
+        found = GUARD_MESSAGE.fullmatch(str(info.value))
+        # the largest swept circle: r = 1 itself, or image_area's outermost
+        # Gauss node below it
+        assert 0.99 < float(found["r"]) <= 1.0 and 3.5 < float(found["theta"]) < 4.0
+
+    def test_a_band_off_the_largest_circle_needs_the_residual_grid(self):
+        # folded on 0.3 < |z| < 0.5 alone: every swept circle's probes and the
+        # largest circle's nodes read J = 1, and the sweep takes the area of
+        # the unit disk; the residual grid through the band refuses the fold
+        f = BandWedgeFold()
+        assert image_area(f, 0j, 1.0, FOLD_Q) == pytest.approx(math.pi, rel=1e-12)
+        with pytest.raises(NonPositiveJacobian, match=r"theta = 3\.[5-9]"):
+            pde_residual(f, PowerCoefficient(1.0), AnnulusGrid(0.25, 2.0))
 
 
 #: the certify pair kinds, each with the radii verify checks
@@ -523,7 +566,7 @@ CERTIFY_KINDS = ("power", "loglog", "spiral", "linear", "extremal")
 
 
 class TestSweepPointCount:
-    """One disk_checks call on a flagged pair evaluates at most a tenth of
+    """One disk_checks call on a certify pair evaluates at most a tenth of
     the derivative points of its full-circle sweep: a lost shortcut shows
     here as a count, without timing noise."""
 
@@ -548,17 +591,21 @@ class TestSweepPointCount:
         points = self.counted(mapping, monkeypatch)
         q = CircleQuadrature(256)
         disk_checks(mapping, K, r0, radii, q)
-        flagged = sum(points)
+        probed = sum(points)
         points.clear()
-        disk_checks(Unflagged(mapping), K, r0, radii, q)
-        assert 0 < flagged <= sum(points) / 10
+        disk_checks(mapping, K, r0, radii, FullCircles(256))
+        assert 0 < probed <= sum(points) / 10
 
     @pytest.mark.parametrize("name", CERTIFY_KINDS)
     def test_one_derivative_call_per_functional(self, name, monkeypatch):
-        # the sweep (every segment and the tail), S', the mean dilatation and
-        # the length read the derivatives in one call each
+        # the sweep (every segment, the tail and S'), the mean dilatation
+        # and the length read the derivatives in one probe call each.  The linear
+        # map's dilatation depends on the angle alone: one more call reads
+        # the unit circle, its mean; its length grows with r, its circles'
+        # probes disagree with each other, and one block of full circles is
+        # read without the unit circle
         mapping, K, r0 = DISK_PAIRS[name]
         radii = verify_check_radii(mapping, r0, 100.0 * r0)
         points = self.counted(mapping, monkeypatch)
         disk_checks(mapping, K, r0, radii, CircleQuadrature(256))
-        assert len(points) == 4
+        assert len(points) == (3 + 1 + 1 if name == "linear" else 3)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from beltrami_growth import (
     CircleQuadrature,
-    CoefficientField,
     BeyondDoubleRange,
     ConstantProfile,
     DegenerateRadius,
@@ -36,6 +35,7 @@ from beltrami_growth import (
     sigma_from_K,
     tower,
 )
+from beltrami_growth.dilatation import PROBE_ANGLES, SYMMETRY_REL_TOL
 from conftest import smooth_points
 
 RNG = np.random.default_rng(1702)
@@ -146,7 +146,7 @@ class TestKappaOverRadii:
 EXTREMAL = build_extremal(LogProductProfile(1.5, 1), 3.0, 1.0, 1e3)
 TABLE = TableProfile(np.geomspace(0.1, 1e3, 30), 1.0 + np.sqrt(np.geomspace(0.1, 1e3, 30)))
 
-#: every class whose abs2_symmetry is "radius", with a builder taking the center and
+#: every class whose |K|^2 is radial, with a builder taking the center and
 #: radii on both sides of each jump, clear of the jumps themselves
 RADIAL_FIELDS = {
     "power": (lambda c: PowerCoefficient(2.3, c), [0.2, 1.0, 7.5, 1e3]),
@@ -174,13 +174,11 @@ class TestRadialShortcut:
     def test_equals_full_circle_mean(self, name, center, n):
         build, radii = RADIAL_FIELDS[name]
         K, radii, q = build(center), np.array(radii), CircleQuadrature(n)
-        assert K.abs2_symmetry == "radius"
         np.testing.assert_allclose(kappa(K, radii, q), full_circle_kappa(K, radii, q), rtol=1e-14)
 
-    def test_extremal_coefficient_is_flagged(self):
+    def test_extremal_coefficient(self):
         K = EXTREMAL.coefficient()
         radii = np.array([0.5, 5.0, 900.0])
-        assert K.abs2_symmetry == "radius"
         np.testing.assert_allclose(
             kappa(K, radii), full_circle_kappa(K, radii, CircleQuadrature()), rtol=1e-14
         )
@@ -194,33 +192,26 @@ class TestRadialShortcut:
     )
     @settings(max_examples=60, deadline=None)
     def test_abs2_constant_on_circles(self, case, shrink, x, y, n):
-        # the symmetry is honest: |K|^2 is the same at every node of a circle;
+        # |K|^2 is the same at every node of a circle;
         # shrinking a sample radius by up to 20% stays clear of every jump
         name, r = case
         K = RADIAL_FIELDS[name][0](complex(x, y))
         samples = K.abs2(CircleQuadrature(n).points(K.center, shrink * r))
         assert np.ptp(samples) <= 1e-14 * np.max(samples)
 
-    def test_flagged_classes(self):
-        # a new coefficient class must opt in here, not silently
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
+    def test_reads_one_node_per_circle(self):
+        # a radial |K|^2 is read at the theta = 0 node and the probes of each
+        # circle, and at all n nodes of the largest, in one call
+        K, seen = PowerCoefficient(2.3), []
 
-        flagged = {
-            cls.__name__: cls.abs2_symmetry
-            for cls in subclasses(CoefficientField)
-            if cls.__module__.startswith("beltrami_growth") and cls.abs2_symmetry
-        }
-        assert flagged == {
-            "RadialCoefficient": "radius",
-            "PowerCoefficient": "radius",
-            "LogLogCoefficient": "radius",
-            "SpiralCoefficient": "radius",
-            "LinearCoefficient": "angle",
-        }
-        assert GridCoefficient.abs2_symmetry is None
+        def abs2(self, z):
+            seen.append(np.shape(z))
+            return np.ones(np.shape(z))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(type(K), "abs2", abs2)
+            kappa(K, np.array([0.5, 2.0, 9.0]))
+        assert seen == [((1 + len(PROBE_ANGLES)) * 3 + CircleQuadrature().n,)]
 
     def test_theta_dependent_grid_keeps_circle_mean(self):
         thetas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -231,6 +222,25 @@ class TestRadialShortcut:
         assert np.array_equal(means, full_circle_kappa(K, r, q))
         # the theta = 0 node alone would read the table's peak, 3 + 0.1 r
         assert np.all(K.abs2(K.center + r) - means > 0.9)
+
+    @pytest.mark.parametrize("r", [1.3, np.array([1.5, 2.5, 4.0])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("lo", [0.5, 1.2], ids=["with-unit-circle", "without"])
+    @pytest.mark.parametrize("scale", [0.0, 0.3], ids=["angle-only", "and-radius"])
+    def test_grid_bump_between_the_probes(self, r, lo, scale):
+        # an 8-angle lattice, 1 + scale ln r but for twice that at theta =
+        # 5 pi / 4: the bump spans (pi, 3 pi / 2), where no probe lies, so
+        # every probe agrees with theta = 0; the largest circle, read at all
+        # n nodes, refuses the radius rule
+        thetas, radii = np.arange(8) * np.pi / 4, np.geomspace(lo, 5.0, 4)
+        bump = np.where(np.arange(8) == 5, 2.0, 1.0)
+        K = GridCoefficient(radii, thetas, np.outer(1.0 + scale * np.log(radii), bump))
+        q, rows = CircleQuadrature(1024), np.atleast_1d(r)
+        probes = K.abs2(K.center + np.multiply.outer(np.exp(1j * np.array((0.0,) + PROBE_ANGLES)), rows))
+        np.testing.assert_allclose(probes, np.broadcast_to(probes[0], probes.shape), rtol=1e-15)
+        full = full_circle_kappa(K, rows, q)
+        np.testing.assert_allclose(kappa(K, r, q), full if np.ndim(r) else full[0], rtol=SYMMETRY_REL_TOL)
+        # the hat's mean over the circle is an eighth of its height
+        np.testing.assert_allclose(full, 1.125 * probes[0], rtol=1e-14)
 
 
 class NanProfile(KappaProfile):

@@ -54,7 +54,6 @@ from beltrami_growth.dilatation import E_2, E_3, KappaProfile
 from beltrami_growth.growth import _disk_areas, _mean_jacobians
 from beltrami_growth.mappings import Mapping
 
-from test_symmetric_pairs import NotEquivariant
 
 alphas = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 
@@ -651,10 +650,10 @@ class TestLinearClosedForm:
     @pytest.mark.parametrize("z0", [0j, 0.3 + 0.2j], ids=["center", "off-center"])
     @pytest.mark.parametrize("mapping", MAPS, ids=["orientation-preserving", "reversing"])
     def test_scan_oracle(self, mapping, z0, n):
-        # a view that is not a Linear is scanned and refined; measured worst
-        # relative gap 4.2e-16 over these maps, points and n
+        # a map that is not exactly a Linear is scanned and refined; measured
+        # worst relative gap 4.2e-16 over these maps, points and n
         q = CircleQuadrature(n)
-        view = NotEquivariant(mapping)
+        view = Scanned(mapping.a, mapping.b, mapping.c)
         closed = modulus_extremes(mapping, z0, self.RADII, q)
         scanned = modulus_extremes(view, z0, self.RADII, q)
         for a, b in zip(closed, scanned):
@@ -710,9 +709,11 @@ class TestLinearClosedForm:
                 modulus_extremes(mapping, 0j, r)
 
     def test_scan_refuses_a_non_finite_node(self):
-        # Re f = 1.9e308 cos(theta) r overflows on the circle r = 1 near
-        # theta = 0 and pi, nodes among them; the circle r = 0.5 is finite
-        mapping = Scanned(1e308, 0.9e308)
+        # Im f = 1.9e308 sin(theta) r overflows on the circle r = 1 near
+        # theta = pi/2 and 3 pi/2, nodes among them, but not at theta = 0,
+        # the node every circle's probes are refused at; the circle r = 0.5
+        # is finite
+        mapping = Scanned(-1e308, 0.9e308)
         message = r"^node sample \|f\(z\) - f\(z0\)\| = inf at r = 1\.0 about 0j is beyond"
         with np.errstate(over="ignore"), pytest.raises(BeyondDoubleRange, match=message):
             modulus_extremes(mapping, 0j, np.array([0.5, 1.0]), CircleQuadrature(8))

@@ -46,6 +46,7 @@ VERDICT_TOLERANCES = {
 LEFT_ALONE = {
     "ENVELOPE_ABS_TOL": "the attenuation integral's panel error",
     "MODULUS_ANGLE_TOL": "the golden-section bracket of the modulus search",
+    "SYMMETRY_REL_TOL": "the probe test that lets one node stand for its circle",
 }
 #: the six functions whose verdicts judge makes
 JUDGED = {

@@ -1,16 +1,19 @@
-"""Circle functionals of symmetric pairs from one sample.
+"""Circle functionals of symmetric pairs from one sample, found by probes.
 
-A map that commutes with rotations about its center has the symmetry
-"equivariant"; about that center |f - f(center)|, |f_theta| and the
-dilatation are the same at every node of a circle, so modulus_extremes,
-circle_length and circle_average_D read the theta = 0 node alone.  A
-coefficient whose |K|^2 depends on the angle alone has the abs2_symmetry
-"angle", and kappa takes one unit-circle mean for every radius.  The values
-are held honest by property tests, and the shortcuts by full-path oracles
-(test-local views with a lesser value) and by point counts.
+CircleQuadrature.circle_means samples every circle at theta = 0 and at the
+PROBE_ANGLES.  About the center of a map that commutes with rotations,
+|f - f(center)|, |f_theta|, J and the dilatation agree at every probe, so
+modulus_extremes, circle_length, circle_average_D and the disk sweep read
+the theta = 0 node alone.  A coefficient whose |K|^2 depends on the angle
+alone agrees with the unit circle's probes, and kappa takes one unit-circle
+mean for every radius.  The maps are held honest by property tests, the
+shortcuts by the full-circle oracle FullCircles and by point counts, and
+the probes by a property test over modulated maps that they must tell from
+radial ones.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,136 +23,43 @@ from hypothesis import strategies as st
 from beltrami_growth import (
     CircleQuadrature,
     CoefficientField,
-    FieldProfile,
-    Linear,
     LinearCoefficient,
     Mapping,
     Power,
     RadiusLadder,
+    angular_dilatation,
     circle_average_D,
     circle_length,
     disk_checks,
+    image_area,
+    jacobian_wirtinger,
     kappa,
     modulus_extremes,
     theorem1_check,
+    wirtinger_to_polar,
 )
+from beltrami_growth.dilatation import SYMMETRY_REL_TOL
 from beltrami_growth.verify import check_radii
 
 from test_area_sweep import (
     CERTIFY_KINDS,
     DISK_PAIRS,
-    FLAGGED,
+    RADIAL_J,
     TABLE_AT_5,
-    InteriorFold,
+    FullCircles,
     ModulatedPower,
 )
-
-
-def subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from subclasses(sub)
-
-
-def carrying(base, attribute, value):
-    """The package's subclasses of ``base`` whose ``attribute`` is ``value``."""
-    return {
-        cls.__name__
-        for cls in subclasses(base)
-        if cls.__module__.startswith("beltrami_growth") and getattr(cls, attribute) == value
-    }
-
-
-class NotEquivariant:
-    """A mapping with a radial Jacobian seen with the symmetry
-    "radial_jacobian" alone, so every circle functional reads all n nodes:
-    the full-path oracle of the one-node path.  The disk sweep keeps its one
-    node per circle, and every other attribute is the mapping's."""
-
-    symmetry = "radial_jacobian"
-    symmetry_about = Mapping.symmetry_about
-
-    def __init__(self, mapping):
-        self._mapping = mapping
-
-    def __getattr__(self, name):
-        return getattr(self._mapping, name)
-
-
-class NoAbs2Symmetry:
-    """A coefficient seen with no abs2_symmetry, so kappa averages every
-    circle on its own."""
-
-    abs2_symmetry = None
-
-    def __init__(self, coefficient):
-        self._coefficient = coefficient
-
-    def __getattr__(self, name):
-        return getattr(self._coefficient, name)
-
 
 #: every mapping of the disk-sweep tests that also commutes with rotations:
 #: the catalog's radial maps, the extremal table and a table about 5 + 0j,
 #: each with radii on both sides of its seams
-EQUIVARIANT = {
-    name: case for name, case in FLAGGED.items() if case[0].symmetry == "equivariant"
-}
+EQUIVARIANT = {name: case for name, case in RADIAL_J.items() if name != "linear"}
 #: linear coefficients, about the origin and off it
 LINEAR_FIELDS = {
     "origin": LinearCoefficient(0.3 + 0.1j, 1.2 - 0.4j),
     "at-5": LinearCoefficient(-0.7 + 0.2j, 0.4 + 0.1j, 5 + 0j),
 }
 
-
-class TestSymmetryValues:
-    def test_equivariant_classes(self):
-        # a new mapping class must opt in here, not silently
-        assert carrying(Mapping, "symmetry", "equivariant") == {
-            "RadialMapping",
-            "Power",
-            "LogLog",
-            "RadialTable",
-            "Identity",
-            "Spiral",
-        }
-        for cls in (Linear, ModulatedPower, InteriorFold):
-            assert cls.symmetry != "equivariant"
-
-    def test_angular_classes(self):
-        assert carrying(CoefficientField, "abs2_symmetry", "angle") == {"LinearCoefficient"}
-        for K in LINEAR_FIELDS.values():
-            # kappa reads the unit circle for every radius, so the field
-            # must be defined, and smooth, at every radius
-            assert K.abs2_symmetry == "angle"
-            assert K.radial_domain == (0.0, math.inf) and K.radial_breakpoints == ()
-            profile = FieldProfile(K)
-            assert profile.domain == (0.0, math.inf) and profile.breakpoints == ()
-
-    def test_symmetry_only_about_the_center(self):
-        assert Power(2.0).symmetry_about(0j) == Power(2.0).symmetry_about(0.0) == "equivariant"
-        assert Power(2.0).symmetry_about(1e-300j) is None
-        assert TABLE_AT_5.symmetry_about(5.0) == "equivariant"
-        assert TABLE_AT_5.symmetry_about(0j) is None
-        assert Linear(0.3, 1.2).symmetry_about(0j) == "radial_jacobian"
-        assert Linear(0.3, 1.2).symmetry_about(1j) is None
-        assert ModulatedPower().symmetry_about(0j) is None
-
-    @pytest.mark.parametrize(
-        "base, attribute, value",
-        [
-            (base, attribute, value)
-            for base, attribute, other in [
-                (Mapping, "symmetry", "radius"),
-                (CoefficientField, "abs2_symmetry", "equivariant"),
-            ]
-            # the old booleans, a value of the other base and a misspelling
-            for value in (True, False, other, "Equivariant")
-        ],
-    )
-    def test_unknown_value_refused_at_class_creation(self, base, attribute, value):
-        with pytest.raises(TypeError, match=f"Typo.{attribute} must be one of .*, got {value!r}"):
-            type("Typo", (base,), {attribute: value})
 
 class TestHonesty:
     """Every class has the symmetry its value claims."""
@@ -197,7 +107,7 @@ class TestOneNodeOracles:
         mapping, radii = EQUIVARIANT[name]
         q, radii = CircleQuadrature(n), np.array(radii)
         m_max, m_min = modulus_extremes(mapping, mapping.center, radii, q)
-        full_max, full_min = modulus_extremes(NotEquivariant(mapping), mapping.center, radii, q)
+        full_max, full_min = modulus_extremes(mapping, mapping.center, radii, FullCircles(n))
         assert np.array_equal(m_max, m_min)
         np.testing.assert_allclose(m_max, full_max, rtol=1e-14)
         np.testing.assert_allclose(m_min, full_min, rtol=1e-14)
@@ -212,7 +122,7 @@ class TestOneNodeOracles:
         q, radii = CircleQuadrature(n), np.array(radii)
         np.testing.assert_allclose(
             functional(mapping, mapping.center, radii, q),
-            functional(NotEquivariant(mapping), mapping.center, radii, q),
+            functional(mapping, mapping.center, radii, FullCircles(n)),
             rtol=1e-14,
         )
 
@@ -224,7 +134,7 @@ class TestOneNodeOracles:
         K, q = LINEAR_FIELDS[name], CircleQuadrature(n)
         radii = np.array([0.5, 1.0, 7.5, 1e4])
         means = kappa(K, radii, q)
-        np.testing.assert_allclose(means, kappa(NoAbs2Symmetry(K), radii, q), rtol=1e-14)
+        np.testing.assert_allclose(means, kappa(K, radii, FullCircles(n)), rtol=1e-14)
         # every radius gets the unit circle's mean, whatever radii come with it
         assert np.all(means == kappa(K, 1.0, q))
 
@@ -246,18 +156,20 @@ class TestOneNodeOracles:
         ids=["power", "spiral", "table"],
     )
     def test_off_center_reads_every_node(self, mapping, z0, radii):
-        # about any point but the center the symmetry is gone, and every
+        # about any point but the center the probes disagree, and every
         # functional is the full path's, bit for bit
-        q, radii, view = CircleQuadrature(256), np.array(radii), NotEquivariant(mapping)
-        for a, b in zip(modulus_extremes(mapping, z0, radii, q), modulus_extremes(view, z0, radii, q)):
+        q, radii, full = CircleQuadrature(256), np.array(radii), FullCircles(256)
+        for a, b in zip(*(modulus_extremes(mapping, z0, radii, quad) for quad in (q, full))):
             assert np.array_equal(a, b)
         for functional in (circle_length, circle_average_D):
-            assert np.array_equal(functional(mapping, z0, radii, q), functional(view, z0, radii, q))
+            a, b = (functional(mapping, z0, radii, quad) for quad in (q, full))
+            assert np.array_equal(a, b)
 
 
-def counted_points(mapping, K, r0):
+def counted_points(mapping, K, r0, q):
     """(mapping points, |K|^2 points) of one theorem1_check over ten rungs
-    plus one disk_checks on the pair at n = 256, as a certify op runs them."""
+    plus one disk_checks on the pair with the quadrature q, as a certify op
+    runs them."""
     maps, fields = [], []
 
     def counting(method, seen):
@@ -267,7 +179,6 @@ def counted_points(mapping, K, r0):
 
         return wrapper
 
-    q = CircleQuadrature(256)
     with pytest.MonkeyPatch.context() as patch:
         for name in ("evaluate", "wirtinger_analytic"):
             patch.setattr(Mapping, name, counting(getattr(Mapping, name), maps))
@@ -279,18 +190,66 @@ def counted_points(mapping, K, r0):
 
 @pytest.mark.parametrize("name", CERTIFY_KINDS)
 def test_point_count(name):
-    # a lost shortcut shows here as a count, without timing noise
+    # a lost shortcut shows here as a count, without timing noise: every
+    # certify pair reads its circles by the radius or the angle rule
     mapping, K, r0 = DISK_PAIRS[name]
-    points, field_points = counted_points(mapping, K, r0)
-    full, full_field = counted_points(NotEquivariant(mapping), NoAbs2Symmetry(K), r0)
-    if mapping.symmetry == "equivariant":
-        assert 0 < points <= full / 10
-    elif type(mapping) is Linear:
-        # the closed-form M and m evaluate no point; the full path scans the
-        # 12 circles of the ladder: f(z0), 12 x 256 nodes, and 24 brackets of
-        # 2 + 47 golden-section points
-        assert points == full - (1 + 12 * 256 + 24 * 49) == 5660
-    else:
-        assert points == full
-    # every certify coefficient has a symmetry, radial or angular
-    assert K.abs2_symmetry and 0 < field_points <= full_field / 10
+    points, field_points = counted_points(mapping, K, r0, CircleQuadrature(256))
+    full, full_field = counted_points(mapping, K, r0, FullCircles(256))
+    assert 0 < points <= full / 10
+    assert 0 < field_points <= full_field / 10
+
+
+@dataclass(frozen=True)
+class PowerModulated(Power):
+    """A Power subclass that evaluates like ModulatedPower(2, 0.3, 3): it
+    inherits a radial map's class, but it is not radial."""
+
+    alpha: float = 2.0
+    eps: float = 0.3
+    k: int = 3
+    _modulus = ModulatedPower._modulus
+    _eval_array = ModulatedPower._eval_array
+    _wirtinger_array = ModulatedPower._wirtinger_array
+
+
+class TestDetection:
+    """The probes, not the class, decide how a circle is read."""
+
+    def test_subclass_of_a_radial_map_reads_its_own_values(self):
+        # the closed forms: M = 1 + eps, m = 1 - eps, mean D = alpha (1 +
+        # k^2 (1/sqrt(1 - eps^2) - 1)) and S = pi (1 + eps^2 / 2) at r = 1
+        f, closed = PowerModulated(), ModulatedPower()
+        assert closed.alpha * closed.rate_ratio() == pytest.approx(2.869127060994529, rel=1e-15)
+        assert closed.area(1.0) == pytest.approx(3.2829643230013335, rel=1e-15)
+        m_max, m_min = modulus_extremes(f, 0j, 1.0)
+        assert m_max == pytest.approx(1.3, rel=1e-12)
+        assert m_min == pytest.approx(0.7, rel=1e-12)
+        assert circle_average_D(f, 0j, 1.0) == pytest.approx(2.869127060994529, rel=1e-12)
+        assert image_area(f, 0j, 1.0) == pytest.approx(3.2829643230013335, rel=1e-12)
+
+    @given(
+        st.floats(0.5, 4.0),
+        st.floats(-15.0, math.log10(0.5)),
+        st.sampled_from([64, 256, 1024]),
+        st.integers(1, 512),
+        st.floats(0.5, 50.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_node_only_where_it_is_the_mean(self, alpha, log_eps, n, k, r):
+        # on ModulatedPower(alpha, eps, k), k <= n/2, every circle mean the
+        # functionals take is within SYMMETRY_REL_TOL of the full-circle
+        # mean, on whichever path the probes send it
+        k = 1 + (k - 1) % (n // 2)
+        f, q = ModulatedPower(alpha, 10.0**log_eps, k), CircleQuadrature(n)
+        samples = {
+            "jacobian": lambda z: jacobian_wirtinger(f.wirtinger_analytic(z)),
+            "speed": lambda z: np.abs(wirtinger_to_polar(z, 0j, f.wirtinger_analytic(z)).d_theta),
+            "dilatation": lambda z: angular_dilatation(f, 0j, z),
+        }
+        for name, sample in samples.items():
+            _, probed, radial = q.probe(sample, 0j, np.array([r]))
+            mean = q.circle_means(sample, 0j, r)
+            full = FullCircles(n).circle_means(sample, 0j, r)
+            if radial[0]:
+                assert mean == probed[0, 0]
+            assert abs(mean - full) <= SYMMETRY_REL_TOL * abs(full), name
